@@ -11,20 +11,11 @@ Usage::
     PYTHONPATH=src python scripts/bench_sim.py
     PYTHONPATH=src python scripts/bench_sim.py --targets r2000 --scale 0.2 \\
         --assert-hit-rate 0.90        # CI perf smoke
-    PYTHONPATH=src python scripts/bench_sim.py --compare   # fast vs reference
-    PYTHONPATH=src python scripts/bench_sim.py --compare-jit \\
-        --assert-jit-speedup 1.2      # CI JIT perf smoke
     PYTHONPATH=src python scripts/bench_sim.py --warm \\
         --assert-digest-rate 0.01     # steady state is digest-free
     PYTHONPATH=src python scripts/bench_sim.py --profile-sim --json \\
         > selftime.json               # warm self-time breakdown
 
-``--compare`` runs every unit under both timing paths, verifies the
-cycle counts and cache stats are bit-identical, and prints the speedup.
-``--compare-jit`` runs every unit with the segment JIT on and off,
-verifies the results are bit-identical, and prints instr/s both ways
-plus the deopt count; ``--assert-jit-speedup RATIO`` exits nonzero when
-any unit's JIT speedup falls below RATIO (or any segment deopted).
 ``--compare-cache`` times each unit cold (fresh artifact-cache tmpdir,
 wall includes the compile) and then warm (in-process memos dropped, so
 target/executable/JIT/timing all come off the disk), verifies the warm
@@ -56,8 +47,7 @@ ALL_TARGETS = ("toyp", "r2000", "m88000", "i860")
 
 
 def bench_unit(
-    target, kernel_id, strategy, scale, fast, jit=True, time_compile=False,
-    warm=False,
+    target, kernel_id, strategy, scale, time_compile=False, warm=False
 ):
     # a fresh compile per run: the block-timing memo and JIT code cache
     # live on the executable, so reuse would let one run's warmup bleed
@@ -76,18 +66,14 @@ def bench_unit(
             executable,
             "bench",
             args=(loop, n),
-            options=repro.SimOptions(
-                cache=DirectMappedCache(), fast_timing=fast, jit=jit
-            ),
+            options=repro.SimOptions(cache=DirectMappedCache()),
         )
     start = time.perf_counter()
     result = repro.simulate(
         executable,
         "bench",
         args=(loop, n),
-        options=repro.SimOptions(
-            cache=DirectMappedCache(), fast_timing=fast, jit=jit
-        ),
+        options=repro.SimOptions(cache=DirectMappedCache()),
     )
     end = time.perf_counter()
     seconds = end - (compile_start if time_compile else start)
@@ -96,7 +82,6 @@ def bench_unit(
         "target": target,
         "kernel": kernel_id,
         "strategy": strategy,
-        "fast_timing": fast,
         "seconds": round(seconds, 4),
         "instructions": result.instructions,
         "cycles": result.cycles,
@@ -109,7 +94,6 @@ def bench_unit(
         "cache_hits": result.cache_hits,
         "cache_misses": result.cache_misses,
         "checksum": result.return_value["double"],
-        "jit": jit,
         "warm": warm,
         "jit_segments": result.jit_segments,
         "jit_active_segments": result.jit_active_segments,
@@ -263,13 +247,9 @@ def cache_compare_unit(target, kernel_id, strategy, scale):
     root = tempfile.mkdtemp(prefix=f"bench-cache-{target}-")
     configure_cache(root=root, enabled=True)
     clear_target_cache()
-    cold = bench_unit(
-        target, kernel_id, strategy, scale, True, time_compile=True
-    )
+    cold = bench_unit(target, kernel_id, strategy, scale, time_compile=True)
     clear_target_cache()
-    row = bench_unit(
-        target, kernel_id, strategy, scale, True, time_compile=True
-    )
+    row = bench_unit(target, kernel_id, strategy, scale, time_compile=True)
     row["cold_seconds"] = cold["seconds"]
     row["warm_seconds"] = row["seconds"]
     row["cache_speedup"] = round(
@@ -299,25 +279,6 @@ def main(argv=None):
         default=None,
         metavar="RATE",
         help="exit 1 if any unit's block-cache hit rate is below RATE",
-    )
-    parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="also run the reference path; verify bit-identical, print speedup",
-    )
-    parser.add_argument(
-        "--compare-jit",
-        action="store_true",
-        help="also run with the segment JIT off; verify bit-identical, "
-        "print instr/s both ways and the deopt count",
-    )
-    parser.add_argument(
-        "--assert-jit-speedup",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="with --compare-jit: exit 1 if any unit's JIT speedup is "
-        "below RATIO, no segment compiled, or any deopt occurred",
     )
     parser.add_argument(
         "--compare-cache",
@@ -449,45 +410,8 @@ def main(argv=None):
             rows.append(row)
             continue
         row = bench_unit(
-            target, args.kernel, args.strategy, args.scale, True,
-            warm=args.warm,
+            target, args.kernel, args.strategy, args.scale, warm=args.warm
         )
-        if args.compare:
-            reference = bench_unit(
-                target, args.kernel, args.strategy, args.scale, False
-            )
-            row["reference_seconds"] = reference["seconds"]
-            row["speedup"] = round(
-                reference["seconds"] / max(row["seconds"], 1e-9), 2
-            )
-            for field in ("cycles", "cache_hits", "cache_misses"):
-                if row[field] != reference[field]:
-                    row["mismatch"] = field
-                    failed = True
-        if args.compare_jit:
-            interp = bench_unit(
-                target, args.kernel, args.strategy, args.scale, True,
-                jit=False,
-            )
-            row["interp_seconds"] = interp["seconds"]
-            row["interp_instr_per_s"] = interp["instr_per_s"]
-            row["jit_speedup"] = round(
-                interp["seconds"] / max(row["seconds"], 1e-9), 2
-            )
-            for field in (
-                "instructions", "cycles", "cache_hits", "cache_misses",
-                "checksum",
-            ):
-                if row[field] != interp[field]:
-                    row["mismatch"] = field
-                    failed = True
-            if args.assert_jit_speedup is not None and (
-                row["jit_speedup"] < args.assert_jit_speedup
-                or row["jit_segments"] == 0
-                or row["jit_deopts"] != 0
-            ):
-                row["below_jit_threshold"] = True
-                failed = True
         if (
             args.assert_hit_rate is not None
             and row["hit_rate"] < args.assert_hit_rate
@@ -519,22 +443,13 @@ def main(argv=None):
                 f"block-cache hit rate {row['hit_rate']:.4f} "
                 f"({row['block_cache_hits']}/{row['block_cache_hits'] + row['block_cache_misses']})"
             )
-            if "speedup" in row:
-                line += f", {row['speedup']}x vs reference"
             if "cache_speedup" in row:
                 line += (
                     f", cache {row['cache_speedup']}x warm vs cold "
                     f"({row['cold_seconds']:.3f}s -> "
                     f"{row['warm_seconds']:.3f}s)"
                 )
-            if "jit_speedup" in row:
-                line += (
-                    f", jit {row['jit_speedup']}x vs interp "
-                    f"({row['interp_instr_per_s'] / 1e6:.2f}M instr/s off, "
-                    f"{row['jit_segments']} segments, "
-                    f"{row['jit_deopts']} deopts)"
-                )
-            elif row["jit_segments"]:
+            if row["jit_segments"]:
                 line += (
                     f", jit: {row['jit_segments']} segments, "
                     f"{row['jit_hits']} hits, {row['jit_deopts']} deopts"
@@ -557,8 +472,6 @@ def main(argv=None):
                 line += "  !! digest rate above threshold"
             if row.get("above_max_seconds"):
                 line += "  !! wall above threshold"
-            if row.get("below_jit_threshold"):
-                line += "  !! jit speedup below threshold (or deopt)"
             if row.get("below_warm_threshold"):
                 line += "  !! warm speedup below threshold (or rework)"
             print(line)
@@ -568,10 +481,6 @@ def main(argv=None):
         if args.assert_hit_rate is not None:
             reasons.append(
                 f"block-cache hit rate below {args.assert_hit_rate}"
-            )
-        if args.assert_jit_speedup is not None:
-            reasons.append(
-                f"jit speedup below {args.assert_jit_speedup} or deopt"
             )
         if args.assert_warm_speedup is not None:
             reasons.append(
@@ -586,7 +495,7 @@ def main(argv=None):
             reasons.append(
                 f"simulation wall above {args.assert_max_seconds}s"
             )
-        reasons.append("jit/fast/reference/cache mismatch")
+        reasons.append("cold/warm result mismatch")
         print("FAIL: " + " / ".join(reasons), file=sys.stderr)
         return 1
     return 0

@@ -212,9 +212,11 @@ def simulate(
             cache=True, max_cycles=1_000_000))
 
     ``SimOptions(max_cycles=...)`` arms the simulator watchdog (the run
-    raises :class:`SimulationTimeout` once the cycle count passes the
-    budget); ``SimOptions(trace=True)`` attributes every stall cycle to
-    a hazard kind in ``SimResult.cycle_breakdown``.  The pre-1.1 keyword
+    raises :class:`SimulationTimeout` exactly when its cycle count
+    exceeds the budget); ``SimOptions(trace=True)`` attributes every
+    stall cycle to a hazard kind in ``SimResult.cycle_breakdown``.
+    Budgeted and traced runs take the same simulation engine as plain
+    ones (block-timing memo and segment JIT).  The pre-1.1 keyword
     spellings (``cache=``, ``model_timing=``, ``max_instructions=``,
     ``max_cycles=``) have been removed; passing one raises
     :class:`TypeError` naming the replacement.

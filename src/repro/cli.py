@@ -63,13 +63,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="fill branch delay slots with useful work (GH82 extension)",
     )
-    parser.add_argument(
-        "--jit",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="segment JIT for functional simulation (default: on, or the "
-        "REPRO_JIT environment override; bit-identical either way)",
-    )
 
 
 def _load_json_document(text: str, flag: str):
@@ -146,8 +139,6 @@ def _sim_options(arguments, trace_enabled: bool) -> repro.SimOptions:
             doc["cache"] = True
         if trace_enabled:
             doc["trace"] = True
-        if arguments.jit is not None:
-            doc["jit"] = arguments.jit
     return sim_options_from_json(doc)
 
 

@@ -16,44 +16,12 @@ passing one now raises :class:`TypeError` naming the replacement (see
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 from repro.errors import MarionError
 
 #: sentinel distinguishing "keyword not passed" from any real value
 UNSET = object()
-
-#: process-wide default for :attr:`SimOptions.fast_timing`, read once at
-#: import.  ``REPRO_FAST_TIMING=0`` forces the reference interleaved
-#: timing path for every run that does not set the field explicitly —
-#: CI's cross-validation job runs the suite under both values.
-_FAST_TIMING_DEFAULT = os.environ.get(
-    "REPRO_FAST_TIMING", "1"
-).lower() not in ("0", "false", "off", "no")
-
-#: process-wide default for :attr:`SimOptions.jit`, read once at import.
-#: ``REPRO_JIT=0`` keeps every run on the closure interpreter — CI's
-#: cross-validation job runs the differential suite under both values.
-_JIT_DEFAULT = os.environ.get(
-    "REPRO_JIT", "1"
-).lower() not in ("0", "false", "off", "no")
-
-#: process-wide default for :attr:`SimOptions.superblock`, read once at
-#: import.  ``REPRO_SUPERBLOCK=0`` keeps the JIT at straight-line
-#: segments (no trace superblocks) — CI cross-validates both values.
-_SUPERBLOCK_DEFAULT = os.environ.get(
-    "REPRO_SUPERBLOCK", "1"
-).lower() not in ("0", "false", "off", "no")
-
-#: process-wide default for :attr:`SimOptions.timing_chain`, read once
-#: at import.  ``REPRO_TIMING_CHAIN=0`` makes every segment boundary go
-#: through :meth:`BlockTimingCache.close` instead of the inline
-#: transition tables — CI cross-validates both values.
-_TIMING_CHAIN_DEFAULT = os.environ.get(
-    "REPRO_TIMING_CHAIN", "1"
-).lower() not in ("0", "false", "off", "no")
-
 
 @dataclass(frozen=True)
 class CompileOptions:
@@ -104,45 +72,23 @@ class SimOptions:
       instance (resolved inside the simulator, so this module stays
       import-light);
     * ``model_timing`` — run the cycle-level pipeline model (``False``
-      executes functionally and reports instruction counts as cycles);
+      executes functionally, with no data cache, and reports
+      instruction counts as cycles);
     * ``max_instructions`` — functional-execution fuse (infinite loops);
     * ``max_cycles`` — optional watchdog: the run raises
-      :class:`~repro.errors.SimulationTimeout` past this cycle budget;
-    * ``trace`` — use the accounting pipeline model, which attributes
-      every stall cycle to a hazard kind and fills
-      ``SimResult.cycle_breakdown``;
-    * ``fast_timing`` — consult the pipeline model through the memoized
-      block-timing cache (:mod:`repro.sim.blockcache`), which returns
-      bit-identical cycle counts while skipping the per-instruction
-      hazard walk for repeated basic blocks.  The simulator falls back
-      to the reference interleaved path automatically whenever the run
-      needs per-instruction timing: ``trace=True`` (the accounting model
-      attributes every cycle), an armed ``max_cycles`` watchdog (its
-      raise point is cycle-exact), or a ``watch=`` callback (it receives
-      per-instruction issue cycles);
-    * ``jit`` — compile hot straight-line segments to specialized Python
-      (:mod:`repro.sim.jit`) once they cross the warmup threshold.
-      Bit-identical to the interpreter (guarded deopt re-executes
-      anything uncovered); only active on the fast-timing path, so runs
-      that need per-instruction observation (``trace=True``, ``watch=``,
-      ``max_cycles``) are automatically interpreted.  ``REPRO_JIT=0``
-      turns it off process-wide.
-    * ``superblock`` — let the segment JIT stitch hot multi-segment
-      traces (loop nests, if-diamonds) into single compiled superblocks
-      with the block-timing probe inlined, so steady-state loop
-      iterations never return to the dispatch loop.  Bit-identical to
-      plain segments (a superblock closes exactly the same per-segment
-      timing units in the same order); only meaningful with ``jit=True``
-      on the fast-timing path.  ``REPRO_SUPERBLOCK=0`` turns it off
-      process-wide.
-    * ``timing_chain`` — hand generated code (and chained loops inside
-      it) the block-timing memo's per-segment *transition tables*, so a
-      warm segment boundary commits timing with one integer-tuple dict
-      lookup and no call back into
-      :class:`~repro.sim.blockcache.BlockTimingCache`.  With it off,
-      every boundary takes the ``close()`` call path instead — same
-      memo, same records, bit-identical results, just slower.
-      ``REPRO_TIMING_CHAIN=0`` turns it off process-wide.
+      :class:`~repro.errors.SimulationTimeout` exactly when its cycle
+      count (its instruction count with timing off) exceeds this
+      budget.  The check runs at segment boundaries and once at run
+      end, so the exception's ``cycle``/``pc`` are those of the first
+      boundary past the budget, not a cycle-exact raise point;
+    * ``trace`` — attribute every stall cycle to a hazard kind and fill
+      ``SimResult.cycle_breakdown``.
+
+    Every run without a ``watch=`` callback takes the one simulation
+    engine: block-timing memo, segment JIT, trace superblocks and the
+    timing chain, bit-identical to the per-instruction reference model
+    (which only ``watch=`` runs use, since they need per-instruction
+    issue cycles).
     """
 
     cache: object = None
@@ -150,10 +96,6 @@ class SimOptions:
     max_instructions: int = 50_000_000
     max_cycles: int | None = None
     trace: bool = False
-    fast_timing: bool = _FAST_TIMING_DEFAULT
-    jit: bool = _JIT_DEFAULT
-    superblock: bool = _SUPERBLOCK_DEFAULT
-    timing_chain: bool = _TIMING_CHAIN_DEFAULT
 
     def replace(self, **changes) -> "SimOptions":
         """A copy with the given fields changed (frozen-friendly)."""

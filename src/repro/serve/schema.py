@@ -54,10 +54,6 @@ _SIM_FIELDS: dict[str, tuple] = {
     "max_instructions": (int,),
     "max_cycles": (int,),
     "trace": (bool,),
-    "fast_timing": (bool,),
-    "jit": (bool,),
-    "superblock": (bool,),
-    "timing_chain": (bool,),
 }
 
 

@@ -57,9 +57,9 @@ iterations of multi-segment loops never return to the dispatch loop;
 every other exit is a *side exit* that returns with the final segment
 left open for the driver to close — timing keys, close order and event
 streams are exactly the ones interpreted segments produce, which is
-what keeps compiled code bit-identical on/off.  Both shapes share one
-codegen (:class:`_TraceCodegen`; a plain segment is a one-node trace)
-and therefore one dispatch branch in the driver.
+what keeps compiled code bit-identical to the interpreter.  Both shapes
+share one codegen (:class:`_TraceCodegen`; a plain segment is a
+one-node trace) and therefore one branch in the dispatch loop.
 
 Anything the translator does not cover — temporal registers, invalid
 double pairings, control in a delay slot, unallocated operands — is
@@ -78,7 +78,6 @@ blacklisted back to the interpreter.
 from __future__ import annotations
 
 import marshal
-import os
 import struct
 from importlib.util import MAGIC_NUMBER
 
@@ -101,20 +100,14 @@ from repro.sim.executor import (
 )
 
 #: dispatches of one segment entry before it is compiled
-try:
-    JIT_WARMUP = int(os.environ.get("REPRO_JIT_WARMUP", "16"))
-except ValueError:  # pragma: no cover - defensive
-    JIT_WARMUP = 16
+JIT_WARMUP = 16
 
 #: guard failures before a compiled entry is blacklisted
 MAX_DEOPTS = 8
 
 #: taken-edge traversals of one (from, to) segment edge before a trace
 #: superblock is attempted at the edge's source entry
-try:
-    SUPERBLOCK_WARMUP = int(os.environ.get("REPRO_SB_WARMUP", "64"))
-except ValueError:  # pragma: no cover - defensive
-    SUPERBLOCK_WARMUP = 64
+SUPERBLOCK_WARMUP = 64
 
 #: an internal trace edge must have been taken at least this often for
 #: the greedy selector to keep extending the trace through it
@@ -1932,7 +1925,7 @@ class SegmentJIT:
 
     def segment_fallback(self, entry: int, cached: bool):
         """The plain segment record behind a superblock at ``entry``
-        (materialized on demand), for runs with superblocks disabled."""
+        (materialized on demand), restored when the trace blacklists."""
         item = (1 if cached else 0, entry)
         fallback = self._sb_fallback.get(item)
         if fallback is None:

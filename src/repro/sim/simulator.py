@@ -31,6 +31,12 @@ _HALT = -1
 #: ``None`` (refused/blacklisted) in the JIT dispatch table
 _MISS = object()
 
+#: executed instructions between ``max_cycles`` checks (a power of
+#: two): the reference loop checks every this many instructions, and
+#: the engine caps generated code's back-edge fuse at it, so compiled
+#: loops return to the dispatch loop's boundary check
+WATCHDOG_STRIDE = 256
+
 #: version tag mixed into the ``jit`` artifact-cache key; bumped when
 #: the :meth:`SegmentJIT.export` payload format changes (v2: tagged
 #: records with trace superblocks and their segment fallbacks; v3:
@@ -53,20 +59,30 @@ _JIT_PAYLOAD_VERSION = "v5"
 _TIMING_PAYLOAD_VERSION = "v3"
 
 
+def _timeout(max_cycles, function, pc, cycle) -> SimulationTimeout:
+    return SimulationTimeout(
+        f"simulation exceeded {max_cycles} cycles",
+        max_cycles=max_cycles,
+        function=function,
+        pc=pc,
+        cycle=cycle,
+    )
+
+
 def _no_timing_close(
     entry, end, transfer, miss_mask, events, entry_id, base,
     _empty=BlockTimingCache.EMPTY_ID,
 ):
-    """Segment close for ``model_timing=False`` fast runs: no pipeline
+    """Segment close for ``model_timing=False`` runs: no pipeline
     model is consulted, so every close is free and contributes nothing."""
     return 0, _empty, ()
 
 
 def _accounted_close(real_close, totals):
-    """Wrap :meth:`BlockTimingCache.close` for ``trace=True`` fast runs:
+    """Wrap :meth:`BlockTimingCache.close` for ``trace=True`` runs:
     every close (dispatch-level *and* the inline probe-miss closes inside
     generated code) adds its record's memoized stall-delta tuple into the
-    run's accumulator.  Trace runs disable the inline probe tables (see
+    run's accumulator.  Trace runs withhold the inline probe tables (see
     ``_cold_tables``), so every boundary funnels through here and no
     stall cycle escapes attribution."""
 
@@ -84,20 +100,20 @@ def _accounted_close(real_close, totals):
     return close
 
 
-#: shared empty transition table for ``timing_chain=False`` runs
+#: shared empty transition table for ``trace=True`` runs
 _EMPTY_TRANSITIONS: dict = {}
 
 
 def _cold_tables(entry, end, transfer, _empty=_EMPTY_TRANSITIONS):
-    """Transition-table accessor handed to generated code when the
-    timing chain is disabled: every inline probe misses into a shared
-    empty table, so each boundary takes the ``close()`` path instead —
-    same memo, same records, bit-identical results, just slower."""
+    """Transition-table accessor handed to generated code on
+    ``trace=True`` runs: every inline probe misses into a shared empty
+    table, so each boundary takes the (accounting) ``close()`` path —
+    same memo, same records, bit-identical cycles."""
     return _empty
 
 
 class _FreeRecords:
-    """Stand-in transition table for ``model_timing=False`` fast runs:
+    """Stand-in transition table for ``model_timing=False`` runs:
     every inline probe "hits" a free record, so generated code never
     falls back to the close path."""
 
@@ -132,25 +148,24 @@ class SimResult:
     #: ``SimOptions(trace=True)``; every cycle of issue-point advance is
     #: attributed, so the values sum to ``cycles - 1``
     cycle_breakdown: dict[str, int] | None = None
-    #: block-timing cache lookups this run (both zero when the run used
-    #: the reference interleaved path — watch/max_cycles fallback,
-    #: ``fast_timing=False``, or timing off)
+    #: block-timing cache lookups this run (both zero on a ``watch=``
+    #: run, which takes the reference interleaved model, or with timing
+    #: off)
     block_cache_hits: int = 0
     block_cache_misses: int = 0
-    #: segment-JIT activity this run (all zero when the run took the
-    #: reference path or ``SimOptions(jit=False)``): segments newly
-    #: compiled, compiled-segment dispatches, and guard deopts
+    #: segment-JIT activity this run (all zero on a ``watch=`` run):
+    #: segments newly compiled, compiled-segment dispatches, and guard
+    #: deopts
     jit_segments: int = 0
     jit_hits: int = 0
     jit_deopts: int = 0
-    #: trace-superblock activity this run (zero when the run took the
-    #: reference path or ``SimOptions(superblock=False)``): traces newly
-    #: compiled and side exits taken out of compiled traces
+    #: trace-superblock activity this run (zero on a ``watch=`` run):
+    #: traces newly compiled and side exits taken out of compiled traces
     jit_superblocks: int = 0
     jit_side_exits: int = 0
     #: entries with a live compiled function at run end — compiled plus
     #: preloaded; the number that distinguishes a warm run
-    #: (``jit_segments == 0`` but hundreds active) from JIT-off
+    #: (``jit_segments == 0`` but hundreds active) from a cold one
     jit_active_segments: int = 0
     #: pipeline-state digests computed this run (first visits to a
     #: timing transition); on a warm run this stays near zero while
@@ -245,17 +260,20 @@ class Simulator:
         built with for this run (cache, timing model, limits and trace
         flag all come from it).  ``SimOptions(max_cycles=...)`` arms the
         watchdog: the run raises :class:`SimulationTimeout` (carrying
-        function/pc/cycle context) once the pipeline cycle count passes
+        function/pc/cycle context) exactly when its cycle count exceeds
         the budget; with timing off the instruction count stands in for
-        cycles.  ``SimOptions(trace=True)`` selects the accounting
-        pipeline model and fills ``SimResult.cycle_breakdown``.
+        cycles.  ``SimOptions(trace=True)`` fills
+        ``SimResult.cycle_breakdown``.  Both run on the engine (the
+        block-timing memo and the segment JIT).
 
         ``watch``, if given, is called as ``watch(pc, instr, cycle)``
         after every executed instruction (cycle is 0 when timing is off)
-        — a debugging hook for watching generated code execute.  The
-        pre-1.1 spellings (``max_instructions=``/``max_cycles=``
-        keywords, ``trace=`` for the watch callback) have been removed
-        and raise :class:`TypeError` naming the replacement.
+        — a debugging hook for watching generated code execute.  It
+        needs per-instruction issue cycles, so the run takes the
+        reference interleaved model instead of the engine.  The pre-1.1
+        spellings (``max_instructions=``/``max_cycles=`` keywords,
+        ``trace=`` for the watch callback) have been removed and raise
+        :class:`TypeError` naming the replacement.
         """
         run_options = options if options is not None else self.options
         legacy = sorted(
@@ -281,29 +299,20 @@ class Simulator:
         cache = self.cache if options is None else _resolve_cache(
             run_options.cache
         )
-        # the memoized block-timing path needs nothing observed per
-        # instruction; anything that does — a cycle-exact watchdog
-        # raise, a watch callback fed issue cycles — takes the reference
-        # interleaved path.  Stall attribution (``trace=True``) *is*
-        # fast-path eligible: transition records memoize per-hazard
-        # stall deltas, so a trace run sums tuples at segment
-        # boundaries instead of attributing every issue.  Timing-off
-        # runs (model_timing=False) share the fast loop too, with the
-        # block close stubbed out, so they still dispatch the segment
-        # JIT.
-        fast = (
-            run_options.fast_timing
-            and run_options.max_cycles is None
-            and watch is None
-        )
+        if not run_options.model_timing:
+            # the data cache only shapes timing, so a functional run
+            # models none — the reference loop never consulted it
+            cache = None
         with obs.span(
             f"simulate:{function}", target=self.target.name
         ) as node:
-            if fast:
+            if watch is None:
                 result = self._run_fast(
                     function, args, arg_types, run_options, cache
                 )
             else:
+                # a watch callback is fed per-instruction issue cycles,
+                # which only the reference interleaved model produces
                 result = self._run(
                     function, args, arg_types, run_options, cache, watch
                 )
@@ -336,7 +345,7 @@ class Simulator:
                 for kind, count in result.cycle_breakdown.items():
                     if count:
                         obs.count(f"sim.stall.{kind}", count)
-        if fast:
+        if watch is None:
             self._persist_sim_artifacts()
         return result
 
@@ -497,9 +506,10 @@ class Simulator:
         block_starts = self._block_starts
         pipeline_issue = pipeline.issue if pipeline else None
         wall_start = time.perf_counter() if timing.ENABLED else 0.0
-        # the watchdog is checked every 256 instructions so its cost on
-        # the hot path is one extra branch per instruction
+        # the watchdog is checked every WATCHDOG_STRIDE instructions so
+        # its cost on the hot path is one extra branch per instruction
         watchdog = max_cycles is not None
+        stride_mask = WATCHDOG_STRIDE - 1
 
         while pc != _HALT:
             if pc < 0 or pc >= program_size:
@@ -517,16 +527,10 @@ class Simulator:
                     pc=pc,
                     cycle=pipeline.cycles if pipeline else executed,
                 )
-            if watchdog and not (executed & 255):
+            if watchdog and not (executed & stride_mask):
                 current = pipeline.cycles if pipeline else executed
                 if current > max_cycles:
-                    raise SimulationTimeout(
-                        f"simulation exceeded {max_cycles} cycles",
-                        max_cycles=max_cycles,
-                        function=function,
-                        pc=pc,
-                        cycle=current,
-                    )
+                    raise _timeout(max_cycles, function, pc, current)
             effect = closures[pc](state, mem_log)
             executed += 1
             if pc in block_starts:
@@ -600,15 +604,16 @@ class Simulator:
                     cycle=pipeline.cycles if pipeline else executed,
                 )
 
+        cycles = pipeline.cycles if pipeline else executed
+        if watchdog and cycles > max_cycles:
+            raise _timeout(max_cycles, function, pc, cycles)
         if timing.ENABLED:
             timing.add_seconds("sim.run", time.perf_counter() - wall_start)
             timing.add("sim.instructions", executed)
-            timing.add(
-                "sim.cycles", (pipeline.cycles if pipeline else executed)
-            )
+            timing.add("sim.cycles", cycles)
         result = SimResult(
             return_value=None,
-            cycles=pipeline.cycles if pipeline else executed,
+            cycles=cycles,
             instructions=executed,
             loads=loads,
             stores=stores,
@@ -632,15 +637,21 @@ class Simulator:
         options: SimOptions,
         cache: DirectMappedCache | None,
     ) -> SimResult:
-        """The memoized block-timing path (see :mod:`repro.sim.blockcache`).
+        """The engine: memoized block timing (see
+        :mod:`repro.sim.blockcache`) plus the segment JIT.
 
         Functional execution is unchanged — every instruction's closure
-        still runs, and the data-cache model is consulted once per memory
-        access in reference order — but the pipeline model is consulted
-        per *segment* through :class:`BlockTimingCache` instead of per
-        instruction.  The timing state between segments is just an
-        interned digest id plus a virtual cycle counter."""
+        (or its compiled equivalent) still runs, and the data-cache model
+        is consulted once per memory access in reference order — but the
+        pipeline model is consulted per *segment* through
+        :class:`BlockTimingCache` instead of per instruction.  The timing
+        state between segments is just an interned digest id plus a
+        virtual cycle counter.  The ``max_cycles`` watchdog is checked at
+        every fresh segment boundary the dispatch loop visits and once at
+        run end."""
         max_instructions = options.max_instructions
+        max_cycles = options.max_cycles
+        watchdog = max_cycles is not None
         exe = self.executable
         state = self._init_state(function, args, arg_types)
         cwvm = self.target.cwvm
@@ -658,14 +669,7 @@ class Simulator:
             start_hits = block_cache.hits
             start_misses = block_cache.misses
             start_digests = block_cache.digests_computed
-            # transition tables handed to generated code: the real
-            # per-segment tables when the chain is on, a shared empty
-            # table (every probe misses into close()) when it is off
-            trans_tables = (
-                block_cache.transitions
-                if options.timing_chain
-                else _cold_tables
-            )
+            trans_tables = block_cache.transitions
             if tracing:
                 # stall attribution: every boundary must funnel through
                 # the accounting close (inline probe commits would skip
@@ -715,23 +719,26 @@ class Simulator:
         # segment-JIT dispatch state: compiled functions only ever run at
         # a fresh segment boundary (seg_len == 0 and pc == seg_entry), so
         # the accumulated events/miss-mask they receive are empty/zero
-        jit = self._segment_jit() if options.jit else None
+        jit = self._segment_jit()
         jit_cached = cache is not None
-        jit_table = jit.functions(jit_cached) if jit is not None else None
+        jit_table = jit.functions(jit_cached)
         jit_hits_run = 0
-        jit_compiled_before = jit.compiled if jit is not None else 0
-        jit_deopts_before = jit.deopts if jit is not None else 0
-        jit_active_before = jit.active_segments() if jit is not None else 0
+        jit_compiled_before = jit.compiled
+        jit_deopts_before = jit.deopts
+        jit_active_before = jit.active_segments()
         # trace-superblock dispatch state: the edge profile feeds trace
         # selection
-        sb_on = options.superblock and jit is not None
-        sb_edges = jit.edges if jit is not None else None
-        sb_sites = jit.edge_sites if jit is not None else None
+        sb_edges = jit.edges
+        sb_sites = jit.edge_sites
         sb_exits_run = 0
-        jit_superblocks_before = jit.superblocks if jit is not None else 0
-        jit_preloaded_before = jit.preloaded if jit is not None else 0
-        jit_sb_preloaded_before = jit.sb_preloaded if jit is not None else 0
-        jit_sb_demoted_before = jit.sb_demoted if jit is not None else 0
+        jit_superblocks_before = jit.superblocks
+        jit_preloaded_before = jit.preloaded
+        jit_sb_preloaded_before = jit.sb_preloaded
+        jit_sb_demoted_before = jit.sb_demoted
+        # an armed watchdog caps generated code's back-edge fuse, so a
+        # compiled loop returns to the boundary check about every
+        # WATCHDOG_STRIDE instructions
+        fuse_cap = WATCHDOG_STRIDE if watchdog else max_instructions
 
         while pc != _HALT:
             if pc < 0 or pc >= program_size:
@@ -748,15 +755,18 @@ class Simulator:
                     pc=pc,
                     cycle=virtual_issue + 1,
                 )
-            if seg_len == 0 and jit_table is not None and pc == seg_entry:
+            if seg_len == 0 and pc == seg_entry:
+                if watchdog:
+                    current = (
+                        virtual_issue + 1
+                        if block_cache is not None
+                        else executed
+                    )
+                    if current > max_cycles:
+                        raise _timeout(max_cycles, function, pc, current)
                 record = jit_table.get(pc, _MISS)
                 if record is _MISS:
                     record = jit.warm(pc, jit_cached)
-                if record is not None and record[2] and not sb_on:
-                    # the entry was promoted into a trace, but this run
-                    # has superblocks off: use the plain segment record
-                    # the promotion stashed (or stay interpreted)
-                    record = jit.segment_fallback(pc, jit_cached)
                 if record is not None and (
                     executed + record[1] <= max_instructions
                 ):
@@ -767,6 +777,9 @@ class Simulator:
                     # fallthrough exit (kind 0) returns an open segment
                     # for the interpreter to continue
                     is_sb = record[2]
+                    fuse = max_instructions - executed - record[1]
+                    if fuse > fuse_cap:
+                        fuse = fuse_cap
                     try:
                         (
                             jit_kind, seg_end, transfer, jit_label,
@@ -777,8 +790,7 @@ class Simulator:
                         ) = record[0](
                             state, cache, events, block_counts,
                             trans_tables, close, entry_id,
-                            base_offset + virtual_issue,
-                            max_instructions - executed - record[1],
+                            base_offset + virtual_issue, fuse,
                             miss_mask, load_bit,
                         )
                     except JitDeopt as guard:
@@ -862,7 +874,7 @@ class Simulator:
                                     function=function,
                                     cycle=virtual_issue + 1,
                                 )
-                            if jit_kind == 1 and sb_on:
+                            if jit_kind == 1:
                                 # profile the taken edge until its
                                 # promotion decision; a hot edge
                                 # triggers one trace-selection attempt
@@ -1033,25 +1045,22 @@ class Simulator:
             # exactly as on the reference path
             cycles = executed
             hits = misses = 0
+        if watchdog and cycles > max_cycles:
+            raise _timeout(max_cycles, function, pc, cycles)
         digests = (
             block_cache.digests_computed - start_digests
             if block_cache is not None
             else 0
         )
-        jit_segments = jit_deopts = jit_superblocks = 0
-        jit_preloaded_delta = jit_sb_preloaded_delta = 0
-        jit_sb_demoted_delta = 0
-        jit_active = 0
-        if jit is not None:
-            jit.hits += jit_hits_run
-            jit.side_exits += sb_exits_run
-            jit_segments = jit.compiled - jit_compiled_before
-            jit_deopts = jit.deopts - jit_deopts_before
-            jit_superblocks = jit.superblocks - jit_superblocks_before
-            jit_preloaded_delta = jit.preloaded - jit_preloaded_before
-            jit_sb_preloaded_delta = jit.sb_preloaded - jit_sb_preloaded_before
-            jit_sb_demoted_delta = jit.sb_demoted - jit_sb_demoted_before
-            jit_active = jit.active_segments()
+        jit.hits += jit_hits_run
+        jit.side_exits += sb_exits_run
+        jit_segments = jit.compiled - jit_compiled_before
+        jit_deopts = jit.deopts - jit_deopts_before
+        jit_superblocks = jit.superblocks - jit_superblocks_before
+        jit_preloaded_delta = jit.preloaded - jit_preloaded_before
+        jit_sb_preloaded_delta = jit.sb_preloaded - jit_sb_preloaded_before
+        jit_sb_demoted_delta = jit.sb_demoted - jit_sb_demoted_before
+        jit_active = jit.active_segments()
         if timing.ENABLED:
             timing.add_seconds("sim.run", time.perf_counter() - wall_start)
             timing.add("sim.instructions", executed)

@@ -2,6 +2,18 @@
 
 from repro.backend.insts import Imm, Lab, MachineInstr, Reg, make_instr
 from repro.machine.instruction import OperandMode
+from repro.sim import Simulator
+
+
+def _ignore(pc, instr, cycle):
+    pass
+
+
+def simulate_oracle(executable, function, args=(), options=None):
+    """Run ``function`` on the reference interleaved model, the
+    engine's test oracle: a ``watch=`` callback needs per-instruction
+    issue cycles, which only that model produces."""
+    return Simulator(executable, options).run(function, args, watch=_ignore)
 
 
 def find_desc(target, mnemonic, operands):

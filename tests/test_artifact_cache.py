@@ -232,9 +232,7 @@ def _simulate_sb(executable, args):
         executable,
         "bench",
         args=args,
-        options=repro.SimOptions(
-            cache=DirectMappedCache(), superblock=True
-        ),
+        options=repro.SimOptions(cache=DirectMappedCache()),
     )
 
 

@@ -1,11 +1,10 @@
 """Cross-validation and unit tests for the memoized block-timing path.
 
-The fast path (:mod:`repro.sim.blockcache`) must be *bit-identical* to
-the reference interleaved execute+time loop — not approximately equal —
-so the core of this file simulates the same compiled kernels under both
-paths and compares every observable field.  CI runs the whole test
-module twice, once with ``REPRO_FAST_TIMING=1`` and once with ``=0``,
-so the process-wide default cannot mask a broken explicit flag.
+The engine's block-timing memo (:mod:`repro.sim.blockcache`) must be
+*bit-identical* to the reference interleaved execute+time loop — not
+approximately equal — so the core of this file simulates the same
+compiled kernels on the engine and on the reference model and compares
+every observable field.
 """
 
 import pytest
@@ -23,7 +22,7 @@ from repro.sim.blockcache import (
 from repro.sim.cache import DirectMappedCache
 from repro.sim.pipeline import PipelineModel
 
-from tests.helpers import build as instr
+from tests.helpers import build as instr, simulate_oracle
 
 import repro
 from repro.workloads import kernel_by_id
@@ -44,15 +43,16 @@ COMPARED_FIELDS = (
 )
 
 
-def _simulate(executable, spec, *, fast, scale=0.03, cache=True, **extra):
+def _simulate(
+    executable, spec, *, oracle=False, scale=0.03, cache=True, **extra
+):
     loop, n = spec.args
     n = max(4, int(n * scale))
     options = repro.SimOptions(
-        cache=DirectMappedCache() if cache else None,
-        fast_timing=fast,
-        **extra,
+        cache=DirectMappedCache() if cache else None, **extra
     )
-    return repro.simulate(executable, "bench", args=(loop, n), options=options)
+    run = simulate_oracle if oracle else repro.simulate
+    return run(executable, "bench", (loop, n), options=options)
 
 
 def _compile(spec, target, strategy):
@@ -72,11 +72,11 @@ def _compile(spec, target, strategy):
 def test_fast_path_bit_identical_k1(target, strategy):
     spec = kernel_by_id(1)
     executable = _compile(spec, target, strategy)
-    fast = _simulate(executable, spec, fast=True)
-    reference = _simulate(executable, spec, fast=False)
+    fast = _simulate(executable, spec)
+    reference = _simulate(executable, spec, oracle=True)
     for field in COMPARED_FIELDS:
         assert getattr(fast, field) == getattr(reference, field), field
-    # the fast run actually took the fast path, the reference did not
+    # the engine run consulted the memo, the reference run did not
     assert fast.block_cache_hits + fast.block_cache_misses > 0
     assert reference.block_cache_hits == reference.block_cache_misses == 0
 
@@ -87,8 +87,8 @@ def test_fast_path_bit_identical_k7(target):
     # producers across the back edge, a harder digest case
     spec = kernel_by_id(7)
     executable = _compile(spec, target, "postpass")
-    fast = _simulate(executable, spec, fast=True)
-    reference = _simulate(executable, spec, fast=False)
+    fast = _simulate(executable, spec)
+    reference = _simulate(executable, spec, oracle=True)
     for field in COMPARED_FIELDS:
         assert getattr(fast, field) == getattr(reference, field), field
 
@@ -97,8 +97,8 @@ def test_fast_path_bit_identical_k7(target):
 def test_fast_path_bit_identical_without_cache(target):
     spec = kernel_by_id(1)
     executable = _compile(spec, target, "postpass")
-    fast = _simulate(executable, spec, fast=True, cache=False)
-    reference = _simulate(executable, spec, fast=False, cache=False)
+    fast = _simulate(executable, spec, cache=False)
+    reference = _simulate(executable, spec, oracle=True, cache=False)
     for field in COMPARED_FIELDS:
         assert getattr(fast, field) == getattr(reference, field), field
 
@@ -107,7 +107,7 @@ def test_steady_state_hit_rate():
     # the whole point: after warmup, loop iterations hit the memo
     spec = kernel_by_id(1)
     executable = _compile(spec, "r2000", "postpass")
-    result = _simulate(executable, spec, fast=True, scale=0.05)
+    result = _simulate(executable, spec, scale=0.05)
     lookups = result.block_cache_hits + result.block_cache_misses
     assert lookups > 0
     assert result.block_cache_hits / lookups >= 0.90
@@ -118,23 +118,23 @@ def test_repeated_runs_share_the_memo():
     # same executable starts warm
     spec = kernel_by_id(1)
     executable = _compile(spec, "toyp", "postpass")
-    first = _simulate(executable, spec, fast=True)
-    second = _simulate(executable, spec, fast=True)
+    first = _simulate(executable, spec)
+    second = _simulate(executable, spec)
     assert second.cycles == first.cycles
     assert second.block_cache_misses < first.block_cache_misses
 
 
-# -- fallback rules -----------------------------------------------------------
+# -- routing -----------------------------------------------------------------
 
 
 def test_trace_true_stays_on_the_fast_path():
-    # stall attribution no longer forces the interleaved model: the
+    # stall attribution does not force the interleaved model: the
     # memo's records carry per-hazard stall deltas, so a traced run
     # still consults the segment cache and the accounting identity holds
     spec = kernel_by_id(1)
     executable = _compile(spec, "toyp", "postpass")
-    traced = _simulate(executable, spec, fast=True, trace=True)
-    fast = _simulate(executable, spec, fast=True)
+    traced = _simulate(executable, spec, trace=True)
+    fast = _simulate(executable, spec)
     assert traced.block_cache_hits + traced.block_cache_misses > 0
     assert traced.cycle_breakdown is not None
     assert sum(traced.cycle_breakdown.values()) == traced.cycles - 1
@@ -143,10 +143,23 @@ def test_trace_true_stays_on_the_fast_path():
 
 
 def test_max_cycles_watchdog_falls_back_and_still_fires():
+    # an armed watchdog keeps the run on the engine: compiled loops
+    # fall back to the dispatch loop's boundary check every
+    # WATCHDOG_STRIDE instructions, and the budget still fires
     spec = kernel_by_id(1)
     executable = _compile(spec, "toyp", "postpass")
+    for cache in (True, False):
+        plain = _simulate(executable, spec, cache=cache)
+        for trace in (False, True):
+            guarded = _simulate(
+                executable, spec, cache=cache, trace=trace,
+                max_cycles=plain.cycles,
+            )
+            assert guarded.cycles == plain.cycles
+            assert guarded.block_cache_hits + guarded.block_cache_misses > 0
+            assert guarded.jit_hits > 0
     with pytest.raises(SimulationTimeout):
-        _simulate(executable, spec, fast=True, max_cycles=100)
+        _simulate(executable, spec, max_cycles=100)
 
 
 def test_watch_callback_falls_back():
@@ -154,9 +167,7 @@ def test_watch_callback_falls_back():
     executable = _compile(spec, "toyp", "postpass")
     loop, n = spec.args
     seen = []
-    simulator = repro.Simulator(
-        executable, repro.SimOptions(fast_timing=True)
-    )
+    simulator = repro.Simulator(executable)
     result = simulator.run(
         "bench",
         args=(loop, 4),

@@ -3,10 +3,8 @@
 The JIT path (:mod:`repro.sim.jit`) must be *bit-identical* to the
 closure interpreter — cycles, checksums, memory/cache statistics and
 dynamic block counts, not approximately equal — so the core of this
-file simulates the same compiled kernels with the JIT on and off and
-compares every observable field.  CI runs the whole module twice, once
-with ``REPRO_JIT=1`` and once with ``=0``, so the process-wide default
-cannot mask a broken explicit flag.
+file simulates the same compiled kernels with a compiling JIT and with
+one whose warmup is never reached, and compares every observable field.
 """
 
 import pytest
@@ -14,8 +12,10 @@ import pytest
 import repro
 from repro.errors import MarionError, SimulationError
 from repro.sim.cache import DirectMappedCache
-from repro.sim.jit import JIT_WARMUP, MAX_DEOPTS, SegmentJIT
+from repro.sim.jit import MAX_DEOPTS, SegmentJIT
 from repro.workloads import kernel_by_id
+
+from tests.helpers import simulate_oracle
 
 TARGETS = ("toyp", "r2000", "m88000", "i860")
 STRATEGIES = ("postpass", "ips", "rase")
@@ -40,6 +40,9 @@ COMPARED_FIELDS = (
 #: low warmup so the scaled-down test kernels still compile their loops
 WARMUP = 2
 
+#: a warmup no test run reaches: the engine stays on the interpreter
+NEVER = 10**9
+
 
 def _compile(spec, target, strategy):
     try:
@@ -50,28 +53,33 @@ def _compile(spec, target, strategy):
         pytest.skip(f"{target}/{strategy} does not compile K{spec.id}: {error}")
 
 
-def _simulate(executable, spec, *, jit, scale=0.03, cache=True, **extra):
+def _simulate(
+    executable, spec, *, scale=0.03, cache=True, oracle=False, **extra
+):
     loop, n = spec.args
     n = max(4, int(n * scale))
     options = repro.SimOptions(
-        cache=DirectMappedCache() if cache else None, jit=jit, **extra
+        cache=DirectMappedCache() if cache else None, **extra
     )
-    return repro.simulate(executable, "bench", args=(loop, n), options=options)
+    run = simulate_oracle if oracle else repro.simulate
+    return run(executable, "bench", (loop, n), options=options)
 
 
 def _differential(spec, target, strategy, *, cache=True, scale=0.03):
-    """Interpreted then JIT run of one kernel; both results.
+    """Interpreted then JIT run of one kernel; both results and the
+    executable.
 
     The block-timing memo and the JIT state live on the executable, so
     the memo is dropped between the runs (otherwise the second run sees
     more memo hits) and the JIT is seeded fresh with a low warmup."""
     executable = _compile(spec, target, strategy)
-    reference = _simulate(executable, spec, jit=False, cache=cache, scale=scale)
+    executable._segment_jit = SegmentJIT(executable, warmup=NEVER)
+    reference = _simulate(executable, spec, cache=cache, scale=scale)
     if hasattr(executable, "_block_timing"):
         del executable._block_timing
     executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
-    jitted = _simulate(executable, spec, jit=True, cache=cache, scale=scale)
-    return reference, jitted
+    jitted = _simulate(executable, spec, cache=cache, scale=scale)
+    return reference, jitted, executable
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -81,7 +89,7 @@ def _differential(spec, target, strategy, *, cache=True, scale=0.03):
 @pytest.mark.parametrize("target", TARGETS)
 def test_jit_bit_identical_k1(target, strategy):
     spec = kernel_by_id(1)
-    reference, jitted = _differential(spec, target, strategy)
+    reference, jitted, _ = _differential(spec, target, strategy)
     for field in COMPARED_FIELDS:
         assert getattr(jitted, field) == getattr(reference, field), field
     # the JIT run actually executed compiled segments; the reference
@@ -97,10 +105,17 @@ def test_jit_bit_identical_k7(target):
     # per segment, and on i860 temporal (EAP) sub-operations that the
     # translator must refuse without perturbing the interpreted result
     spec = kernel_by_id(7)
-    reference, jitted = _differential(spec, target, "postpass")
+    reference, jitted, executable = _differential(spec, target, "postpass")
     for field in COMPARED_FIELDS:
         assert getattr(jitted, field) == getattr(reference, field), field
     assert jitted.jit_hits > 0
+    assert jitted.jit_segments > 0
+    assert jitted.jit_deopts == 0
+    # ...and the compiled run matches the reference interleaved model
+    oracle = _simulate(executable, spec, oracle=True)
+    for field in COMPARED_FIELDS:
+        if not field.startswith("block_cache"):
+            assert getattr(jitted, field) == getattr(oracle, field), field
 
 
 @pytest.mark.parametrize("target", ("toyp", "i860"))
@@ -108,7 +123,9 @@ def test_jit_bit_identical_without_cache(target):
     # the no-cache table elides the access()/miss-mask bookkeeping, so
     # it is a distinct generated function that needs its own validation
     spec = kernel_by_id(1)
-    reference, jitted = _differential(spec, target, "postpass", cache=False)
+    reference, jitted, _ = _differential(
+        spec, target, "postpass", cache=False
+    )
     for field in COMPARED_FIELDS:
         assert getattr(jitted, field) == getattr(reference, field), field
     assert jitted.jit_hits > 0
@@ -116,29 +133,18 @@ def test_jit_bit_identical_without_cache(target):
 
 @pytest.mark.parametrize("target", ("r2000", "m88000"))
 def test_jit_bit_identical_with_timing_off(target):
-    # model_timing=False runs share the fast loop (and the JIT) with the
+    # model_timing=False runs share the engine (and the JIT) with the
     # block close stubbed out; cycles must equal the instruction count
-    # exactly as on the reference path
+    # exactly as on the reference model
     spec = kernel_by_id(1)
-    reference, jitted = _differential(
+    reference, jitted, _ = _differential(
         spec, target, "postpass", cache=True, scale=0.03
     )
     executable = _compile(spec, target, "postpass")
-    loop, n = spec.args
-    n = max(4, int(n * 0.03))
-    off = repro.simulate(
-        executable, "bench", args=(loop, n),
-        options=repro.SimOptions(
-            cache=DirectMappedCache(), jit=False, model_timing=False
-        ),
-    )
+    executable._segment_jit = SegmentJIT(executable, warmup=NEVER)
+    off = _simulate(executable, spec, model_timing=False)
     executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
-    on = repro.simulate(
-        executable, "bench", args=(loop, n),
-        options=repro.SimOptions(
-            cache=DirectMappedCache(), jit=True, model_timing=False
-        ),
-    )
+    on = _simulate(executable, spec, model_timing=False)
     assert on.jit_hits > 0
     for field in COMPARED_FIELDS:
         assert getattr(on, field) == getattr(off, field), field
@@ -151,7 +157,7 @@ def test_i860_temporal_segments_stay_interpreted():
     spec = kernel_by_id(7)
     executable = _compile(spec, "i860", "postpass")
     executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
-    _simulate(executable, spec, jit=True)
+    _simulate(executable, spec)
     jit = executable._segment_jit
     assert jit.uncompilable > 0
     assert None in jit.functions(True).values()
@@ -185,15 +191,16 @@ int divcall(int n, int m) {
 """
 
 
-def _compile_source(source, target="r2000"):
-    return repro.compile_c(source, target, repro.CompileOptions())
+def _compile_source(source, target="r2000", warmup=WARMUP):
+    """Compile ``source`` and attach a fresh JIT (``warmup=NEVER``
+    keeps every run of the executable interpreted)."""
+    executable = repro.compile_c(source, target, repro.CompileOptions())
+    executable._segment_jit = SegmentJIT(executable, warmup=warmup)
+    return executable
 
 
-def _run_divloop(executable, n, m, jit):
-    return repro.simulate(
-        executable, "divloop", args=(n, m),
-        options=repro.SimOptions(jit=jit),
-    )
+def _run_divloop(executable, n, m):
+    return repro.simulate(executable, "divloop", args=(n, m))
 
 
 def test_div_by_zero_deopts_with_identical_error():
@@ -202,59 +209,48 @@ def test_div_by_zero_deopts_with_identical_error():
     # segment interpreted, and the error the caller sees is exactly the
     # interpreter's
     executable = _compile_source(DIV_TRAP_CALL)
-    executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
     with pytest.raises(SimulationError, match="integer division by zero"):
-        repro.simulate(
-            executable, "divcall", args=(50, 30),
-            options=repro.SimOptions(jit=True),
-        )
+        repro.simulate(executable, "divcall", args=(50, 30))
     assert executable._segment_jit.deopts >= 1
-    reference = _compile_source(DIV_TRAP_CALL)
+    reference = _compile_source(DIV_TRAP_CALL, warmup=NEVER)
     with pytest.raises(SimulationError, match="integer division by zero"):
-        repro.simulate(
-            reference, "divcall", args=(50, 30),
-            options=repro.SimOptions(jit=False),
-        )
+        repro.simulate(reference, "divcall", args=(50, 30))
 
 
 def test_chained_loop_raises_inline():
     # a self-loop segment is chained in-function, so its division guard
     # raises the interpreter's exact error inline, without deopting
     executable = _compile_source(DIV_TRAP)
-    executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
     with pytest.raises(SimulationError, match="integer division by zero"):
-        _run_divloop(executable, 50, 30, True)
+        _run_divloop(executable, 50, 30)
     assert executable._segment_jit.deopts == 0
-    reference = _compile_source(DIV_TRAP)
+    reference = _compile_source(DIV_TRAP, warmup=NEVER)
     with pytest.raises(SimulationError, match="integer division by zero"):
-        _run_divloop(reference, 50, 30, False)
+        _run_divloop(reference, 50, 30)
 
 
 def test_deopt_undoes_partial_block_counts():
     # a divisor that never hits zero: the guard stays quiet and the JIT
     # agrees with the interpreter on dynamic block counts and the result
-    executable = _compile_source(DIV_TRAP)
-    reference = _run_divloop(executable, 40, 100, False)
+    executable = _compile_source(DIV_TRAP, warmup=NEVER)
+    reference = _run_divloop(executable, 40, 100)
     executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
-    jitted = _run_divloop(executable, 40, 100, True)
+    jitted = _run_divloop(executable, 40, 100)
     assert jitted.jit_hits > 0
     assert jitted.block_counts == reference.block_counts
     assert jitted.return_value == reference.return_value
 
 
-def test_repeated_deopts_blacklist_the_entry():
-    # superblock=False keeps the loop un-traced: a promoted trace would
-    # raise inline instead of deopting, and this test is specifically
-    # about the plain-segment deopt/blacklist path
-    executable = _compile_source(DIV_TRAP_CALL)
-    executable._segment_jit = SegmentJIT(executable, warmup=1)
+def test_repeated_deopts_blacklist_the_entry(monkeypatch):
+    # an unreachable edge warmup keeps the loop un-traced: a promoted
+    # trace would raise inline instead of deopting, and this test is
+    # specifically about the plain-segment deopt/blacklist path
+    monkeypatch.setattr("repro.sim.simulator.SUPERBLOCK_WARMUP", NEVER)
+    executable = _compile_source(DIV_TRAP_CALL, warmup=1)
     jit = executable._segment_jit
 
     def run():
-        return repro.simulate(
-            executable, "divcall", args=(30, 10),
-            options=repro.SimOptions(jit=True, superblock=False),
-        )
+        return repro.simulate(executable, "divcall", args=(30, 10))
 
     for _ in range(MAX_DEOPTS):
         with pytest.raises(SimulationError):
@@ -281,22 +277,19 @@ int hot(int n) {
 
 def _run_hot(executable, n, **extra):
     return repro.simulate(
-        executable, "hot", args=(n,),
-        options=repro.SimOptions(jit=True, **extra),
+        executable, "hot", args=(n,), options=repro.SimOptions(**extra)
     )
 
 
 def test_cold_entries_are_not_compiled():
-    executable = _compile_source(HOT_LOOP)
-    executable._segment_jit = SegmentJIT(executable, warmup=1000)
+    executable = _compile_source(HOT_LOOP, warmup=1000)
     result = _run_hot(executable, 100)
     assert result.jit_segments == 0
     assert result.jit_hits == 0
 
 
 def test_entries_compile_at_the_threshold():
-    executable = _compile_source(HOT_LOOP)
-    executable._segment_jit = SegmentJIT(executable, warmup=5)
+    executable = _compile_source(HOT_LOOP, warmup=5)
     result = _run_hot(executable, 100)
     assert result.jit_segments > 0
     assert result.jit_hits > 0
@@ -305,8 +298,7 @@ def test_entries_compile_at_the_threshold():
 def test_warmup_accumulates_across_runs():
     # the SegmentJIT lives on the executable: dispatch counts from one
     # run carry into the next, so repeated short runs still warm up
-    executable = _compile_source(HOT_LOOP)
-    executable._segment_jit = SegmentJIT(executable, warmup=25)
+    executable = _compile_source(HOT_LOOP, warmup=25)
     first = _run_hot(executable, 15)
     assert first.jit_segments == 0
     second = _run_hot(executable, 15)
@@ -317,29 +309,35 @@ def test_warmup_accumulates_across_runs():
     assert third.jit_hits > 0
 
 
-def test_default_warmup_matches_env_override():
-    assert JIT_WARMUP >= 1  # sanity: the env override parses to an int
-
-
 # -- interaction with other simulator modes -----------------------------------
 
 
 def test_jit_inactive_on_the_reference_timing_path():
-    # the JIT is a fast-path feature: reference interleaved timing
-    # (fast_timing=False) never dispatches it
-    executable = _compile_source(HOT_LOOP)
-    executable._segment_jit = SegmentJIT(executable, warmup=1)
-    result = _run_hot(executable, 100, fast_timing=False)
-    assert result.jit_segments == 0
-    assert result.jit_hits == 0
+    # only a watch= run takes the reference interleaved model, and it
+    # never dispatches the JIT; budgeted and traced runs stay on the
+    # engine, JIT and block-timing memo included, cache on and off
+    executable = _compile_source(HOT_LOOP, warmup=1)
+    watched = simulate_oracle(executable, "hot", (100,))
+    assert watched.jit_segments == watched.jit_hits == 0
+    assert watched.block_cache_hits == watched.block_cache_misses == 0
+    for cache in (False, True):
+        plain = _run_hot(executable, 100, cache=cache)
+        for extra in (
+            {"max_cycles": plain.cycles},
+            {"trace": True},
+            {"max_cycles": plain.cycles, "trace": True},
+        ):
+            result = _run_hot(executable, 100, cache=cache, **extra)
+            assert result.cycles == plain.cycles
+            assert result.jit_hits > 0
+            assert result.block_cache_hits + result.block_cache_misses > 0
 
 
 def test_jit_active_under_trace():
-    # trace=True no longer forces the reference path: memo records carry
+    # trace=True does not force the reference model: memo records carry
     # per-hazard stall deltas, so traced runs keep the JIT and agree
     # with an untraced run on the cycle count
-    executable = _compile_source(HOT_LOOP)
-    executable._segment_jit = SegmentJIT(executable, warmup=1)
+    executable = _compile_source(HOT_LOOP, warmup=1)
     traced = _run_hot(executable, 100, trace=True)
     assert traced.jit_hits > 0
     assert traced.cycle_breakdown is not None
@@ -349,9 +347,7 @@ def test_jit_active_under_trace():
 
 
 def test_jit_off_reports_zero_counters():
-    executable = _compile_source(HOT_LOOP)
-    result = repro.simulate(
-        executable, "hot", args=(100,),
-        options=repro.SimOptions(jit=False),
-    )
+    executable = _compile_source(HOT_LOOP, warmup=NEVER)
+    result = _run_hot(executable, 100)
     assert result.jit_segments == result.jit_hits == result.jit_deopts == 0
+    assert result.jit_active_segments == 0

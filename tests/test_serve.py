@@ -22,7 +22,7 @@ import queue
 import pytest
 
 import repro
-from repro.errors import GridTimeout, RequestError
+from repro.errors import GridTimeout, RequestError, error_payload
 from repro.eval.executors import Executor, ExecutorProbe, UnitEvent
 from repro.serve import ServeOptions, serve_app
 from repro.serve import schema
@@ -62,6 +62,11 @@ def test_options_parser_rejects_unknown_and_ill_typed_fields():
         schema.compile_options_from_json({"strategy": "magic"})
     with pytest.raises(RequestError, match="JSON object"):
         schema.compile_options_from_json([1, 2])
+    # a removed simulator switch is an unknown field, named in a 400
+    with pytest.raises(RequestError, match="unknown sim field.*jit") as info:
+        schema.sim_options_from_json({"jit": False})
+    assert info.value.code == "bad_request"
+    assert schema.status_for(error_payload(info.value)) == 400
 
 
 def test_parse_request_validation():

@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro.sim import DirectMappedCache, Simulator, run_program
+from repro.sim.simulator import WATCHDOG_STRIDE
 
 SOURCE = "int f(int a, int b) { return a * b + 7; }"
 
@@ -26,6 +27,9 @@ def test_sim_options_is_frozen():
 
 def test_sim_options_defaults_and_replace():
     options = repro.SimOptions()
+    assert [field.name for field in dataclasses.fields(options)] == [
+        "cache", "model_timing", "max_instructions", "max_cycles", "trace",
+    ]
     assert options.cache is None
     assert options.model_timing is True
     assert options.max_cycles is None
@@ -109,8 +113,18 @@ def test_max_cycles_watchdog():
     from repro.errors import SimulationTimeout
 
     sim = Simulator(looping)
-    with pytest.raises(SimulationTimeout):
+    with pytest.raises(SimulationTimeout) as info:
         sim.run("f", (1,), options=repro.SimOptions(max_cycles=2_000))
+    # the loop ran as a chained compiled function, which the armed
+    # watchdog's fuse cap brought back to the boundary check within
+    # about one stride of the budget
+    assert 2_000 < info.value.cycle < 2_000 + 2 * WATCHDOG_STRIDE
+    chained = [
+        record
+        for record in looping._segment_jit.functions(False).values()
+        if record is not None and "while 1:" in record[0]._jit_source
+    ]
+    assert chained
 
 
 # -- module-level entry points -----------------------------------------------

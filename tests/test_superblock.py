@@ -5,12 +5,10 @@ generated function with the block-timing probe inlined, so it must be
 *bit-identical* to the plain segment JIT (which in turn matches the
 closure interpreter): every probe closes exactly the same per-segment
 timing unit, in the same order, as the dispatch loop would.  The core
-of this file simulates branchy loop kernels under all three engines —
-interpreter, segment JIT, segment JIT + superblocks — and compares
-every observable field.  CI runs the module twice, once with
-``REPRO_SUPERBLOCK=1`` and once with ``=0``, so the process-wide
-default cannot mask a broken explicit flag (the tests always pass the
-flag explicitly for this reason).
+of this file simulates branchy loop kernels with the engine in three
+set-ups — interpreter only (a JIT whose warmup is never reached),
+plain segments (an edge warmup that is never reached), and segments
+plus superblocks — and compares every observable field.
 """
 
 import pytest
@@ -53,6 +51,9 @@ WARMUP = 2
 
 #: iterations comfortably past segment warmup + edge warmup
 HOT = SUPERBLOCK_WARMUP * 3
+
+#: a warmup no test run reaches
+NEVER = 10**9
 
 #: an if-diamond inside a loop: the loop body spans several segments,
 #: the trace follows one arm and the other arm side-exits — the shape
@@ -112,17 +113,21 @@ def _compile(source, target="r2000", strategy="postpass"):
     )
 
 
-def _run(executable, args, *, superblock, jit=True, cache=True):
+def _run(executable, args, *, cache=True):
     return repro.simulate(
         executable,
         "bench",
         args=args,
         options=repro.SimOptions(
-            cache=DirectMappedCache() if cache else None,
-            jit=jit,
-            superblock=superblock,
+            cache=DirectMappedCache() if cache else None
         ),
     )
+
+
+def _interpreted(executable, args):
+    """A run that never leaves the closure interpreter."""
+    _fresh(executable, warmup=NEVER)
+    return _run(executable, args)
 
 
 def _fresh(executable, warmup=WARMUP):
@@ -144,13 +149,17 @@ def _cold_memo(executable):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("target", TARGETS)
-def test_superblock_bit_identical_diamond(target, strategy):
+def test_superblock_bit_identical_diamond(target, strategy, monkeypatch):
     executable = _compile(DIAMOND, target, strategy)
-    reference = _run(executable, (3, HOT), superblock=False, jit=False)
+    reference = _interpreted(executable, (3, HOT))
+    with monkeypatch.context() as patch:
+        # plain segments only: no taken edge ever gets hot enough to
+        # trigger trace selection
+        patch.setattr("repro.sim.simulator.SUPERBLOCK_WARMUP", NEVER)
+        _fresh(executable)
+        segments = _run(executable, (3, HOT))
     _fresh(executable)
-    segments = _run(executable, (3, HOT), superblock=False)
-    _fresh(executable)
-    traced = _run(executable, (3, HOT), superblock=True)
+    traced = _run(executable, (3, HOT))
     for field in COMPARED_FIELDS:
         assert getattr(segments, field) == getattr(reference, field), field
         assert getattr(traced, field) == getattr(reference, field), field
@@ -165,9 +174,9 @@ def test_superblock_bit_identical_diamond(target, strategy):
 @pytest.mark.parametrize("target", ("r2000", "m88000"))
 def test_superblock_bit_identical_memory_traffic(target):
     executable = _compile(DIAMOND_MEM, target)
-    reference = _run(executable, (3, HOT), superblock=False, jit=False)
+    reference = _interpreted(executable, (3, HOT))
     _fresh(executable)
-    traced = _run(executable, (3, HOT), superblock=True)
+    traced = _run(executable, (3, HOT))
     for field in COMPARED_FIELDS:
         assert getattr(traced, field) == getattr(reference, field), field
     assert traced.jit_superblocks > 0
@@ -181,37 +190,12 @@ def test_side_exits_reenter_the_dispatch_loop():
     # condition — also a side exit
     executable = _compile(DIAMOND)
     _fresh(executable)
-    traced = _run(executable, (2, HOT), superblock=True)
+    traced = _run(executable, (2, HOT))
     assert traced.jit_superblocks > 0
     assert traced.jit_side_exits > 0
-    reference = _run(
-        _compile(DIAMOND), (2, HOT), superblock=False, jit=False
-    )
+    reference = _interpreted(_compile(DIAMOND), (2, HOT))
     for field in COMPARED_FIELDS:
         assert getattr(traced, field) == getattr(reference, field), field
-
-
-def test_superblock_off_switch_shares_the_jit():
-    # one executable, one SegmentJIT: a run with superblock=False after
-    # a promotion must dispatch the stashed plain segment (not the
-    # trace) and still be bit-identical
-    executable = _compile(DIAMOND)
-    _fresh(executable)
-    promoted = _run(executable, (3, HOT), superblock=True)
-    assert promoted.jit_superblocks > 0
-    _cold_memo(executable)
-    plain = _run(executable, (3, HOT), superblock=False)
-    assert plain.jit_superblocks == 0
-    assert plain.jit_side_exits == 0
-    for field in COMPARED_FIELDS:
-        assert getattr(plain, field) == getattr(promoted, field), field
-    # and flipping back on reuses the installed trace without rebuilding
-    _cold_memo(executable)
-    again = _run(executable, (3, HOT), superblock=True)
-    assert again.jit_superblocks == 0  # already built
-    assert again.jit_side_exits > 0
-    for field in COMPARED_FIELDS:
-        assert getattr(again, field) == getattr(promoted, field), field
 
 
 def test_trap_in_promoted_trace_raises_the_interpreter_error():
@@ -221,17 +205,11 @@ def test_trap_in_promoted_trace_raises_the_interpreter_error():
     n, m = HOT * 2, HOT + 1 if (HOT + 1) % 2 else HOT + 3
     reference = _compile(DIV_DIAMOND)
     with pytest.raises(SimulationError) as interp_error:
-        repro.simulate(
-            reference, "bench", args=(n, m),
-            options=repro.SimOptions(jit=False),
-        )
+        _interpreted(reference, (n, m))
     executable = _compile(DIV_DIAMOND)
     _fresh(executable)
     with pytest.raises(SimulationError) as traced_error:
-        repro.simulate(
-            executable, "bench", args=(n, m),
-            options=repro.SimOptions(jit=True, superblock=True),
-        )
+        _run(executable, (n, m))
     assert str(traced_error.value) == str(interp_error.value)
     assert executable._segment_jit.superblocks > 0
 
@@ -242,7 +220,7 @@ def test_trap_in_promoted_trace_raises_the_interpreter_error():
 def _promote(executable, args=(3, HOT)):
     """Run until at least one trace is installed; returns (jit, head)."""
     _fresh(executable)
-    result = _run(executable, args, superblock=True)
+    result = _run(executable, args)
     assert result.jit_superblocks > 0
     jit = executable._segment_jit
     for (flag, entry), fallback in jit._sb_fallback.items():
@@ -272,10 +250,8 @@ def test_blacklisted_trace_falls_back_to_the_segment():
     assert (1, head) not in jit._sb_fallback
     # and the run still produces correct results on the fallback
     _cold_memo(executable)
-    after = _run(executable, (3, HOT), superblock=True)
-    reference = _run(
-        _compile(DIAMOND), (3, HOT), superblock=False, jit=False
-    )
+    after = _run(executable, (3, HOT))
+    reference = _interpreted(_compile(DIAMOND), (3, HOT))
     for field in COMPARED_FIELDS:
         assert getattr(after, field) == getattr(reference, field), field
 
@@ -293,24 +269,29 @@ def test_trace_functions_survive_export_and_preload():
     # export() round-trips installed traces (and their stashed plain
     # fallbacks) through the artifact-cache payload form
     executable = _compile(DIAMOND)
-    jit, head = _promote(executable)
+    jit, _ = _promote(executable)
     _cold_memo(executable)
-    reference = _run(executable, (3, HOT), superblock=True)
+    reference = _run(executable, (3, HOT))
     payload = jit.export()
     clone = _compile(DIAMOND)
     clone._segment_jit = SegmentJIT(clone, warmup=WARMUP)
     clone._segment_jit.preload(payload)
-    warm = _run(clone, (3, HOT), superblock=True)
+    warm = _run(clone, (3, HOT))
     for field in COMPARED_FIELDS:
         assert getattr(warm, field) == getattr(reference, field), field
     assert warm.jit_superblocks == 0  # nothing rebuilt
     assert clone._segment_jit.sb_preloaded > 0
     assert clone._segment_jit.compiled == 0
-    # the preloaded trace still honours the off switch (the exported
-    # fallback materializes on demand)
+    # blacklisting a dispatched preloaded trace restores its exported
+    # fallback, materialized on demand
+    warm_jit = clone._segment_jit
+    head = next(entry for flag, entry in warm_jit._sb_fallback if flag)
+    assert not callable(warm_jit._sb_fallback[(1, head)][0])
+    for _ in range(MAX_DEOPTS):
+        warm_jit.note_deopt(head, True, JitDeopt(()), {})
+    assert not warm_jit.functions(True)[head][2]
     _cold_memo(clone)
-    plain = _run(clone, (3, HOT), superblock=False)
-    assert plain.jit_side_exits == 0
+    plain = _run(clone, (3, HOT))
     for field in COMPARED_FIELDS:
         assert getattr(plain, field) == getattr(reference, field), field
 
@@ -330,14 +311,14 @@ def store(tmp_path):
 def test_superblock_disk_preload_round_trip(store):
     first = _compile(DIAMOND)
     first._segment_jit = SegmentJIT(first, warmup=WARMUP)
-    reference = _run(first, (3, HOT), superblock=True)
+    reference = _run(first, (3, HOT))
     assert first._segment_jit.superblocks > 0
 
     # "new process": a fresh executable straight off the disk preloads
     # both the plain segments and the promoted traces
     second = _compile(DIAMOND)
     assert not hasattr(second, "_segment_jit")
-    warm = _run(second, (3, HOT), superblock=True)
+    warm = _run(second, (3, HOT))
     # the timing memo is preloaded too, so the hit/miss split shifts
     # (all hits) while the architectural observables stay identical
     for field in COMPARED_FIELDS:
@@ -354,14 +335,11 @@ def test_superblock_disk_preload_round_trip(store):
 # -- configuration ------------------------------------------------------------
 
 
-def test_superblock_warmup_parses():
-    assert SUPERBLOCK_WARMUP >= 1
-
-
-def test_superblock_off_reports_zero_counters():
+def test_superblock_off_reports_zero_counters(monkeypatch):
+    monkeypatch.setattr("repro.sim.simulator.SUPERBLOCK_WARMUP", NEVER)
     executable = _compile(DIAMOND)
     _fresh(executable)
-    result = _run(executable, (3, HOT), superblock=False)
+    result = _run(executable, (3, HOT))
     assert result.jit_superblocks == 0
     assert result.jit_side_exits == 0
     assert result.jit_hits > 0  # the plain segment JIT still ran

@@ -1,25 +1,24 @@
 """Tests for the digest-free timing transition chain.
 
-The chain (``SimOptions.timing_chain``) hands generated code the
-block-timing memo's per-segment transition tables so warm boundaries
-commit timing with one integer-tuple dict lookup.  It must be
-*bit-identical* to the ``close()`` call path — same memo, same records —
-under every combination of chain and superblock flags, so the sweep here
-compares all four fast configurations and the reference interleaved
-model on the target × strategy grid.  CI additionally runs the whole
-suite under ``REPRO_TIMING_CHAIN=0`` and ``=1`` so the process-wide
-default cannot mask a broken explicit flag.
+The chain hands generated code the block-timing memo's per-segment
+transition tables so warm boundaries commit timing with one
+integer-tuple dict lookup.  It must be *bit-identical* to the
+``close()`` call path — same memo, same records — which ``trace=True``
+runs take for every boundary, and the engine as a whole must match the
+reference interleaved model: the sweep here compares them on the
+target × strategy grid, with and without a data cache, for plain,
+traced, timing-off and ``max_cycles``-budgeted runs.
 """
 
 import pytest
 
 from repro.backend.insts import Imm, Reg
-from repro.errors import MarionError
+from repro.errors import MarionError, SimulationTimeout
 from repro.machine.registers import PhysReg
 from repro.sim.blockcache import BlockTimingCache
 from repro.sim.cache import DirectMappedCache
 
-from tests.helpers import build as instr
+from tests.helpers import build as instr, simulate_oracle
 
 import repro
 from repro.workloads import kernel_by_id
@@ -27,10 +26,7 @@ from repro.workloads import kernel_by_id
 TARGETS = ("toyp", "r2000", "m88000", "i860")
 STRATEGIES = ("postpass", "ips", "rase")
 
-#: every observable the chained path must reproduce bit-for-bit.  The
-#: memo counters are included on purpose: a chain-off boundary counts
-#: its hit inside ``close()``, a chain-on boundary inside generated
-#: code, and the totals must still agree exactly.
+#: every architectural observable the engine must reproduce bit-for-bit
 COMPARED_FIELDS = (
     "cycles",
     "instructions",
@@ -40,9 +36,39 @@ COMPARED_FIELDS = (
     "cache_misses",
     "block_counts",
     "return_value",
-    "block_cache_hits",
-    "block_cache_misses",
 )
+
+#: the memo's own counters: a boundary committed by a chained probe
+#: inside generated code and one committed by ``close()`` are credited
+#: identically
+MEMO_FIELDS = ("block_cache_hits", "block_cache_misses")
+
+#: the sweep program: an if-diamond over a global array (loads, stores,
+#: cold data-cache misses) with a call and double arithmetic in its
+#: arms — enough work for segments to compile, traces to promote and
+#: side-exit, and every stall kind to show up on some target
+SWEEP = """
+double a[256];
+
+double damp(double x, int k) { return x * 0.5 + k; }
+
+double bench(int loop, int n) {
+  int l; int i; int hits; double q;
+  q = 0.0;
+  hits = 0;
+  for (i = 0; i < 256; i++) a[i] = i * 0.25;
+  for (l = 0; l < loop; l++) {
+    for (i = 0; i < n; i++) {
+      if (a[(i * 7) & 255] > 20.0) {
+        q = q + a[(i * 7) & 255];
+        hits = hits + 1;
+      } else a[(i * 7) & 255] = damp(q, i);
+    }
+  }
+  return q + hits;
+}
+"""
+SWEEP_ARGS = (2, 120)
 
 
 def _compile(spec, target, strategy):
@@ -54,7 +80,7 @@ def _compile(spec, target, strategy):
         pytest.skip(f"{target}/{strategy} does not compile K{spec.id}: {error}")
 
 
-def _simulate(spec, target, strategy, scale=0.03, **extra):
+def _simulate(spec, target, strategy, scale=0.03, oracle=False, **extra):
     # a fresh executable per run: the timing memo and JIT code cache
     # live on the executable, so sharing one would let configurations
     # warm each other up and mask divergence in the memo counters
@@ -62,7 +88,21 @@ def _simulate(spec, target, strategy, scale=0.03, **extra):
     loop, n = spec.args
     n = max(4, int(n * scale))
     options = repro.SimOptions(cache=DirectMappedCache(), **extra)
-    return repro.simulate(executable, "bench", args=(loop, n), options=options)
+    run = simulate_oracle if oracle else repro.simulate
+    return run(executable, "bench", (loop, n), options=options)
+
+
+def _outcome(executable, cache, oracle=False, **extra):
+    """One sweep run's result, or the :class:`SimulationTimeout` it
+    raised."""
+    options = repro.SimOptions(
+        cache=DirectMappedCache() if cache else None, **extra
+    )
+    run = simulate_oracle if oracle else repro.simulate
+    try:
+        return run(executable, "bench", SWEEP_ARGS, options=options)
+    except SimulationTimeout as timeout:
+        return timeout
 
 
 # -- differential sweep -------------------------------------------------------
@@ -71,35 +111,66 @@ def _simulate(spec, target, strategy, scale=0.03, **extra):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("target", TARGETS)
 def test_chain_bit_identical_grid(target, strategy):
-    """All four (timing_chain × superblock) fast configurations and the
-    reference interleaved model agree on every observable."""
-    spec = kernel_by_id(1)
-    reference = _simulate(spec, target, strategy, fast_timing=False)
+    """The engine (memo, segment JIT, trace superblocks, timing chain)
+    and the reference interleaved model agree on every architectural
+    observable, the stall breakdown and whether the watchdog fires, for
+    plain, traced, timing-off and budgeted runs with the data cache on
+    and off.  One executable serves every run, so later engine runs
+    start from a warm memo and warm compiled code."""
+    executable = repro.compile_c(
+        SWEEP, target, repro.CompileOptions(strategy=strategy)
+    )
     mismatches = []
-    for chain in (True, False):
-        for superblock in (True, False):
-            run = _simulate(
-                spec, target, strategy,
-                fast_timing=True, jit=True,
-                timing_chain=chain, superblock=superblock,
-            )
-            for field in COMPARED_FIELDS:
-                if field.startswith("block_cache"):
-                    continue  # the reference path never touches the memo
-                if getattr(run, field) != getattr(reference, field):
-                    mismatches.append((chain, superblock, field))
+    for cache in (True, False):
+        first = _outcome(executable, cache)
+        length, count = first.cycles, first.instructions
+        variants = (
+            ({}, False),
+            ({"trace": True}, False),
+            ({"model_timing": False}, False),
+            ({"max_cycles": length - 1}, True),
+            ({"max_cycles": length, "trace": True}, False),
+            ({"max_cycles": length + 1}, False),
+            ({"max_cycles": count - 1, "model_timing": False}, True),
+        )
+        for extra, raises in variants:
+            where = (cache, tuple(sorted(extra.items())))
+            engine = _outcome(executable, cache, **extra)
+            oracle = _outcome(executable, cache, oracle=True, **extra)
+            outcomes = (engine, oracle)
+            if any(
+                isinstance(outcome, SimulationTimeout) != raises
+                for outcome in outcomes
+            ):
+                mismatches.append((where, "raise decision"))
+            elif raises:
+                budget = extra["max_cycles"]
+                if any(outcome.cycle <= budget for outcome in outcomes):
+                    mismatches.append((where, "raised within budget"))
+            else:
+                for field in COMPARED_FIELDS + ("cycle_breakdown",):
+                    if getattr(engine, field) != getattr(oracle, field):
+                        mismatches.append((where, field))
+                lookups = engine.block_cache_hits + engine.block_cache_misses
+                if extra.get("model_timing", True) and not lookups:
+                    mismatches.append((where, "engine skipped the memo"))
+                if not engine.jit_hits:
+                    mismatches.append((where, "engine skipped the JIT"))
     assert mismatches == []
 
 
 def test_chain_on_off_share_memo_counters():
-    """Chain on and off produce identical memo hit/miss totals — a
-    chained probe hit is credited exactly like a ``close()`` hit."""
+    """A ``trace=True`` run withholds the chain's transition tables, so
+    every boundary goes through ``close()``; a plain run commits warm
+    boundaries inside generated code.  Both produce identical memo
+    hit/miss totals — a chained probe hit is credited exactly like a
+    ``close()`` hit."""
     spec = kernel_by_id(1)
-    on = _simulate(spec, "r2000", "postpass", timing_chain=True)
-    off = _simulate(spec, "r2000", "postpass", timing_chain=False)
-    for field in COMPARED_FIELDS:
+    on = _simulate(spec, "r2000", "postpass")
+    off = _simulate(spec, "r2000", "postpass", trace=True)
+    for field in COMPARED_FIELDS + MEMO_FIELDS:
         assert getattr(on, field) == getattr(off, field), field
-    # both actually took the fast path
+    # both actually consulted the memo
     assert on.block_cache_hits + on.block_cache_misses > 0
 
 
@@ -107,9 +178,9 @@ def test_k7_wide_loop_bit_identical():
     # K7 (equation of state) carries more live producers across the back
     # edge — a harder digest/transition case than K1
     spec = kernel_by_id(7)
-    reference = _simulate(spec, "r2000", "postpass", fast_timing=False)
-    for chain in (True, False):
-        run = _simulate(spec, "r2000", "postpass", timing_chain=chain)
+    reference = _simulate(spec, "r2000", "postpass", oracle=True)
+    for extra in ({}, {"trace": True}):  # chain on, chain withheld
+        run = _simulate(spec, "r2000", "postpass", **extra)
         for field in ("cycles", "instructions", "return_value",
                       "cache_hits", "cache_misses"):
             assert getattr(run, field) == getattr(reference, field), field
@@ -155,13 +226,11 @@ def test_digest_counter_counts_first_visits_only(toyp):
 
 @pytest.mark.parametrize("target", ("r2000", "i860"))
 def test_trace_breakdown_rides_fast_path_bit_identical(target):
-    """``trace=True`` runs take the fast path (records memoize their
+    """``trace=True`` runs take the engine (records memoize their
     per-hazard stall deltas) and reproduce the reference accounting
     model's breakdown exactly."""
     spec = kernel_by_id(7)
-    reference = _simulate(
-        spec, target, "ips", fast_timing=False, trace=True
-    )
+    reference = _simulate(spec, target, "ips", oracle=True, trace=True)
     fast = _simulate(spec, target, "ips", trace=True)
     for field in ("cycles", "instructions", "return_value",
                   "cache_hits", "cache_misses", "block_counts"):
