@@ -20,8 +20,7 @@ Usage::
 
     PYTHONPATH=src python scripts/loadgen.py --spawn \\
         --requests 200 --rps 100 --variants 8 \\
-        --cold-baseline 3 --assert-speedup 5 --assert-p99 250 \\
-        --bench-out /tmp/serve-bench.json
+        --cold-baseline 3 --assert-speedup 5 --assert-p99 250
 
 ``--spawn`` launches its own ``repro serve`` on a free port (SIGTERM at
 exit); point ``--url`` at an already-running service instead to load an
@@ -103,7 +102,6 @@ def parse_args():
         metavar="X",
         help="fail unless cold mean >= X * warm p50 (needs --cold-baseline)",
     )
-    parser.add_argument("--bench-out", default="", metavar="FILE")
     return parser.parse_args()
 
 
@@ -286,10 +284,6 @@ def main():
             )
 
     print(json.dumps(summary, indent=2))
-    if arguments.bench_out:
-        with open(arguments.bench_out, "w") as handle:
-            json.dump(summary, handle, indent=2)
-            handle.write("\n")
 
     failures = []
     if summary["errors"]:

@@ -35,7 +35,7 @@ SCALE = sys.argv[1] if len(sys.argv) > 1 else "0.05"
 def report_command(*extra):
     return [
         sys.executable, "-m", "repro", "report",
-        "--scale", SCALE, "--bench-out", "",
+        "--scale", SCALE,
         *extra,
     ]
 
@@ -94,11 +94,10 @@ def main():
           flush=True)
     port = free_port()
     journal = os.path.join(workdir, "socket.jsonl")
-    bench = os.path.join(workdir, "bench.json")
     coordinator = subprocess.Popen(
         report_command(
             "--executor", f"socket:127.0.0.1:{port}",
-            "--resume", journal, "--bench-out", bench,
+            "--resume", journal, "--format", "json",
         ),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
@@ -127,13 +126,15 @@ def main():
     for proc in workers:
         if proc.poll() is None:
             proc.terminate()
-    sections = diff_sections(clean.stdout, out, "socket")
-    payload = json.load(open(bench))
-    grid = payload["grid"]
-    assert grid["backend"] == "socket", grid
+    # the coordinator listened on the port (wait_for_listener), so the
+    # socket backend ran the grid
+    payload = json.loads(out)
+    # ``text`` is the report as printed, less print()'s final newline
+    sections = diff_sections(clean.stdout, payload["text"] + "\n", "socket")
+    counters = payload["counters"]
     print(f"      {sections} deterministic sections byte-identical; "
-          f"grid: backend={grid['backend']} adopted={grid['adopted_units']} "
-          f"stolen={grid['stolen_units']}", flush=True)
+          f"grid: adopted={counters.get('grid.adopted_units', 0)} "
+          f"stolen={counters.get('grid.stolen_units', 0)}", flush=True)
 
     print("[3/3] sharded pair into one journal, unsharded resume", flush=True)
     journal = os.path.join(workdir, "shards.jsonl")

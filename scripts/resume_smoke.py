@@ -30,7 +30,7 @@ SCALE = sys.argv[1] if len(sys.argv) > 1 else "0.05"
 def report_command(jobs, journal=None):
     command = [
         sys.executable, "-m", "repro", "report",
-        "--scale", SCALE, "--jobs", str(jobs), "--bench-out", "",
+        "--scale", SCALE, "--jobs", str(jobs),
     ]
     if journal:
         command += ["--resume", journal]

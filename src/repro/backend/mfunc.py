@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.backend.insts import MachineInstr
 from repro.errors import MarionError
-from repro.il.node import FrameSlot, PseudoReg
+from repro.il.node import PROCESS_PSEUDO_IDS, FrameSlot, PseudoIds, PseudoReg
 
 
 @dataclass(eq=False)
@@ -45,6 +45,10 @@ class MFunction:
     has_calls: bool = False
     frame_size: int = 0  # bytes; set by frame layout
     saved_registers: list = field(default_factory=list)  # set by epilogue pass
+    # the IL function's pseudo numbering, which spill temporaries continue
+    pseudo_ids: PseudoIds = field(
+        default=PROCESS_PSEUDO_IDS, repr=False, compare=False
+    )
 
     @property
     def entry(self) -> MBlock:

@@ -275,7 +275,10 @@ class GraphColoringAllocator:
                     pseudo = operand.reg
                     temp = replacement.get(pseudo.id)
                     if temp is None:
-                        temp = PseudoReg(pseudo.type, name=f"sp{pseudo.id}")
+                        temp = PseudoReg(
+                            pseudo.type, name=f"sp{pseudo.id}",
+                            id=fn.pseudo_ids(),
+                        )
                         replacement[pseudo.id] = temp
                         self._spill_temp_ids.add(temp.id)
                     offset = SlotOffset(slots[pseudo.id])

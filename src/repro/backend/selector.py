@@ -158,7 +158,9 @@ class Selector:
 
     def select_function(self, fn: ILFunction) -> MFunction:
         """Select every block of ``fn``, binding parameters on entry."""
-        mfn = MFunction(name=fn.name, return_type=fn.return_type)
+        mfn = MFunction(
+            name=fn.name, return_type=fn.return_type, pseudo_ids=fn.pseudo_ids
+        )
         mfn.frame_slots = list(fn.frame_slots)
         mfn.params = list(fn.params)
         self._fn = fn
@@ -207,6 +209,7 @@ class Selector:
                 self.select_call(value, dest=node.value)
             else:
                 self.select_value_into(node.value, value)
+            self._forget_homes(node.value, keep=value)
         elif node.op is ILOp.ASGN:
             self.select_store(node)
         elif node.op is ILOp.CJUMP:
@@ -238,6 +241,18 @@ class Selector:
     def _record(self, node: Node, reg: Reg) -> None:
         self.node_reg[id(node)] = reg
         self._cse_log.append(id(node))
+
+    def _forget_homes(self, dest: PseudoReg, keep: Node) -> None:
+        """A SETREG just overwrote ``dest``: drop every recorded value
+        homed there except ``keep``'s, so a later use of a shared node
+        recomputes it instead of reading the new contents."""
+        stale = [
+            node_id
+            for node_id, reg in self.node_reg.items()
+            if reg.reg is dest and node_id != id(keep)
+        ]
+        for node_id in stale:
+            del self.node_reg[node_id]
 
     def new_pseudo(self, type_name: str) -> PseudoReg:
         return self._fn.new_pseudo(type_name)

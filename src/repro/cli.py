@@ -250,7 +250,7 @@ def cmd_targets(arguments) -> int:
 def cmd_report(arguments) -> int:
     from repro.eval.report import run_report_command
 
-    return run_report_command(arguments, bench_default=None)
+    return run_report_command(arguments)
 
 
 def cmd_worker(arguments) -> int:
@@ -430,11 +430,6 @@ def main(argv=None) -> int:
     from repro.eval.report import add_report_arguments
 
     add_report_arguments(report_parser)
-    report_parser.add_argument(
-        "--bench-out",
-        default="",
-        help="write a machine-readable BENCH_eval.json here",
-    )
     report_parser.set_defaults(handler=cmd_report)
 
     worker_parser = commands.add_parser(

@@ -138,14 +138,12 @@ class KernelRun:
     #: simulator hazard-kind cycle attribution, filled only when the run
     #: used the accounting pipeline model (``run_kernel(breakdown=True)``)
     cycle_breakdown: dict | None = None
-    #: block-timing cache lookups (both zero when the run took the
-    #: reference interleaved path, e.g. ``breakdown=True``)
+    #: block-timing cache lookups
     block_cache_hits: int = 0
     block_cache_misses: int = 0
-    #: segment-JIT activity (all zero when the JIT is off or the run
-    #: took the reference interleaved path).  ``jit_active_segments``
-    #: counts compiled *plus* preloaded code at run end, so a warm run
-    #: with ``jit_segments == 0`` does not read as "JIT off"
+    #: segment-JIT activity.  ``jit_active_segments`` counts compiled
+    #: *plus* preloaded code at run end, so a warm run with
+    #: ``jit_segments == 0`` does not read as "nothing compiled"
     jit_segments: int = 0
     jit_active_segments: int = 0
     jit_hits: int = 0
@@ -227,10 +225,11 @@ def run_kernel(
 ) -> KernelRun:
     """Compile and simulate one Livermore kernel under one strategy.
 
-    ``breakdown=True`` simulates under the accounting pipeline model,
-    filling ``KernelRun.cycle_breakdown`` — about 12% slower in the
-    simulator, so Table 4's bulk measurement leaves it off and the
-    report's dedicated stall-attribution section turns it on.
+    ``breakdown=True`` simulates under the accounting pipeline model
+    (``SimOptions(trace=True)``), filling ``KernelRun.cycle_breakdown``.
+    Table 4's bulk measurement leaves it off; the report's dedicated
+    stall-attribution section turns it on.  Either way the run takes
+    the simulation engine.
     """
     store = get_cache()
     counters_before = store.counters()

@@ -522,7 +522,7 @@ def run_grid(
         timing.add(f"grid.{label}.workers", probe.workers or count)
 
     # global fault counters are bumped inside the backends; snapshot them
-    # so their per-label slices stay in BENCH after the refactor
+    # so each grid label also gets its own slice of them
     label_slices = {
         "grid.pool_rebuilds": f"grid.{label}.pool_rebuilds",
         "grid.retried_units": f"grid.{label}.retries",

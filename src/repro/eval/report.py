@@ -19,10 +19,10 @@ aborting the run (the process still exits nonzero so CI notices).  With
 ``--resume JOURNAL`` (or ``REPRO_JOURNAL``) completed units checkpoint
 into a JSONL journal and a re-run after an interruption re-executes only
 the missing or failed units — the resumed tables are byte-identical to a
-single-shot run.  A machine-readable ``BENCH_eval.json`` records wall
-time per section, simulator throughput, target-cache hit counts and the
-failure/retry/resume tallies so later PRs have a perf trajectory to
-regress against.
+single-shot run.  ``--format json`` prints the run as one JSON document:
+the rendered text, the failures, and the run's counter and phase
+snapshot (:func:`repro.utils.timing.snapshot`, merged from every grid
+worker).  Performance is measured by ``bench/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ import argparse
 import json
 import re
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 
-from repro.cache import configure as configure_cache, get_cache
 from repro.eval.attribution import measure_stalls, render_stalls
 from repro.eval.ablation import (
     ablation_delay_fill,
@@ -67,12 +65,6 @@ from repro.eval.table4 import measure as table4_measure
 from repro.eval.table4 import render as table4_render
 from repro.utils import timing
 
-#: the seed harness (serial, uncached, pre-optimization) measured at
-#: scale 0.3 on this repository's reference runner — the denominator for
-#: the speedup figure in BENCH_eval.json
-SEED_SERIAL_SECONDS = 194.7
-SEED_SCALE = 0.3
-
 #: report sections whose body is wall-clock measurement (compile-time
 #: tables) — legitimately different between otherwise identical runs,
 #: so determinism comparisons (resume smoke, cold/warm cache smoke)
@@ -98,13 +90,11 @@ def deterministic_sections(text: str) -> dict[str, str]:
 
 @dataclass
 class ReportResult:
-    """Everything one report run produced: the rendered text, the grid
-    failures that degraded it (empty on a clean run), and the
-    machine-readable benchmark payload."""
+    """Everything one report run produced: the rendered text and the
+    grid failures that degraded it (empty on a clean run)."""
 
     text: str
     failures: list[GridFailure] = field(default_factory=list)
-    bench: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -117,7 +107,6 @@ class ReportResult:
 def generate_report(
     scale: float = 0.3,
     jobs: int | None = None,
-    bench_path: str | None = None,
     timeout: float | None = None,
     resume: str | None = None,
     executor: str | Executor | None = None,
@@ -173,12 +162,9 @@ def generate_report(
     memo_scope.__enter__()
     try:
         sections: list[str] = []
-        section_seconds: dict[str, float] = {}
 
         def section(title: str, body_fn) -> None:
-            start = time.time()
             body = body_fn()
-            section_seconds[title.split(" — ")[0]] = time.time() - start
             sections.append(f"{'=' * 72}\n{title}\n{'=' * 72}\n{body}\n")
 
         start = time.time()
@@ -189,26 +175,17 @@ def generate_report(
         section("Table 2 — system source code size", table2)
         section("Table 3 — compile time and dilation", lambda: table3(repeat=2))
 
-        measure_start = time.time()
-        table4_data = table4_measure(
-            scale=scale, cache=True, options=options
-        )
-        measure_seconds = time.time() - measure_start
         section(
             f"Table 4 — Livermore Loops (scale={scale})",
-            lambda: table4_render(table4_data),
+            lambda: table4_render(
+                table4_measure(scale=scale, cache=True, options=options)
+            ),
         )
-        section_seconds["Table 4"] += measure_seconds
         section("Figure 7 — i860 dual-operation schedule", figure7)
-
-        stall_start = time.time()
-        stall_data = measure_stalls(options=options)
-        stall_seconds = time.time() - stall_start
         section(
             "Stall attribution — where the cycles go, per target",
-            lambda: render_stalls(stall_data),
+            lambda: render_stalls(measure_stalls(options=options)),
         )
-        section_seconds["Stall attribution"] += stall_seconds
 
         def c1() -> str:
             claim = claim_strategy_speedup(scale=scale, options=options)
@@ -305,288 +282,13 @@ def generate_report(
         sections.append(
             f"total evaluation time: {total_seconds:.1f}s (jobs={jobs})\n"
         )
-
-        grid_info = {
-            "backend": backend.backend if backend is not None else "inprocess",
-            "workers": jobs,
-            "shard": shard,
-        }
-        bench = _bench_payload(
-            scale,
-            jobs,
-            total_seconds,
-            section_seconds,
-            table4_data,
-            failures,
-            stall_data,
-            grid_info,
-        )
-        if bench_path:
-            with open(bench_path, "w") as handle:
-                json.dump(bench, handle, indent=2, sort_keys=True)
-                handle.write("\n")
         if owned_executor is not None:
             owned_executor.close()
         if journal is not None:
             journal.close()
-        return ReportResult(
-            text="\n".join(sections), failures=failures, bench=bench
-        )
+        return ReportResult(text="\n".join(sections), failures=failures)
     finally:
         memo_scope.__exit__(None, None, None)
-
-
-def generate_cache_compare(
-    scale: float = 0.3,
-    jobs: int | None = None,
-    bench_path: str | None = None,
-    timeout: float | None = None,
-    cache_root: str | None = None,
-    executor: str | None = None,
-) -> ReportResult:
-    """Cold/warm artifact-cache comparison: the full report twice
-    against one cache directory (a fresh tmpdir unless ``cache_root`` is
-    given), with every in-process memo dropped in between so the warm
-    run — and the workers it forks — must go through the disk.
-
-    Returns the *warm* run's result; its bench payload gains a
-    ``cache_compare`` section with both walls, and a table mismatch
-    between the runs is surfaced as a failure (nonzero exit).
-    """
-    from repro.eval import ablation
-    from repro.targets import clear_target_cache
-
-    root = cache_root or tempfile.mkdtemp(prefix="repro-cache-compare-")
-    configure_cache(root=root, enabled=True)
-    # executor stays a *spec string* here: each run builds (and closes)
-    # a fresh backend, so the warm run's workers cannot inherit the cold
-    # run's in-process memos by fork
-    cold = generate_report(
-        scale=scale, jobs=jobs, bench_path=None, timeout=timeout,
-        executor=executor,
-    )
-    clear_target_cache()
-    ablation._I860_VARIANTS.clear()
-    warm = generate_report(
-        scale=scale, jobs=jobs, bench_path=None, timeout=timeout,
-        executor=executor,
-    )
-    identical = deterministic_sections(cold.text) == deterministic_sections(
-        warm.text
-    )
-    cold_wall = cold.bench["wall_seconds"]["total"]
-    warm_wall = warm.bench["wall_seconds"]["total"]
-    warm.bench["cache_compare"] = {
-        "cache_root": str(root),
-        "cold_wall_seconds": cold_wall,
-        "warm_wall_seconds": warm_wall,
-        "speedup": (
-            round(cold_wall / warm_wall, 2) if warm_wall > 0 else None
-        ),
-        "identical_tables": identical,
-        "warm_cgg_builds": warm.bench["compile"]["cgg_builds"],
-        "warm_kernel_compiles": warm.bench["compile"]["compiled"],
-    }
-    warm.failures = cold.failures + warm.failures
-    if bench_path:
-        with open(bench_path, "w") as handle:
-            json.dump(warm.bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return warm
-
-
-def _stalls_payload(stall_data) -> dict:
-    """BENCH schema v3's ``stalls`` section: per (target, strategy), the
-    simulator hazard-kind cycle breakdown and the scheduler's stall-reason
-    histogram, each with its conservation identity spelled out."""
-    cells: dict = {}
-    for (target, strategy), run in (stall_data or {}).items():
-        if isinstance(run, GridFailure):
-            cells.setdefault(target, {})[strategy] = {"failed": run.summary()}
-            continue
-        breakdown = run.cycle_breakdown or {}
-        cells.setdefault(target, {})[strategy] = {
-            "cycles": run.actual_cycles,
-            "cycle_breakdown": dict(breakdown),
-            "stall_cycles": run.stall_cycles,
-            # every cycle of issue-point advance is attributed
-            "sim_conserved": sum(breakdown.values()) == run.actual_cycles - 1,
-            "sched_stall_reasons": dict(run.sched_stall_reasons),
-            "sched_nop_slots": run.sched_nop_slots,
-            "sched_conserved": (
-                sum(run.sched_stall_reasons.values()) == run.sched_nop_slots
-            ),
-        }
-    return cells
-
-
-def _bench_payload(
-    scale: float,
-    jobs: int,
-    total_seconds: float,
-    section_seconds: dict[str, float],
-    table4_data,
-    failures: list[GridFailure],
-    stall_data=None,
-    grid_info: dict | None = None,
-) -> dict:
-    """The machine-readable BENCH_eval.json payload (schema v10)."""
-    runs = [
-        run
-        for by_strategy in table4_data.runs.values()
-        for run in by_strategy.values()
-    ]
-    sim_seconds = sum(run.sim_seconds for run in runs)
-    sim_cycles = sum(run.actual_cycles for run in runs)
-    snapshot = timing.snapshot()
-    block_hits = timing.counter("sim.block_cache.hit")
-    block_misses = timing.counter("sim.block_cache.miss")
-    block_lookups = block_hits + block_misses
-    store = get_cache()
-    grid_info = dict(grid_info or {})
-    payload = {
-        "schema": 10,
-        "scale": scale,
-        "jobs": jobs,
-        "wall_seconds": {
-            "total": round(total_seconds, 3),
-            **{
-                name: round(seconds, 3)
-                for name, seconds in section_seconds.items()
-            },
-        },
-        "table4": {
-            "runs": len(runs),
-            "cycles_simulated": sim_cycles,
-            "sim_wall_seconds": round(sim_seconds, 3),
-            "cycles_per_second": (
-                round(sim_cycles / sim_seconds) if sim_seconds > 0 else None
-            ),
-            "compile_wall_seconds": round(
-                sum(run.compile_seconds for run in runs), 3
-            ),
-            "unmatched_profile_blocks": table4_data.unmatched_blocks,
-        },
-        "sim": {
-            "run_seconds": round(
-                snapshot["phases"]
-                .get("sim.run", {})
-                .get("seconds", 0.0),
-                3,
-            ),
-            "block_cache": {
-                "hits": block_hits,
-                "misses": block_misses,
-                "hit_rate": (
-                    round(block_hits / block_lookups, 4)
-                    if block_lookups
-                    else None
-                ),
-            },
-            "jit": {
-                "segments": timing.counter("sim.jit.segments"),
-                # schema v10: compiled + preloaded code live at run end,
-                # so a fully warm run does not read as "JIT off"
-                "active_segments": timing.counter("sim.jit.active_segments"),
-                "hits": timing.counter("sim.jit.hit"),
-                "deopts": timing.counter("sim.jit.deopt"),
-            },
-            # schema v10: the digest-free timing chain.  ``digests
-            # _computed`` counts first-visit transition replays; a warm
-            # run keeps ``digest_rate`` (digests / memo lookups) ≈ 0
-            "timing": {
-                "digests_computed": timing.counter(
-                    "sim.timing.digests_computed"
-                ),
-                "digest_rate": (
-                    round(
-                        timing.counter("sim.timing.digests_computed")
-                        / block_lookups,
-                        6,
-                    )
-                    if block_lookups
-                    else None
-                ),
-            },
-            # schema v10: warm-simulation self-time breakdown from
-            # ``scripts/bench_sim.py --profile-sim`` (None until a
-            # profiled bench run is merged)
-            "self_time": None,
-            # schema v9: trace-superblock activity (traces compiled,
-            # side exits taken back into the dispatch loop, preloaded
-            # segment/trace payloads from the artifact cache)
-            "superblock": {
-                "traces": timing.counter("sim.jit.superblocks"),
-                "side_exits": timing.counter("sim.jit.side_exits"),
-                "demoted": timing.counter("sim.jit.sb_demoted"),
-                "preloaded_segments": timing.counter("sim.jit.preloaded"),
-                "preloaded_traces": timing.counter("sim.jit.sb_preloaded"),
-            },
-        },
-        # schema v9: batched-dispatch volume (units run inside composite
-        # batch tasks; 0 with batching off)
-        "batched_units": timing.counter("grid.batched_units"),
-        "target_cache": {
-            "hits": timing.counter("target_cache.hit"),
-            "misses": timing.counter("target_cache.miss"),
-            "bypasses": timing.counter("target_cache.bypass"),
-            "disk_hits": timing.counter("target_cache.disk_hit"),
-        },
-        "artifact_cache": {
-            "enabled": store.enabled,
-            "root": str(store.root),
-            "hits": timing.counter("cache.hit"),
-            "misses": timing.counter("cache.miss"),
-            "writes": timing.counter("cache.write"),
-            "corrupt": timing.counter("cache.corrupt"),
-            "layers": {
-                layer: {
-                    "hits": timing.counter(f"cache.{layer}.hit"),
-                    "misses": timing.counter(f"cache.{layer}.miss"),
-                    "writes": timing.counter(f"cache.{layer}.write"),
-                }
-                for layer in ("target", "exe", "jit", "timing")
-            },
-        },
-        "compile": {
-            "calls": timing.counter("compile.calls"),
-            "compiled": timing.counter("compile.compiled"),
-            "cgg_builds": timing.counter("cgg.builds"),
-        },
-        "grid": {
-            "backend": grid_info.get("backend", "inprocess"),
-            "workers": grid_info.get("workers", jobs),
-            "shard": grid_info.get("shard"),
-            "shard_skipped": timing.counter("grid.shard_skipped"),
-            "stolen_units": timing.counter("grid.stolen_units"),
-            "adopted_units": timing.counter("grid.adopted_units"),
-        },
-        "fault_tolerance": {
-            "failed_units": len(failures),
-            "timeouts": timing.counter("grid.timeouts"),
-            "retried_units": timing.counter("grid.retried_units"),
-            "pool_rebuilds": timing.counter("grid.pool_rebuilds"),
-            "resumed_units": timing.counter("grid.resumed_units"),
-            "failed_keys": sorted(failure.key for failure in failures),
-        },
-        # schema v8: the service benchmark (loadgen latency distribution,
-        # cold-vs-warm per-request compile walls, dedup credit).  None
-        # until `repro report --serve-bench FILE` merges a loadgen run.
-        "serve": None,
-        "stalls": _stalls_payload(stall_data),
-        "counters": snapshot["counters"],
-        "phases": snapshot["phases"],
-        "baseline": {
-            "seed_serial_seconds": SEED_SERIAL_SECONDS,
-            "seed_scale": SEED_SCALE,
-            "speedup_vs_seed": (
-                round(SEED_SERIAL_SECONDS / total_seconds, 2)
-                if scale == SEED_SCALE and total_seconds > 0
-                else None
-            ),
-        },
-    }
-    return payload
 
 
 def add_report_arguments(parser: argparse.ArgumentParser) -> None:
@@ -644,85 +346,37 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
         default="text",
         choices=("text", "json"),
         help="report output: rendered text tables, or one JSON document "
-        "(the BENCH payload plus the rendered text and failure list)",
-    )
-    parser.add_argument(
-        "--serve-bench",
-        default="",
-        metavar="FILE",
-        help="merge a scripts/loadgen.py --bench-out document into the "
-        "bench payload's 'serve' section (latency percentiles, "
-        "throughput, cold-vs-warm compile walls, dedup credit)",
-    )
-    parser.add_argument(
-        "--sim-bench",
-        default="",
-        metavar="FILE",
-        help="merge a scripts/bench_sim.py --profile-sim --json document "
-        "into the bench payload's 'sim.self_time' section (warm-"
-        "simulation self-time breakdown: generated code, digest/replay, "
-        "cache model, dispatch)",
-    )
-    parser.add_argument(
-        "--cache-compare",
-        action="store_true",
-        help="run the report twice against a fresh artifact-cache "
-        "directory (cold, then warm with in-process memos dropped) and "
-        "record both walls in the bench payload; fails if the warm "
-        "tables are not byte-identical",
+        "(ok, failures, the rendered text, and the run's counters and "
+        "phase timings)",
     )
 
 
-def run_report_command(arguments, bench_default: str | None) -> int:
+def run_report_command(arguments) -> int:
     """Shared driver: run the report, print it, exit nonzero on failures."""
     import os
 
     resume = arguments.resume or os.environ.get("REPRO_JOURNAL") or None
-    bench_out = getattr(arguments, "bench_out", bench_default)
-    if getattr(arguments, "cache_compare", False):
-        result = generate_cache_compare(
-            scale=arguments.scale,
-            jobs=arguments.jobs,
-            bench_path=bench_out or None,
-            timeout=arguments.timeout,
-            executor=getattr(arguments, "executor", None),
-        )
-    else:
-        result = generate_report(
-            scale=arguments.scale,
-            jobs=arguments.jobs,
-            bench_path=bench_out or None,
-            timeout=arguments.timeout,
-            resume=resume,
-            executor=getattr(arguments, "executor", None),
-            shard=getattr(arguments, "shard", None),
-            batch=getattr(arguments, "batch", None),
-        )
-    serve_bench = getattr(arguments, "serve_bench", "")
-    if serve_bench:
-        with open(serve_bench) as handle:
-            result.bench["serve"] = json.load(handle)
-    sim_bench = getattr(arguments, "sim_bench", "")
-    if sim_bench:
-        with open(sim_bench) as handle:
-            result.bench.setdefault("sim", {})["self_time"] = json.load(
-                handle
-            )
-    if (serve_bench or sim_bench) and bench_out:
-        # rewrite with the merged section(s) included
-        with open(bench_out, "w") as handle:
-            json.dump(result.bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if getattr(arguments, "format", "text") == "json":
+    result = generate_report(
+        scale=arguments.scale,
+        jobs=arguments.jobs,
+        timeout=arguments.timeout,
+        resume=resume,
+        executor=arguments.executor,
+        shard=arguments.shard,
+        batch=arguments.batch,
+    )
+    if arguments.format == "json":
+        snapshot = timing.snapshot()
         print(
             json.dumps(
                 {
                     "ok": result.ok,
-                    "bench": result.bench,
                     "failures": [
                         failure.summary() for failure in result.failures
                     ],
                     "text": result.text,
+                    "counters": snapshot["counters"],
+                    "phases": snapshot["phases"],
                 },
                 indent=2,
                 sort_keys=True,
@@ -736,27 +390,13 @@ def run_report_command(arguments, bench_default: str | None) -> int:
             file=sys.stderr,
         )
         return 1
-    compare = result.bench.get("cache_compare")
-    if compare is not None and not compare["identical_tables"]:
-        print(
-            "cache-compare: warm tables differ from the cold run",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     add_report_arguments(parser)
-    parser.add_argument(
-        "--bench-out",
-        default="BENCH_eval.json",
-        help="write the machine-readable benchmark record here "
-        "('' to disable)",
-    )
-    arguments = parser.parse_args()
-    return run_report_command(arguments, "BENCH_eval.json")
+    return run_report_command(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from repro.frontend.cparser import parse_c
 from repro.frontend.csema import CheckedUnit, check_unit
 from repro.il.block import BasicBlock
 from repro.il.function import GlobalVar, ILFunction, ILProgram
-from repro.il.node import FrameSlot, Node, PseudoReg
+from repro.il.node import FrameSlot, Node, PseudoIds, PseudoReg
 from repro.il.ops import ILOp
 
 _SIZE = {"int": 4, "float": 4, "double": 8}
@@ -65,6 +65,7 @@ class _Generator:
     def __init__(self, checked: CheckedUnit):
         self.checked = checked
         self.program = ILProgram()
+        self.pseudo_ids = PseudoIds()
         self.label_counter = itertools.count(1)
         self.float_pool: dict[tuple[str, float], str] = {}
 
@@ -92,7 +93,7 @@ class _Generator:
 
     def _lower_function(self, fn: C.FunctionDef) -> ILFunction:
         return_type = None if fn.return_type.base == "void" else fn.return_type.base
-        self.fn = ILFunction(fn.name, return_type)
+        self.fn = ILFunction(fn.name, return_type, pseudo_ids=self.pseudo_ids)
         self.vars: dict[str, PseudoReg] = {}
         self.slots: dict[str, FrameSlot] = {}
         self.block: BasicBlock | None = None

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import MarionError
 from repro.il.block import BasicBlock
-from repro.il.node import FrameSlot, PseudoReg
+from repro.il.node import PROCESS_PSEUDO_IDS, FrameSlot, PseudoIds, PseudoReg
 
 
 @dataclass
@@ -35,6 +35,11 @@ class ILFunction:
     frame_slots: list[FrameSlot] = field(default_factory=list)
     # every pseudo-register the function mentions, for allocator bookkeeping
     pseudos: list[PseudoReg] = field(default_factory=list)
+    # where new pseudo ids come from: the program's own counter under
+    # compile_to_il, shared by its functions
+    pseudo_ids: PseudoIds = field(
+        default=PROCESS_PSEUDO_IDS, repr=False, compare=False
+    )
 
     @property
     def entry(self) -> BasicBlock:
@@ -56,7 +61,9 @@ class ILFunction:
     def new_pseudo(
         self, type: str, name: str | None = None, is_global: bool = False
     ) -> PseudoReg:
-        pseudo = PseudoReg(type=type, name=name, is_global=is_global)
+        pseudo = PseudoReg(
+            type=type, name=name, is_global=is_global, id=self.pseudo_ids()
+        )
         self.pseudos.append(pseudo)
         return pseudo
 

@@ -7,8 +7,32 @@ from dataclasses import dataclass, field
 
 from repro.il.ops import ILOp, PURE_OPS
 
-_pseudo_counter = itertools.count(1)
 _slot_counter = itertools.count(1)
+
+
+class PseudoIds:
+    """Pseudo-register numbering: ids 1, 2, ... in creation order.
+
+    :func:`~repro.frontend.ilgen.compile_to_il` gives each program its
+    own counter, so a compilation's ids, and with them the allocator's
+    id-hashed set orders, do not depend on what the process compiled
+    before.  A plain class rather than ``itertools.count``: machine
+    functions carry it, and executables are pickled.
+    """
+
+    __slots__ = ("last",)
+
+    def __init__(self) -> None:
+        self.last = 0
+
+    def __call__(self) -> int:
+        self.last += 1
+        return self.last
+
+
+#: numbering for pseudo-registers built outside a compilation (IL and
+#: machine code built by hand)
+PROCESS_PSEUDO_IDS = PseudoIds()
 
 
 @dataclass(eq=False)
@@ -27,7 +51,7 @@ class PseudoReg:
     #: non-general register set this pseudo must live in (e.g. a condition
     #: register set); None means the CWVM general set for its type
     set_name: str | None = None
-    id: int = field(default_factory=lambda: next(_pseudo_counter))
+    id: int = field(default_factory=PROCESS_PSEUDO_IDS)
 
     def __str__(self) -> str:
         tag = self.name or f"t{self.id}"

@@ -128,8 +128,9 @@ class Trace:
     def summary(self) -> dict:
         """A picklable/JSON-ready aggregate view (no span tree).
 
-        The shape matches the historical ``timing.snapshot()`` payload
-        committed in ``BENCH_eval.json``.
+        This is what ``timing.snapshot()`` returns, and what
+        ``repro report --format json`` prints as ``counters`` and
+        ``phases``.
         """
         return {
             "phases": {

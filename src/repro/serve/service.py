@@ -28,8 +28,8 @@ One :class:`Service` owns
 
 Counters flow through :mod:`repro.utils.timing` (``serve.*``, plus the
 ``compile.*``/``cgg.*``/``cache.*`` counters merged back from worker
-metrics), so ``/v1/stats`` and the BENCH ``serve`` section read the
-same numbers the rest of the harness does.
+metrics), so ``/v1/stats`` reads the same numbers the rest of the
+harness does.
 """
 
 from __future__ import annotations

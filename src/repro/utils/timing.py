@@ -20,7 +20,8 @@ Usage::
 
 Relationship to :mod:`repro.obs`: an obs :class:`~repro.obs.trace.Trace`
 scopes one *activity* and is activated per-context; this module is the
-*process-wide* metrics sink that ``BENCH_eval.json`` reads.  Counters
+*process-wide* metrics sink that ``repro report --format json`` and
+``/v1/stats`` read.  Counters
 and phase timings are process-local: worker processes of the parallel
 harness each keep their own recorder, and the grid carries each worker's
 :func:`snapshot` back for the parent to :func:`merge`.

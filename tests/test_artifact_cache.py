@@ -196,12 +196,21 @@ def test_jit_and_timing_preload_round_trip(store):
     assert layers["jit"]["files"] == 1
     assert layers["timing"]["files"] == 1
 
-    # "new process": a fresh executable object straight off the disk
-    second = repro.compile_c(KERNEL, target, OPTIONS)
+    # "new process": no in-process target, so the target and then a
+    # fresh executable object come straight off the disk
+    clear_target_cache()
+    builds = target_build_count("r2000")
+    exe_hits = store.layer_counters["exe"]["hits"]
+    second = repro.compile_c(KERNEL, load_target("r2000"), OPTIONS)
+    assert target_build_count("r2000") == builds
+    assert store.layer_counters["exe"]["hits"] == exe_hits + 1
     assert not hasattr(second, "_segment_jit")
     warm = _simulate(second)
     assert warm.cycles == reference.cycles
     assert warm.return_value == reference.return_value
+    assert warm.instructions == reference.instructions
+    assert warm.cache_hits == reference.cache_hits
+    assert warm.cache_misses == reference.cache_misses
     # zero warmup work: segments re-compile()d from cached source, no
     # translation, no timing replays
     assert warm.jit_segments == 0

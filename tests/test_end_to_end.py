@@ -360,3 +360,67 @@ def test_negative_modulo_in_condition():
         return s
 
     assert run(src, "f", (10,)) == reference(10)
+
+
+# -- regressions ---------------------------------------------------------------
+
+
+# a repeated expression is one shared IL node, first selected into a
+# variable; once that variable is reassigned, the next use must
+# recompute the value instead of reading the variable
+STALE_HOME_PROGRAMS = {
+    "shift": (
+        """
+        int f(int a, int b) {
+            int t; int u;
+            t = a >> 6;
+            t = (b - t) + -59;
+            u = a >> 6;
+            return u;
+        }
+        """,
+        (1000, 77), "int", 15,
+    ),
+    "constant": (
+        """
+        double f(double y) {
+            double d0; double x;
+            d0 = 0.5;
+            d0 = y * 3.0;
+            x = y * 0.5;
+            return x;
+        }
+        """,
+        (4.0,), "double", 2.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("program", sorted(STALE_HOME_PROGRAMS))
+def test_shared_node_after_its_home_is_overwritten(program, strategy, target):
+    src, args, kind, expected = STALE_HOME_PROGRAMS[program]
+    assert run(src, "f", args, target, strategy, kind) == expected
+
+
+def test_code_does_not_depend_on_earlier_compiles():
+    # pseudo-register ids order the allocator's sets, so they must be
+    # numbered per compilation, not per process
+    from repro.backend.asmprinter import format_program
+    from repro.il.node import PseudoReg
+    from repro.workloads import kernel_by_id
+
+    source = kernel_by_id(9).source
+    options = repro.CompileOptions(strategy="ips")
+
+    def code():
+        exe = repro.compile_c(source, "toyp", options)
+        return format_program(exe.machine_program)
+
+    first = code()
+    for shift in (1, 2, 3, 5, 8):
+        for _ in range(shift):
+            PseudoReg("int")
+        repro.compile_c(kernel_by_id(1).source, "toyp", options)
+        assert code() == first, f"code changed after {shift} more pseudos"

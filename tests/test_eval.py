@@ -126,3 +126,51 @@ def test_report_sections_exist():
     for marker in ("Table 1", "Table 2", "Table 3", "Table 4", "Figure 7",
                    "C1", "C2", "C3", "A1", "A2", "A3"):
         assert marker in source
+
+
+@pytest.mark.parametrize("failed", [False, True])
+def test_report_json_prints_run_and_its_counters(monkeypatch, capsys, failed):
+    """``repro report --format json`` prints ok, failures, the rendered
+    text and the run's counter snapshot, and exits 1 on a failed unit."""
+    import argparse
+    import json
+
+    from repro.eval import report
+    from repro.eval.grid import GridFailure
+    from repro.utils import timing
+
+    def fake_report(**kwargs):
+        # stands in for the real, 20-second run: record what a run
+        # records, then return its rendered result
+        timing.reset()
+        timing.enable()
+        timing.add("compile.compiled", 3)
+        timing.add_seconds("sim.run", 0.5)
+        failures = (
+            [GridFailure(key="table4/r2000/rase/K7", error_type="Timeout",
+                         message="budget exceeded")]
+            if failed
+            else []
+        )
+        return report.ReportResult(text="Table 1\n", failures=failures)
+
+    monkeypatch.setattr(report, "generate_report", fake_report)
+    parser = argparse.ArgumentParser()
+    report.add_report_arguments(parser)
+    try:
+        status = report.run_report_command(
+            parser.parse_args(["--format", "json"])
+        )
+    finally:
+        timing.enable(False)
+        timing.reset()
+    document = json.loads(capsys.readouterr().out)
+    assert set(document) == {"ok", "failures", "text", "counters", "phases"}
+    assert document["text"] == "Table 1\n"
+    assert document["counters"] == {"compile.compiled": 3}
+    assert document["phases"]["sim.run"]["seconds"] == 0.5
+    assert document["ok"] is not failed
+    assert status == (1 if failed else 0)
+    assert document["failures"] == (
+        ["table4/r2000/rase/K7: Timeout: budget exceeded"] if failed else []
+    )
