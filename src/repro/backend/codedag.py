@@ -229,7 +229,13 @@ def _add_protection_edges(dag: CodeDag, add_edge) -> None:
     clock k (x in T but not its head), search backward from y; every
     ancestor that affects k and is outside T gets an edge to T's head, so
     all ancestors of sequence members are scheduled before the head and the
-    non-backtracking scheduler cannot deadlock (figure 6).
+    non-backtracking scheduler cannot deadlock (figure 6).  An ancestor
+    the head already reaches gets no edge, which would close a cycle.
+
+    The head's descendants are collected once per node x: every edge added
+    for x ends at the head and starts outside them, so they stay the same.
+    An edge added for another head can change them, so they are collected
+    again for the next node.
     """
     temporal_clocks = {
         e.clock for n in dag.nodes for e in n.succs if e.is_temporal
@@ -254,29 +260,28 @@ def _add_protection_edges(dag: CodeDag, add_edge) -> None:
             if key not in members_cache:
                 members_cache[key] = dag.sequence_of(head, clock)
             sequence = members_cache[key]
+            below = None  # the head's descendants, collected on first need
             for entry in alternates:
                 for ancestor in _ancestors_inclusive(entry.src):
                     if ancestor in sequence:
                         continue
-                    if ancestor.instr.desc.affects_clock == clock and not _reachable(
-                        head, ancestor
-                    ):
+                    if ancestor.instr.desc.affects_clock != clock:
+                        continue
+                    if below is None:
+                        below = _descendants_inclusive(head)
+                    if ancestor not in below:
                         add_edge(ancestor, head, 0, 4)
 
 
-def _reachable(src: DagNode, dst: DagNode) -> bool:
-    """True iff ``dst`` is reachable from ``src`` along DAG edges."""
-    seen = {id(src)}
-    stack = [src]
+def _descendants_inclusive(node: DagNode) -> set[DagNode]:
+    seen = {node}
+    stack = [node]
     while stack:
-        current = stack.pop()
-        if current is dst:
-            return True
-        for edge in current.succs:
-            if id(edge.dst) not in seen:
-                seen.add(id(edge.dst))
+        for edge in stack.pop().succs:
+            if edge.dst not in seen:
+                seen.add(edge.dst)
                 stack.append(edge.dst)
-    return False
+    return seen
 
 
 def _ancestors_inclusive(node: DagNode):
