@@ -1,8 +1,15 @@
 """End-to-end correctness: C programs through every target and strategy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
+
+REPO = Path(__file__).resolve().parent.parent
 
 TARGETS = ["toyp", "r2000", "m88000", "i860"]
 STRATEGIES = ["postpass", "ips", "rase"]
@@ -405,8 +412,10 @@ def test_shared_node_after_its_home_is_overwritten(program, strategy, target):
 
 
 def test_code_does_not_depend_on_earlier_compiles():
-    # pseudo-register ids order the allocator's sets, so they must be
-    # numbered per compilation, not per process
+    # pseudo-register ids break the allocator's ties, so they are numbered
+    # per compilation, not per process.  Ids do not order an int set, but
+    # a tie once went to such a set's order, which moves with the ids;
+    # ties now go to the lower id
     from repro.backend.asmprinter import format_program
     from repro.il.node import PseudoReg
     from repro.workloads import kernel_by_id
@@ -424,3 +433,35 @@ def test_code_does_not_depend_on_earlier_compiles():
             PseudoReg("int")
         repro.compile_c(kernel_by_id(1).source, "toyp", options)
         assert code() == first, f"code changed after {shift} more pseudos"
+
+
+_HASH_SEED_LISTINGS = """
+import repro
+from repro.backend.asmprinter import format_program
+from repro.workloads import kernel_by_id
+
+for strategy, kernel in (("ips", 9), ("rase", 13)):
+    exe = repro.compile_c(
+        kernel_by_id(kernel).source, "toyp",
+        repro.CompileOptions(strategy=strategy),
+    )
+    print(format_program(exe.machine_program, explain=True))
+"""
+
+
+def test_code_does_not_depend_on_the_hash_seed():
+    # toyp/IPS/K9 and toyp/RASE/K13 each had two codes, chosen by the
+    # seed, while a spill temporary's eviction broke spill-cost ties by
+    # the order of a set filled from string-keyed liveness sets
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), REPRO_CACHE="0")
+    listings = []
+    for seed in ("0", "1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_LISTINGS],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        listings.append(proc.stdout)
+    assert listings[1] == listings[0]
+    assert listings[2] == listings[0]
