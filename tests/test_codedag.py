@@ -3,7 +3,7 @@ protection edges)."""
 
 import pytest
 
-from repro.backend.codedag import build_code_dag
+from repro.backend.codedag import _ancestors_inclusive, build_code_dag
 from repro.backend.insts import Imm, Reg, make_instr
 from repro.il.node import PseudoReg
 from repro.machine.registers import PhysReg
@@ -186,27 +186,156 @@ def test_temporal_edges_marked_with_clock(i860):
     assert dag.sequence_of(dag.nodes[0], "clk_m") == set(dag.nodes)
 
 
-def test_protection_edge_added_for_alternate_entry(i860):
-    """Figure 6: p affects clk_m and feeds r (an alternate entry into the
-    temporal sequence); a protection edge p -> head must exist."""
-    d4, d5, d6, d7, d8 = (PhysReg("d", i) for i in range(4, 9))
-    # q-sequence: M1a (head) -> M2 -> M3 -> FWBM
-    # p: a separate M-launching sub-op whose result feeds... we model the
-    # paper's shape with A1M (reads m3, in add pipe) fed by a multiply:
-    instrs = [
-        instr(i860, "M1", Reg(d4), Reg(d5)),  # q (head of sequence)
+def kind4_edges(dag):
+    return [
+        (e.src.index, e.dst.index, e.latency)
+        for e in dag.edges()
+        if e.kind == 4
+    ]
+
+
+def mul_sequence(i860, dst, a, b):
+    return [
+        instr(i860, "M1", Reg(a), Reg(b)),
         instr(i860, "M2"),
         instr(i860, "M3"),
-        instr(i860, "FWBM", Reg(d6)),  # r's alternate entry producer below
-        instr(i860, "A1", Reg(d6), Reg(d7)),  # alternate entry into a-pipe
+        instr(i860, "FWBM", Reg(dst)),
+    ]
+
+
+def test_alternate_entry_from_another_clock_needs_no_protection_edge(i860):
+    """An alternate entry into the clk_a sequence whose ancestors affect
+    only clk_m: no ancestor affects clk_a, so no protection edge."""
+    d4, d5, d6, d7, d8 = (PhysReg("d", i) for i in range(4, 9))
+    instrs = [
+        instr(i860, "M1", Reg(d4), Reg(d5)),  # head of the clk_m sequence
+        instr(i860, "M2"),
+        instr(i860, "M3"),
+        instr(i860, "FWBM", Reg(d6)),
+        instr(i860, "A1", Reg(d6), Reg(d7)),  # alternate entry into clk_a
         instr(i860, "A2"),
         instr(i860, "A3"),
         instr(i860, "FWBA", Reg(d8)),
     ]
     dag = build_code_dag(instrs, i860)
-    # the A1 node's sequence on clk_a has an alternate entry from FWBM whose
-    # ancestors affect clk_m -- but not clk_a, so no protection edge is
-    # required; the DAG must simply be acyclic and schedulable
+    assert kind4_edges(dag) == []
     for node in dag.nodes:
         for edge in node.succs:
             assert edge.src is not edge.dst
+
+
+def test_protection_edge_added_for_alternate_entry(i860):
+    """Figure 6: the second multiply's launch (node 4) consumes the first
+    one's result.  FWBM (3) is an alternate entry into the second clk_m
+    sequence, and its ancestor M3 (2) advances clk_m, so M3 must issue
+    before the second sequence's head: one protection edge 2 -> 4."""
+    d = [PhysReg("d", i) for i in range(4, 12)]
+    first = mul_sequence(i860, d[2], d[0], d[1])
+    second = mul_sequence(i860, d[5], d[2], d[3])
+    dag = build_code_dag(first + second, i860)
+    assert kind4_edges(dag) == [(2, 4, 0)]
+
+
+def test_protection_edge_skips_ancestors_the_head_reaches(i860):
+    """The load (4) is an alternate entry into the first sequence at its
+    FWBM (5).  Of its ancestors, the second launch (2) advances clk_m but
+    is reached from the head (0) through m1, so an edge 2 -> 0 would
+    close a cycle and is not added.  The second sequence's own alternate
+    entry (3 -> 6) gives the one protection edge, 3 -> 2."""
+    d4, d5, d6, d7, d8 = (PhysReg("d", i) for i in range(4, 9))
+    base = PseudoReg("int", "base")
+    instrs = [
+        instr(i860, "M1", Reg(d4), Reg(d5)),  # head of the first sequence
+        instr(i860, "M2"),
+        instr(i860, "M1", Reg(d6), Reg(d7)),  # head of the second
+        instr(i860, "M3"),
+        instr(i860, "fld.d", Reg(d6), Reg(base), Imm(0)),
+        instr(i860, "FWBM", Reg(d6)),
+        instr(i860, "M2"),
+        instr(i860, "M3"),
+        instr(i860, "FWBM", Reg(d8)),
+    ]
+    dag = build_code_dag(instrs, i860)
+    assert kind4_edges(dag) == [(3, 2, 0)]
+
+
+def _reference_protection_edges(dag, add_edge):
+    """The per-ancestor search: one depth-first search from the head for
+    every ancestor that affects the clock."""
+    temporal_clocks = {
+        e.clock for n in dag.nodes for e in n.succs if e.is_temporal
+    }
+    for clock in temporal_clocks:
+        for node in dag.nodes:
+            if not any(e.is_temporal and e.clock == clock for e in node.preds):
+                continue
+            alternates = [
+                e for e in node.preds if not (e.is_temporal and e.clock == clock)
+            ]
+            if not alternates:
+                continue
+            head = dag.sequence_head(node, clock)
+            sequence = dag.sequence_of(head, clock)
+            for entry in alternates:
+                for ancestor in _ancestors_inclusive(entry.src):
+                    if ancestor in sequence:
+                        continue
+                    if ancestor.instr.desc.affects_clock == clock and not _reachable(
+                        head, ancestor
+                    ):
+                        add_edge(ancestor, head, 0, 4)
+
+
+def _reachable(src, dst):
+    seen = {id(src)}
+    stack = [src]
+    while stack:
+        current = stack.pop()
+        if current is dst:
+            return True
+        for edge in current.succs:
+            if id(edge.dst) not in seen:
+                seen.add(id(edge.dst))
+                stack.append(edge.dst)
+    return False
+
+
+def edge_list(dag):
+    return [
+        (e.src.index, e.dst.index, e.latency, e.kind, e.clock)
+        for e in dag.edges()
+    ]
+
+
+def test_protection_edges_match_the_per_ancestor_search(i860, monkeypatch):
+    """Every block the i860 back end schedules for a few suite programs
+    and Livermore kernels, under all three strategies, gets the same
+    edges as with the reference search."""
+    import repro
+    from repro.backend import codedag, scheduler
+    from repro.workloads import PROGRAM_SUITE, kernel_by_id
+
+    build = codedag.build_code_dag
+    blocks = []
+
+    def both(instrs, target, include_anti=True):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                codedag, "_add_protection_edges", _reference_protection_edges
+            )
+            reference = build(instrs, target, include_anti)
+        dag = build(instrs, target, include_anti)
+        blocks.append((edge_list(dag), edge_list(reference)))
+        return dag
+
+    monkeypatch.setattr(scheduler, "build_code_dag", both)
+    sources = [p.source for p in PROGRAM_SUITE if p.name == "stencil"]
+    sources += [kernel_by_id(k).source for k in (1, 7, 9)]
+    for source in sources:
+        for strategy in ("postpass", "ips", "rase"):
+            repro.compile_c(source, i860, repro.CompileOptions(strategy=strategy))
+    protected = 0
+    for edges, reference in blocks:
+        assert edges == reference
+        protected += sum(1 for edge in edges if edge[3] == 4)
+    assert protected > 1000  # the comparison covers real protection edges

@@ -114,6 +114,14 @@ def test_table3_rows_shape():
     assert "local-only baseline, r2000" in modules
     for row in data.rows:
         assert row.seconds > 0
+    # IPS schedules every block twice, RASE three times
+    passes = [
+        data.row(f"Marion, r2000, {strategy}").schedulings
+        for strategy in ("postpass", "ips", "rase")
+    ]
+    assert passes == [passes[0], 2 * passes[0], 3 * passes[0]]
+    assert passes[0] > 0
+    assert data.row("local-only baseline, r2000").schedulings is None
 
 
 def test_report_sections_exist():
