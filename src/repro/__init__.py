@@ -8,7 +8,7 @@ Quickstart::
     import repro
 
     target = repro.load_target("r2000")
-    exe = repro.compile_c(SOURCE, target, strategy="rase")
+    exe = repro.compile_c(SOURCE, target, repro.CompileOptions(strategy="rase"))
     result = repro.simulate(exe, "main", args=(10,))
     print(result.return_value, result.cycles)
 
@@ -40,12 +40,7 @@ from repro.machine.target import TargetMachine
 import repro.obs as obs
 from repro.maril import parse_maril
 from repro.obs import Trace, current_trace, tracing
-from repro.options import (
-    UNSET,
-    CompileOptions,
-    SimOptions,
-    merge_legacy_kwargs,
-)
+from repro.options import CompileOptions, SimOptions
 from repro.program import Executable, link
 from repro.sim import DirectMappedCache, SimResult, Simulator, run_program
 from repro.targets import TARGET_NAMES, clear_target_cache, load_target
@@ -130,35 +125,14 @@ def compile_c(
     source: str,
     target: TargetMachine | str,
     options: CompileOptions | None = None,
-    *,
-    strategy=UNSET,
-    heuristic=UNSET,
-    schedule=UNSET,
-    fill_delay_slots=UNSET,
-    memory_size=UNSET,
 ) -> Executable:
     """Compile C-subset source text to a linked executable.
 
     All knobs live on one frozen :class:`CompileOptions` record::
 
         repro.compile_c(src, "r2000", repro.CompileOptions(strategy="rase"))
-
-    The pre-1.1 keyword spellings (``strategy=``, ``heuristic=``,
-    ``schedule=``, ``fill_delay_slots=``, ``memory_size=``) have been
-    removed; passing one raises :class:`TypeError` naming the
-    replacement.
     """
-    options = merge_legacy_kwargs(
-        options,
-        {
-            "strategy": strategy,
-            "heuristic": heuristic,
-            "schedule": schedule,
-            "fill_delay_slots": fill_delay_slots,
-            "memory_size": memory_size,
-        },
-        where="compile_c",
-    )
+    options = options if options is not None else CompileOptions()
     if isinstance(target, str):
         target = load_target(target)
     timing.add("compile.calls")
@@ -198,11 +172,6 @@ def simulate(
     args: tuple = (),
     arg_types: tuple | None = None,
     options: SimOptions | None = None,
-    *,
-    cache=UNSET,
-    model_timing=UNSET,
-    max_instructions=UNSET,
-    max_cycles=UNSET,
 ) -> SimResult:
     """Run one function of a linked executable under the pipeline model.
 
@@ -216,21 +185,8 @@ def simulate(
     exceeds the budget); ``SimOptions(trace=True)`` attributes every
     stall cycle to a hazard kind in ``SimResult.cycle_breakdown``.
     Budgeted and traced runs take the same simulation engine as plain
-    ones (block-timing memo and segment JIT).  The pre-1.1 keyword
-    spellings (``cache=``, ``model_timing=``, ``max_instructions=``,
-    ``max_cycles=``) have been removed; passing one raises
-    :class:`TypeError` naming the replacement.
+    ones (block-timing memo and segment JIT).
     """
-    options = merge_legacy_kwargs(
-        options,
-        {
-            "cache": cache,
-            "model_timing": model_timing,
-            "max_instructions": max_instructions,
-            "max_cycles": max_cycles,
-        },
-        where="simulate",
-        factory=SimOptions,
-    )
+    options = options if options is not None else SimOptions()
     simulator = Simulator(executable, options)
     return simulator.run(function, args, arg_types=arg_types)

@@ -18,7 +18,6 @@ from repro.eval.executors import (
     ExecutorProbe,
     InprocessAsyncExecutor,
     LocalPoolExecutor,
-    SocketExecutor,
     UnitEvent,
 )
 from repro.eval.grid import (
@@ -93,7 +92,6 @@ __all__ = [
     "SimulationError",
     "SimulationTimeout",
     "Simulator",
-    "SocketExecutor",
     "Span",
     "TARGET_NAMES",
     "TargetMachine",

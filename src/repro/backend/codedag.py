@@ -12,8 +12,10 @@ x.  Edge types follow the paper:
   strategies need (after allocation, physical register reuse).
 
 The DAG is threaded by the *code thread* — the input instruction order,
-which is a topological sort.  The builder also adds the *protection edges*
-of section 4.6 that keep temporal sequences deadlock-free (figure 6).
+which is a topological sort of the dependence edges.  The builder also
+adds the *protection edges* of section 4.6 that keep temporal sequences
+deadlock-free (figure 6); one can point against the thread, so the
+thread is not a topological sort of the whole DAG.
 """
 
 from __future__ import annotations
@@ -240,7 +242,7 @@ def _add_protection_edges(dag: CodeDag, add_edge) -> None:
     temporal_clocks = {
         e.clock for n in dag.nodes for e in n.succs if e.is_temporal
     }
-    for clock in temporal_clocks:
+    for clock in sorted(temporal_clocks):
         members_cache: dict[int, set[DagNode]] = {}
         for node in dag.nodes:
             incoming_temporal = [
@@ -297,9 +299,22 @@ def _ancestors_inclusive(node: DagNode):
 
 
 def _compute_priorities(dag: CodeDag) -> None:
-    """Maximum distance along any path to a leaf (section 4.2)."""
-    for node in reversed(dag.nodes):  # thread order is topological
+    """Maximum distance along any path to a leaf (section 4.2).
+
+    Nodes are visited leaves first, each once all its successors are
+    done: a protection edge can point against the code thread, so the
+    reversed thread is not a topological order.
+    """
+    unresolved = {node: len(node.succs) for node in dag.nodes}
+    ready = [node for node in dag.nodes if not node.succs]
+    while ready:
+        node = ready.pop()
         best = node.instr.desc.latency
         for edge in node.succs:
             best = max(best, edge.latency + edge.dst.priority)
         node.priority = best
+        for edge in node.preds:
+            src = edge.src
+            unresolved[src] -= 1
+            if not unresolved[src]:
+                ready.append(src)

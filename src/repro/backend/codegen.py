@@ -19,7 +19,7 @@ from repro.backend.strategies.base import StrategyStats
 from repro.il.function import GlobalVar, ILProgram
 from repro.machine.target import TargetMachine
 import repro.obs as obs
-from repro.options import UNSET, CompileOptions, merge_legacy_kwargs
+from repro.options import CompileOptions
 
 
 @dataclass
@@ -45,32 +45,15 @@ class CodeGenerator:
     """Compile IL programs for one target under one
     :class:`~repro.options.CompileOptions` record.
 
-    ``CodeGenerator(target, CompileOptions(strategy="rase"))`` is the
-    only spelling; a bare strategy string or the pre-1.1 keywords
-    (``strategy=``/``heuristic=``/``schedule=``/``fill_delay_slots=``)
-    raise :class:`TypeError` naming the replacement.
+    ``CodeGenerator(target, CompileOptions(strategy="rase"))``.
     """
 
     def __init__(
         self,
         target: TargetMachine,
-        options: CompileOptions | str | None = None,
-        *,
-        strategy=UNSET,
-        heuristic=UNSET,
-        schedule=UNSET,
-        fill_delay_slots=UNSET,
+        options: CompileOptions | None = None,
     ):
-        options = merge_legacy_kwargs(
-            options,
-            {
-                "strategy": strategy,
-                "heuristic": heuristic,
-                "schedule": schedule,
-                "fill_delay_slots": fill_delay_slots,
-            },
-            where="CodeGenerator",
-        )
+        options = options if options is not None else CompileOptions()
         self.target = target
         self.options = options
         self.strategy_name = options.strategy

@@ -292,10 +292,22 @@ class _BlockScheduler:
                 ready = [n for n in ready if n is first]
         limit = self.config.register_limit
         if limit is not None and len(self.live) >= limit:
+            # the limit is a preference, Rule 1 a constraint: keep the
+            # filter only if something it keeps can make progress
             relaxed = [n for n in ready if self._pressure_delta(n) <= 0]
-            if relaxed:
+            if any(not self._rule1_blocked(n) for n in relaxed):
                 ready = relaxed
         return ready
+
+    def _rule1_blocked(self, node: DagNode) -> bool:
+        """Rule 1: an instruction affecting clock k may not be scheduled
+        before a pending temporal destination on k (but may pack with
+        it, i.e. the destination has already issued this very cycle)."""
+        clock = node.instr.desc.affects_clock
+        if clock is None:
+            return False
+        pending = self.pending_temporal.get(clock)
+        return bool(pending) and bool(pending - {node})
 
     def _can_issue(self, node: DagNode, cycle: int) -> bool:
         resource_use = self.resource_use
@@ -313,15 +325,7 @@ class _BlockScheduler:
         if classes and self.cycle_classes is not None:
             if not (classes & self.cycle_classes):
                 return False
-        # Rule 1: an instruction affecting clock k may not be scheduled
-        # before a pending temporal destination on k (but may pack with it,
-        # i.e. the destination has already issued this very cycle).
-        clock = node.instr.desc.affects_clock
-        if clock is not None:
-            pending = self.pending_temporal.get(clock, set())
-            if pending - {node}:
-                return False
-        return True
+        return not self._rule1_blocked(node)
 
     def _issue(self, node: DagNode, cycle: int) -> None:
         self.issue_cycle[node] = cycle
@@ -431,10 +435,8 @@ class _BlockScheduler:
         if classes and self.cycle_classes is not None:
             if not (classes & self.cycle_classes):
                 return stalls.PACKING_CONFLICT
-        clock = node.instr.desc.affects_clock
-        if clock is not None:
-            if self.pending_temporal.get(clock, set()) - {node}:
-                return stalls.TEMPORAL_RULE1
+        if self._rule1_blocked(node):
+            return stalls.TEMPORAL_RULE1
         return stalls.EMPTY_READY_LIST
 
     def _ordered_for_emission(self) -> list[DagNode]:

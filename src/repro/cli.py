@@ -7,7 +7,6 @@ Commands:
 * ``serve`` — the compile-and-simulate HTTP service (``repro.serve``);
 * ``targets`` — list the bundled targets with description statistics;
 * ``report`` — regenerate the paper's tables and figures;
-* ``worker --connect HOST:PORT`` — join a multi-host evaluation grid;
 * ``cache`` — inspect or clear the persistent artifact cache.
 
 ``compile`` and ``run`` accept their options either as individual flags
@@ -253,12 +252,6 @@ def cmd_report(arguments) -> int:
     return run_report_command(arguments)
 
 
-def cmd_worker(arguments) -> int:
-    from repro.eval.executors import worker_main
-
-    return worker_main(arguments.connect)
-
-
 def cmd_cache(arguments) -> int:
     from repro.cache import get_cache
 
@@ -379,8 +372,9 @@ def main(argv=None) -> int:
     serve_parser.add_argument(
         "--executor",
         default="local",
-        help="execution backend: local (process pool, the default), "
-        "inprocess (serial), socket, or socket:HOST:PORT",
+        choices=("local", "inprocess"),
+        help="execution backend: local (process pool, the default) or "
+        "inprocess (serial)",
     )
     serve_parser.add_argument(
         "--request-timeout",
@@ -431,21 +425,6 @@ def main(argv=None) -> int:
 
     add_report_arguments(report_parser)
     report_parser.set_defaults(handler=cmd_report)
-
-    worker_parser = commands.add_parser(
-        "worker",
-        help="join a SocketExecutor grid as a remote worker",
-        description="Connect to a running evaluation-grid coordinator "
-        "(repro report --executor socket:HOST:PORT) and execute work "
-        "units until told to shut down.",
-    )
-    worker_parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address to connect to",
-    )
-    worker_parser.set_defaults(handler=cmd_worker)
 
     cache_parser = commands.add_parser(
         "cache",

@@ -100,7 +100,7 @@ def _i860(eap: bool):
 
 
 def _compile_for(target, source: str, strategy: str):
-    # through the batch memo (and the exe layer of the artifact cache,
+    # through the executable memo (and the exe layer of the artifact cache,
     # since the cached variants carry content keys) so shared scopes
     # reuse warmed executables instead of re-warming per section
     return compile_kernel(

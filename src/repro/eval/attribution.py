@@ -44,7 +44,6 @@ def measure_stalls(
             grid_run_kernel,
             (kernel_id, target, strategy),
             {"scale": scale, "breakdown": True},
-            batch_key=f"{target}/{strategy}",
         )
         for target in targets
         for strategy in strategies

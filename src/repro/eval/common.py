@@ -15,17 +15,17 @@ from repro.workloads import kernel_by_id
 
 STRATEGIES = ("postpass", "ips", "rase")
 
-#: bounded per-process executable memo for batched units — maps
-#: ``(source, target, CompileOptions)`` to the built executable so
-#: every unit of a batch that re-compiles the same program reuses the
-#: warmed segment JIT and block-timing memo instead of re-warming from
-#: zero.  FIFO-evicted at the cap; executables carry their JIT code
-#: cache, so the cap bounds worker memory.
+#: bounded per-process executable memo — maps ``(source, target,
+#: CompileOptions)`` to the built executable so every unit that
+#: re-compiles the same program reuses the warmed segment JIT and
+#: block-timing memo instead of re-warming from zero.  FIFO-evicted at
+#: the cap; executables carry their JIT code cache, so the cap bounds
+#: worker memory.
 _EXE_MEMO: dict = {}
 _EXE_MEMO_CAP = 64
-#: nonzero while :func:`run_batch` is driving units — enables the memo
-#: without threading a flag through every unit signature
-_BATCH_DEPTH = 0
+#: nonzero inside :func:`shared_executables` — enables the memo without
+#: threading a flag through every unit signature
+_MEMO_DEPTH = 0
 
 
 def _target_key(target):
@@ -35,81 +35,44 @@ def _target_key(target):
     return getattr(target, "content_key", None) or id(target)
 
 
-def _memo_compile(source: str, target, options) -> tuple:
-    """Compile through the per-process memo; ``(executable, hit)``."""
-    key = (source, _target_key(target), options)
-    executable = _EXE_MEMO.get(key)
-    if executable is not None:
-        return executable, True
-    executable = repro.compile_c(source, target, options)
-    while len(_EXE_MEMO) >= _EXE_MEMO_CAP:
-        _EXE_MEMO.pop(next(iter(_EXE_MEMO)))
-    _EXE_MEMO[key] = executable
-    return executable, False
-
-
 @contextmanager
 def shared_executables():
     """Enable the executable memo for a whole region of code.
 
-    ``run_batch`` turns the memo on per composite task; this does the
-    same for an arbitrary scope — the full report run in one process,
-    say — so sections that re-compile the same (kernel, target,
-    strategy) triple share one warmed segment JIT and block-timing memo
-    instead of unpickling and re-materializing per section.  Nests with
-    ``run_batch``; the memo is dropped when the outermost scope exits.
+    The report runs inside one such scope, in one process, so sections
+    that re-compile the same (kernel, target, strategy) triple share one
+    warmed segment JIT and block-timing memo instead of unpickling and
+    re-materializing per section.  Scopes nest; the memo is dropped when
+    the outermost one exits.
     """
-    global _BATCH_DEPTH
-    _BATCH_DEPTH += 1
+    global _MEMO_DEPTH
+    _MEMO_DEPTH += 1
     try:
         yield
     finally:
-        _BATCH_DEPTH -= 1
-        if _BATCH_DEPTH == 0:
+        _MEMO_DEPTH -= 1
+        if _MEMO_DEPTH == 0:
             _EXE_MEMO.clear()
 
 
 def compile_kernel(source: str, target, options=None):
-    """``repro.compile_c`` through the batch memo when one is active.
+    """``repro.compile_c`` through the executable memo when one is active.
 
-    Evaluation units should compile through this so batched and
-    memo-scoped runs share warmed executables; outside any batch it is
-    exactly ``compile_c``.
+    Evaluation units should compile through this so memo-scoped runs
+    share warmed executables; outside any scope it is exactly
+    ``compile_c``.
     """
     options = options or repro.CompileOptions()
-    if _BATCH_DEPTH:
-        executable, _hit = _memo_compile(source, target, options)
-        return executable
-    return repro.compile_c(source, target, options)
-
-
-def run_batch(subtasks: list) -> list:
-    """Run many grid units inside one worker task, sharing warm state.
-
-    ``subtasks`` is a list of ``(fn, args, kwargs)`` triples.  Each unit
-    runs in order with the executable memo enabled, so units that
-    compile the same (source, target, options) — the same kernel under
-    several scales, sim options or section passes — share one warmed
-    :class:`~repro.sim.jit.SegmentJIT` and block-timing memo.  Returns
-    one ``("ok", value)`` or ``("error", payload)`` pair per unit, so a
-    failing unit costs only its own slot, exactly as when unbatched.
-    """
-    from repro.errors import error_payload
-
-    global _BATCH_DEPTH
-    results = []
-    _BATCH_DEPTH += 1
-    try:
-        for fn, args, kwargs in subtasks:
-            try:
-                results.append(("ok", fn(*args, **kwargs)))
-            except Exception as error:  # noqa: BLE001 — serialized across
-                results.append(("error", error_payload(error)))
-    finally:
-        _BATCH_DEPTH -= 1
-        if _BATCH_DEPTH == 0:
-            _EXE_MEMO.clear()
-    return results
+    if not _MEMO_DEPTH:
+        return repro.compile_c(source, target, options)
+    key = (source, _target_key(target), options)
+    executable = _EXE_MEMO.get(key)
+    if executable is None:
+        executable = repro.compile_c(source, target, options)
+        while len(_EXE_MEMO) >= _EXE_MEMO_CAP:
+            _EXE_MEMO.pop(next(iter(_EXE_MEMO)))
+        _EXE_MEMO[key] = executable
+    return executable
 
 
 @dataclass
@@ -234,8 +197,8 @@ def run_kernel(
     store = get_cache()
     counters_before = store.counters()
     compile_start = time.perf_counter()
-    # inside a batch or shared-executable scope, same-program units
-    # share one executable, so its JIT and timing memo arrive warm
+    # inside a shared-executable scope, same-program units share one
+    # executable, so its JIT and timing memo arrive warm
     executable = compile_kernel(
         spec.source, target, repro.CompileOptions(strategy=strategy)
     )

@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the evaluation grid.
+"""Execution backends for the evaluation grid.
 
 See :mod:`repro.eval.executors.base` for the contract.  Backends:
 
@@ -7,10 +7,7 @@ See :mod:`repro.eval.executors.base` for the contract.  Backends:
     deterministic to the bit.  What ``jobs=1`` uses.
 ``local``
     :class:`LocalPoolExecutor` — a ProcessPoolExecutor with the grid's
-    crash-retry semantics.  The default for ``jobs>1``.
-``socket`` / ``socket:HOST:PORT``
-    :class:`SocketExecutor` — length-framed pickle over TCP; spawns
-    local ``repro worker`` processes, or listens for external ones.
+    crash-retry semantics.  What ``jobs>1`` uses.
 """
 
 from __future__ import annotations
@@ -27,11 +24,6 @@ from repro.eval.executors.base import (
 )
 from repro.eval.executors.inprocess import InprocessAsyncExecutor
 from repro.eval.executors.local import LocalPoolExecutor
-from repro.eval.executors.socketexec import (
-    SocketExecutor,
-    parse_address,
-    worker_main,
-)
 
 __all__ = [
     "CRASH_PAYLOAD",
@@ -39,36 +31,25 @@ __all__ = [
     "ExecutorProbe",
     "InprocessAsyncExecutor",
     "LocalPoolExecutor",
-    "SocketExecutor",
     "UnitEvent",
-    "parse_address",
     "resolve_executor",
     "resolve_jobs",
     "resolve_timeout",
     "run_unit",
     "unit_deadline",
-    "worker_main",
 ]
 
 
 def resolve_executor(spec: str, jobs: int | None = None) -> Executor:
-    """Build a backend from a spec string (the CLI's ``--executor``).
+    """Build a backend from a spec string (``repro serve --executor``).
 
     ``"inprocess"`` → serial in-process; ``"local"`` → process pool with
-    ``jobs`` workers; ``"socket"`` → TCP coordinator spawning ``jobs``
-    local workers; ``"socket:HOST:PORT"`` → TCP coordinator bound to an
-    explicit address, waiting for externally launched workers.
+    ``jobs`` workers.
     """
     if spec == "inprocess":
         return InprocessAsyncExecutor()
     if spec == "local":
         return LocalPoolExecutor(workers=jobs)
-    if spec == "socket":
-        return SocketExecutor(spawn=resolve_jobs(jobs))
-    if spec.startswith("socket:"):
-        host, port = parse_address(spec[len("socket:") :])
-        return SocketExecutor(host=host, port=port)
     raise ValueError(
-        f"unknown executor spec {spec!r}; want 'inprocess', 'local', "
-        "'socket', or 'socket:HOST:PORT'"
+        f"unknown executor spec {spec!r}; want 'inprocess' or 'local'"
     )

@@ -2,11 +2,11 @@
 
 The evaluation grid (:mod:`repro.eval.grid`) is a thin façade over this
 interface.  A backend accepts keyed work units, runs them *somewhere*
-(in-process, on a local process pool, on workers connected over TCP) and
-streams completion events back; the façade owns ordering, journaling,
-failure collection and work-stealing, so every backend gets those for
-free and all three stay behaviourally interchangeable — the conformance
-suite (``tests/test_executors.py``) runs one battery against each.
+(in-process or on a local process pool) and streams completion events
+back; the façade owns ordering, journaling, failure collection and
+work-stealing, so both backends get those for free and stay
+behaviourally interchangeable — the conformance suite
+(``tests/test_executors.py``) runs one battery against each.
 
 The contract, in full:
 
@@ -29,14 +29,13 @@ The contract, in full:
   units currently on a worker, feeding the straggler estimate.
 * :meth:`Executor.close` — release workers/pools.  An executor is
   reusable across many ``run_grid`` calls until closed (the report runs
-  every section against one executor, so socket workers stay warm).
+  every section against one executor, so pool workers stay warm).
 
 Executors report unit *outcomes as data*: an exception inside a unit
 becomes a ``status="err"`` event carrying the serialized
 :mod:`repro.errors` payload, never a raise in the parent.  The worker
-entry point that guarantees this, :func:`run_unit`, lives here so the
-local pool and the socket worker share one implementation (and one
-``SIGALRM`` deadline).
+entry point that guarantees this, :func:`run_unit`, lives here beside
+the ``SIGALRM`` deadline it arms.
 """
 
 from __future__ import annotations
@@ -90,9 +89,9 @@ def resolve_timeout(timeout: float | None = None) -> float | None:
 @contextmanager
 def unit_deadline(seconds: float | None):
     """Arm a ``SIGALRM`` deadline around one unit, when the platform and
-    calling context allow it (main thread, Unix).  Pool and socket
-    workers execute units on their main thread, so the deadline is armed
-    there even when the parent could not arm one for itself."""
+    calling context allow it (main thread, Unix).  Pool workers execute
+    units on their main thread, so the deadline is armed there even when
+    the parent could not arm one for itself."""
     usable = (
         seconds is not None
         and hasattr(signal, "SIGALRM")
@@ -118,7 +117,7 @@ def unit_deadline(seconds: float | None):
 
 
 def run_unit(fn, args, kwargs, timeout):
-    """Worker entry shared by every out-of-process backend.
+    """Worker entry of the local process pool.
 
     Returns ``("ok", result, wall_s, metrics)`` or ``("err", payload,
     wall_s, metrics)`` where ``payload`` is an
@@ -162,8 +161,7 @@ class UnitEvent:
     the synthetic ``WorkerCrash`` payload for units whose worker died
     past the retry budget).  ``metrics`` is the worker's per-unit timing
     snapshot for parent-side merge; ``attempts`` counts how many times
-    the backend dispatched the key; ``worker`` names the worker that
-    produced the event (``""`` for in-process execution).
+    the backend dispatched the key.
     """
 
     key: str
@@ -172,7 +170,6 @@ class UnitEvent:
     wall_s: float = 0.0
     metrics: dict | None = None
     attempts: int = 1
-    worker: str = ""
 
     @property
     def ok(self) -> bool:
@@ -186,8 +183,8 @@ class ExecutorProbe:
     ``workers`` counts live workers, ``idle`` those with nothing
     assigned (the work-stealing budget), ``queued`` units waiting for a
     worker and ``in_flight`` units dispatched but unreported.
-    ``healthy`` is the backend's own verdict — a socket executor with
-    every worker gone reports ``False`` while it waits for reconnects.
+    ``healthy`` is the backend's own verdict — a closed pool reports
+    ``False``.
     """
 
     backend: str
@@ -201,8 +198,8 @@ class ExecutorProbe:
 
 class Executor(ABC):
     """Abstract base for grid execution backends (see the module doc for
-    the full contract).  Concrete backends: ``LocalPoolExecutor``,
-    ``InprocessAsyncExecutor``, ``SocketExecutor``."""
+    the full contract).  Concrete backends: ``LocalPoolExecutor`` and
+    ``InprocessAsyncExecutor``."""
 
     backend = "abstract"
 

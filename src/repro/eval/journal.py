@@ -18,9 +18,7 @@ Record schema (one JSON object per line):
     raises :class:`JournalError` instead of silently mixing runs.
 
 ``{"schema": 1, "key": K, "status": "ok", "wall_s": S, "result": R}``
-    A completed unit.  ``result`` uses the value codec below.  Units
-    completed by a remote worker carry ``"by": WORKER`` naming it (the
-    field is omitted for in-process execution).
+    A completed unit.  ``result`` uses the value codec below.
 
 ``{"schema": 1, "key": K, "status": "fail", "wall_s": S, "error": E,
 "attempts": N}``
@@ -190,9 +188,7 @@ class Journal:
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    def record_ok(
-        self, key: str, result: Any, wall_s: float, by: str = ""
-    ) -> None:
+    def record_ok(self, key: str, result: Any, wall_s: float) -> None:
         self._done[key] = result
         self._failed.pop(key, None)
         record = {
@@ -202,11 +198,6 @@ class Journal:
             "wall_s": round(wall_s, 6),
             "result": encode_value(result),
         }
-        if by:
-            # which worker produced the value — forensics for multi-host
-            # runs; absent for in-process execution so serial journals
-            # stay byte-stable across the executor refactor
-            record["by"] = by
         self._append(record)
 
     def record_failure(

@@ -6,12 +6,9 @@ EXPERIMENTS.md) in one run.  Scaled-down problem sizes keep the full
 sweep fast; pass ``--scale 1.0`` for the classic Livermore sizes.
 
 The harness is performance-instrumented and fault-tolerant: independent
-(kernel × strategy × target) work units fan out across a pluggable
-execution backend (``--jobs``/``REPRO_JOBS`` over the local pool by
-default; ``--executor socket:HOST:PORT`` runs them on ``repro worker``
-processes anywhere on the network, ``--shard K/N`` splits one report
-across coordinators; ``--jobs 1`` is the deterministic serial fallback —
-table values and checksums are identical at any job count and backend),
+(kernel × strategy × target) work units fan out across one local
+process pool (``--jobs``/``REPRO_JOBS``; ``--jobs 1`` runs them serially
+in-process — table values and checksums are identical at any job count),
 each unit runs under an optional wall-clock budget
 (``--timeout``/``REPRO_UNIT_TIMEOUT``), crashed workers are retried with
 a rebuilt pool, and failed units render as FAILED cells instead of
@@ -49,7 +46,7 @@ from repro.eval.claims import (
 )
 from repro.eval.common import shared_executables
 from repro.eval.figure7 import figure7
-from repro.eval.executors import Executor, LocalPoolExecutor, resolve_executor
+from repro.eval.executors import LocalPoolExecutor
 from repro.eval.grid import (
     FailureCollector,
     GridFailure,
@@ -109,22 +106,14 @@ def generate_report(
     jobs: int | None = None,
     timeout: float | None = None,
     resume: str | None = None,
-    executor: str | Executor | None = None,
-    shard: str | None = None,
-    batch: int | None = None,
 ) -> ReportResult:
     """Run every experiment; never raises for a failed work unit.
 
     ``resume`` names a journal file: completed units are checkpointed
     there and reused by the next run.  ``timeout`` bounds each unit's
-    wall clock.  ``executor`` picks the grid backend (a spec string like
-    ``"socket:0.0.0.0:7777"``, or a live Executor to reuse) — one
-    backend serves every section, so its workers stay warm from table to
-    table.  ``shard="K/N"`` runs only this run's slice of every grid;
-    point the shards at one shared journal and finish with an unsharded
-    resume run to merge.  ``batch`` routes up to that many same-(target,
-    strategy) units through one worker task (``None``: ``REPRO_BATCH``).
-    Inspect ``.failures`` (and exit nonzero) on a degraded run.
+    wall clock.  With ``jobs > 1`` one local pool serves every section,
+    so its workers stay warm from table to table.  Inspect
+    ``.failures`` (and exit nonzero) on a degraded run.
     """
     jobs = resolve_jobs(jobs)
     timeout = resolve_timeout(timeout)
@@ -133,29 +122,22 @@ def generate_report(
         if resume
         else None
     )
-    owned_executor: Executor | None = None
-    backend = executor
-    if isinstance(backend, str):
-        backend = owned_executor = resolve_executor(backend, jobs)
-    elif backend is None and jobs > 1:
-        # one pool for the whole report: workers persist across sections
-        backend = owned_executor = LocalPoolExecutor(workers=jobs)
+    # one pool for the whole report: workers persist across sections
+    pool = LocalPoolExecutor(workers=jobs) if jobs > 1 else None
     collector = FailureCollector()
     options = GridOptions(
         jobs=jobs,
         timeout=timeout,
         failures="collect",
         journal=journal,
-        executor=backend,
-        shard=shard,
+        executor=pool,
         collector=collector,
-        batch=batch,
     )
     timing.reset()
     timing.enable()
     # the whole report is one shared-executable scope: every unit — run
     # in-process or in a worker forked after this point — compiles
-    # through the batch memo, so sections that revisit the same
+    # through the executable memo, so sections that revisit the same
     # (kernel, target, strategy) share one warmed executable instead of
     # unpickling and re-warming it per section
     memo_scope = shared_executables()
@@ -225,10 +207,14 @@ def generate_report(
         def c2() -> str:
             compile_claim = claim_compile_time_ordering(repeat=2)
             return (
-                f"  postpass {compile_claim.postpass_seconds:.3f}s < "
-                f"ips {compile_claim.ips_seconds:.3f}s < "
-                f"rase {compile_claim.rase_seconds:.3f}s : "
+                "  blocks scheduled: "
+                f"postpass {compile_claim.postpass_schedulings} < "
+                f"ips {compile_claim.ips_schedulings} < "
+                f"rase {compile_claim.rase_schedulings} : "
                 f"{'holds' if compile_claim.ordering_holds else 'VIOLATED'}\n"
+                f"  compile time: postpass {compile_claim.postpass_seconds:.3f}s, "
+                f"ips {compile_claim.ips_seconds:.3f}s, "
+                f"rase {compile_claim.rase_seconds:.3f}s\n"
                 f"  i860/r2000 total back-end time: {compile_claim.i860_slowdown:.2f}x"
             )
 
@@ -282,8 +268,8 @@ def generate_report(
         sections.append(
             f"total evaluation time: {total_seconds:.1f}s (jobs={jobs})\n"
         )
-        if owned_executor is not None:
-            owned_executor.close()
+        if pool is not None:
+            pool.close()
         if journal is not None:
             journal.close()
         return ReportResult(text="\n".join(sections), failures=failures)
@@ -309,37 +295,11 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
         "(default: REPRO_UNIT_TIMEOUT or unlimited)",
     )
     parser.add_argument(
-        "--executor",
-        default=None,
-        metavar="SPEC",
-        help="evaluation-grid backend: 'local' (process pool), "
-        "'inprocess' (serial), 'socket' (spawn local TCP workers), or "
-        "'socket:HOST:PORT' (listen for external `repro worker` "
-        "processes); default: local pool for --jobs > 1",
-    )
-    parser.add_argument(
-        "--shard",
-        default=None,
-        metavar="K/N",
-        help="run only shard K of N (keys are hashed to shards; pair "
-        "with a shared --resume journal and merge with a final "
-        "unsharded resume run)",
-    )
-    parser.add_argument(
         "--resume",
         default=None,
         metavar="JOURNAL",
         help="checkpoint completed units into this JSONL journal and "
         "reuse any units it already holds (default: REPRO_JOURNAL)",
-    )
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="route up to N same-(target, strategy) units through one "
-        "worker task sharing a warmed executable memo "
-        "(default: REPRO_BATCH or 1 = unbatched)",
     )
     parser.add_argument(
         "--format",
@@ -361,9 +321,6 @@ def run_report_command(arguments) -> int:
         jobs=arguments.jobs,
         timeout=arguments.timeout,
         resume=resume,
-        executor=arguments.executor,
-        shard=arguments.shard,
-        batch=arguments.batch,
     )
     if arguments.format == "json":
         snapshot = timing.snapshot()

@@ -86,7 +86,6 @@ def measure(
             grid_run_kernel,
             (spec.id, target, strategy),
             {"scale": scale, "cache": cache},
-            batch_key=f"{target}/{strategy}",
         )
         for spec in specs
         for strategy in STRATEGIES

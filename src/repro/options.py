@@ -8,9 +8,8 @@ between threads, used as a dict key, and journalled — and every layer of
 the back end threads the *same* object through instead of re-plumbing
 individual keywords.
 
-The legacy keywords were deprecated through 1.1 and have graduated:
-passing one now raises :class:`TypeError` naming the replacement (see
-:func:`merge_legacy_kwargs`).
+The legacy keywords were deprecated through 1.1 and are gone: passing
+one raises Python's own "unexpected keyword argument" :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from dataclasses import dataclass
 
 from repro.errors import MarionError
 
-#: sentinel distinguishing "keyword not passed" from any real value
-UNSET = object()
 
 @dataclass(frozen=True)
 class CompileOptions:
@@ -100,38 +97,3 @@ class SimOptions:
     def replace(self, **changes) -> "SimOptions":
         """A copy with the given fields changed (frozen-friendly)."""
         return dataclasses.replace(self, **changes)
-
-
-def merge_legacy_kwargs(
-    options,
-    legacy: dict,
-    *,
-    where: str,
-    factory=CompileOptions,
-):
-    """Reject the pre-1.1 (legacy-keyword) call styles, helpfully.
-
-    ``legacy`` maps keyword name to value for every keyword the caller
-    actually passed (values equal to :data:`UNSET` are dropped here).
-    The legacy spellings were deprecated through 1.1 and have now
-    graduated: any use raises :class:`TypeError` naming the
-    replacement.  The keywords stay in the public signatures only so
-    old call sites get this message instead of a generic
-    "unexpected keyword argument".  ``factory`` selects the record type
-    — :class:`CompileOptions` (default) or :class:`SimOptions`.
-    """
-    passed = sorted(k for k, v in legacy.items() if v is not UNSET)
-    if factory is CompileOptions and isinstance(options, str):
-        # old positional strategy argument
-        raise TypeError(
-            f"{where}: a positional strategy string is no longer "
-            f"accepted; pass options=CompileOptions(strategy="
-            f"{options!r}) instead"
-        )
-    if passed:
-        raise TypeError(
-            f"{where}: the {', '.join(passed)} keyword(s) were removed; "
-            f"pass options={factory.__name__}"
-            f"({', '.join(f'{name}=...' for name in passed)}) instead"
-        )
-    return options if options is not None else factory()

@@ -13,7 +13,8 @@ Layers:
   parsers (also the CLI's ``--options-json`` path), and the error
   payload/status mapping over the :mod:`repro.errors` taxonomy;
 * :mod:`repro.serve.workers` — the module-level work units a request
-  becomes (importable by name, so every executor backend can run them);
+  becomes (module-level and picklable, so every executor backend can
+  run them);
 * :mod:`repro.serve.service` — the engine: executor-backed dispatch,
   deduplication, response memo, deadlines, counters, graceful drain;
 * :mod:`repro.serve.http` — the asyncio HTTP/1.1 front end.

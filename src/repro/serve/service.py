@@ -6,9 +6,8 @@ One :class:`Service` owns
 * an :class:`~repro.eval.executors.base.Executor` — the *warm worker
   pool*.  The default local pool forks from a parent that has already
   warmed its target cache and keeps its workers alive across requests,
-  so request N+1 never pays the cold-start tax request N already paid;
-  any backend spec the evaluation grid accepts works here too
-  (``inprocess``, ``local``, ``socket[:HOST:PORT]``);
+  so request N+1 never pays the cold-start tax request N already paid
+  (``inprocess`` runs requests serially on the drain thread instead);
 * a drain thread that streams completion events off the executor and
   resolves per-request futures on the event loop;
 * the **in-flight dedup map**: identical requests (same
@@ -68,8 +67,8 @@ class ServeOptions:
       printed on startup);
     * ``workers`` — worker-pool size (``None``: ``REPRO_JOBS`` or cpu
       count);
-    * ``executor`` — backend spec (``"local"`` default, ``"inprocess"``,
-      ``"socket"``, ``"socket:HOST:PORT"``) or a live
+    * ``executor`` — backend spec (``"local"`` default or
+      ``"inprocess"``) or a live
       :class:`~repro.eval.executors.base.Executor` to reuse (left open
       on shutdown);
     * ``request_timeout`` — default per-request deadline in seconds; a

@@ -2,9 +2,8 @@
 
 Module-level callables with picklable arguments and JSON-ready results,
 so every executor backend can run them: the local pool pickles the
-callable itself, the socket backend ships them *by name*
-(``repro.serve.workers:compile_unit``) and warm remote workers pull
-targets and executables from the persistent artifact cache.
+callable itself, and its workers pull targets and executables from the
+persistent artifact cache.
 
 Each unit reports compile provenance — how many *fresh* kernel compiles
 and CGG builds it caused — by snapshotting the :mod:`repro.utils.timing`

@@ -15,7 +15,7 @@ from repro.backend.insts import MachineInstr
 import repro.cache as artifact_cache
 from repro.errors import SimulationError, SimulationTimeout
 import repro.obs as obs
-from repro.options import UNSET, SimOptions, merge_legacy_kwargs
+from repro.options import SimOptions
 from repro.program import Executable
 from repro.sim.blockcache import SEGMENT_CAP, BlockTimingCache, decode_blocks
 from repro.sim.cache import DirectMappedCache
@@ -203,16 +203,8 @@ class Simulator:
         self,
         executable: Executable,
         options: SimOptions | None = None,
-        *,
-        cache=UNSET,
-        model_timing=UNSET,
     ):
-        options = merge_legacy_kwargs(
-            options,
-            {"cache": cache, "model_timing": model_timing},
-            where="Simulator",
-            factory=SimOptions,
-        )
+        options = options if options is not None else SimOptions()
         self.executable = executable
         self.target = executable.target
         self.options = options
@@ -249,9 +241,6 @@ class Simulator:
         arg_types: tuple | None = None,
         options: SimOptions | None = None,
         *,
-        max_instructions=UNSET,
-        max_cycles=UNSET,
-        trace=UNSET,
         watch=None,
     ) -> SimResult:
         """Run ``function`` under one :class:`SimOptions` record.
@@ -270,32 +259,9 @@ class Simulator:
         after every executed instruction (cycle is 0 when timing is off)
         — a debugging hook for watching generated code execute.  It
         needs per-instruction issue cycles, so the run takes the
-        reference interleaved model instead of the engine.  The pre-1.1
-        spellings (``max_instructions=``/``max_cycles=`` keywords,
-        ``trace=`` for the watch callback) have been removed and raise
-        :class:`TypeError` naming the replacement.
+        reference interleaved model instead of the engine.
         """
         run_options = options if options is not None else self.options
-        legacy = sorted(
-            name
-            for name, value in (
-                ("max_instructions", max_instructions),
-                ("max_cycles", max_cycles),
-            )
-            if value is not UNSET
-        )
-        if legacy:
-            raise TypeError(
-                f"Simulator.run: the {', '.join(legacy)} keyword(s) were"
-                " removed; pass options=SimOptions("
-                f"{', '.join(f'{name}=...' for name in legacy)}) instead"
-            )
-        if trace is not UNSET:
-            raise TypeError(
-                "Simulator.run: the trace= callback keyword was removed;"
-                " pass watch=callback (or options=SimOptions(trace=True)"
-                " for stall accounting) instead"
-            )
         cache = self.cache if options is None else _resolve_cache(
             run_options.cache
         )
@@ -1143,23 +1109,7 @@ def run_program(
     function: str,
     args: tuple = (),
     options: SimOptions | None = None,
-    *,
-    cache=UNSET,
-    model_timing=UNSET,
-    max_instructions=UNSET,
-    max_cycles=UNSET,
 ) -> SimResult:
     """One-shot convenience wrapper around :class:`Simulator`."""
-    options = merge_legacy_kwargs(
-        options,
-        {
-            "cache": cache,
-            "model_timing": model_timing,
-            "max_instructions": max_instructions,
-            "max_cycles": max_cycles,
-        },
-        where="run_program",
-        factory=SimOptions,
-    )
     simulator = Simulator(executable, options)
     return simulator.run(function, args)

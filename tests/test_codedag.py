@@ -257,6 +257,12 @@ def test_protection_edge_skips_ancestors_the_head_reaches(i860):
     ]
     dag = build_code_dag(instrs, i860)
     assert kind4_edges(dag) == [(3, 2, 0)]
+    # the edge points against the code thread; priorities still see it
+    for node in dag.nodes:
+        assert node.priority == max(
+            [node.instr.desc.latency]
+            + [edge.latency + edge.dst.priority for edge in node.succs]
+        ), node
 
 
 def _reference_protection_edges(dag, add_edge):

@@ -1,14 +1,17 @@
-"""The consolidated :class:`repro.CompileOptions` record and the
-deprecation shim that keeps the pre-1.1 keyword spellings working."""
+"""The consolidated :class:`repro.CompileOptions` record, and the
+removed pre-1.1 keyword spellings of every options-taking entry point."""
 
 import dataclasses
+from functools import partial
 
 import pytest
 
 import repro
 from repro.backend.codegen import CodeGenerator
 from repro.backend.strategies import get_strategy
-from repro.options import CompileOptions, merge_legacy_kwargs
+from repro.eval.grid import GridTask, run_grid
+from repro.options import CompileOptions
+from repro.sim import run_program
 
 SOURCE = """
 int bench(int n) {
@@ -61,31 +64,76 @@ def test_exported_at_top_level():
     assert repro.CompileOptions is CompileOptions
 
 
-# -- the graduated legacy spellings ----------------------------------------
+# -- the removed legacy spellings -------------------------------------------
+
+
+#: compile-side keywords removed from compile_c and CodeGenerator
+_COMPILE_KEYWORDS = ("strategy", "heuristic", "schedule", "fill_delay_slots")
+#: sim-side keywords removed from simulate and run_program
+_SIM_KEYWORDS = ("cache", "model_timing", "max_instructions", "max_cycles")
+
+
+def _entry_point(name):
+    """``(removed keywords, call)`` for one options-taking entry point;
+    ``call(**kwargs)`` makes the call with otherwise valid arguments."""
+    target = repro.load_target("r2000")
+    if name == "CodeGenerator":
+        return _COMPILE_KEYWORDS, partial(CodeGenerator, target)
+    if name == "run_grid":
+        return ("jobs",), partial(run_grid, [GridTask("abs", abs, (-2,))])
+    exe = repro.compile_c(SOURCE, target, CompileOptions())
+    if name == "simulate":
+        return _SIM_KEYWORDS, partial(repro.simulate, exe, "bench", (3,))
+    assert name == "run_program"
+    return _SIM_KEYWORDS, partial(run_program, exe, "bench", (3,))
+
+
+def _assert_each_keyword_raises(keywords, call):
+    """Each removed keyword, passed alone, raises Python's own
+    ``TypeError`` naming it."""
+    for keyword in keywords:
+        with pytest.raises(
+            TypeError, match=f"unexpected keyword argument '{keyword}'"
+        ):
+            call(**{keyword: 1})
+
+
+# compile_c, Simulator and Simulator.run: their own tests below and in
+# tests/test_sim_options.py
+@pytest.mark.parametrize(
+    "name", ["CodeGenerator", "simulate", "run_program", "run_grid"]
+)
+def test_removed_keywords_raise_type_error(name):
+    _assert_each_keyword_raises(*_entry_point(name))
 
 
 def test_compile_c_legacy_kwargs_raise_naming_replacement():
-    with pytest.raises(TypeError, match=r"CompileOptions\(strategy=\.\.\.\)"):
-        repro.compile_c(SOURCE, "r2000", strategy="rase")
-
-
-def test_compile_c_positional_strategy_string_raises():
+    # the message names the keyword, which is also the name of the
+    # CompileOptions field that replaces it
     with pytest.raises(
-        TypeError, match="no longer accepted.*CompileOptions"
+        TypeError, match="unexpected keyword argument 'strategy'"
     ):
-        repro.compile_c(SOURCE, "r2000", "ips")
+        repro.compile_c(SOURCE, "r2000", strategy="rase")
+    assert "strategy" in {
+        field.name for field in dataclasses.fields(CompileOptions)
+    }
+    assert repro.compile_c(
+        SOURCE, "r2000", CompileOptions(strategy="rase")
+    ).instruction_count() > 0
 
 
 def test_compile_c_rejects_options_plus_legacy_kwargs():
-    with pytest.raises(TypeError, match="strategy"):
+    with pytest.raises(
+        TypeError, match="unexpected keyword argument 'strategy'"
+    ):
         repro.compile_c(SOURCE, "r2000", CompileOptions(), strategy="rase")
 
 
 def test_compile_c_legacy_error_names_every_kwarg():
-    with pytest.raises(TypeError, match="heuristic, schedule"):
-        repro.compile_c(
-            SOURCE, "r2000", heuristic="fifo", schedule=False
-        )
+    _assert_each_keyword_raises(
+        _COMPILE_KEYWORDS + ("memory_size",),
+        partial(repro.compile_c, SOURCE, "r2000"),
+    )
 
 
 def test_compile_c_modern_call_does_not_warn(recwarn):
@@ -108,12 +156,6 @@ def test_codegen_threads_options_through():
     assert generator.strategy.heuristic == "fifo"
 
 
-def test_codegen_legacy_kwargs_raise():
-    target = repro.load_target("r2000")
-    with pytest.raises(TypeError, match="CodeGenerator.*strategy"):
-        CodeGenerator(target, strategy="rase")
-
-
 def test_get_strategy_builds_options_when_missing():
     strategy = get_strategy("rase", heuristic="fifo", schedule=False)
     assert strategy.options == CompileOptions(
@@ -121,12 +163,6 @@ def test_get_strategy_builds_options_when_missing():
     )
     assert strategy.heuristic == "fifo"
     assert strategy.schedule_enabled is False
-
-
-def test_merge_legacy_kwargs_no_legacy_passes_options_through():
-    options = CompileOptions(strategy="rase")
-    assert merge_legacy_kwargs(options, {}, where="f") is options
-    assert merge_legacy_kwargs(None, {}, where="f") == CompileOptions()
 
 
 def test_memory_size_reaches_the_linker():

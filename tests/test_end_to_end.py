@@ -411,6 +411,18 @@ def test_shared_node_after_its_home_is_overwritten(program, strategy, target):
     assert run(src, "f", args, target, strategy, kind) == expected
 
 
+def test_i860_rase_livermore_k8():
+    # RASE's pressure-bounded pass once kept only candidates that did
+    # not raise pressure; on K8's loop body the one it kept was blocked
+    # by Rule 1, so nothing could issue on any cycle
+    from repro.workloads import kernel_by_id
+
+    spec = kernel_by_id(8)
+    loop, n = spec.args
+    value = run(spec.source, "bench", (loop, n), "i860", "rase", "double")
+    assert value == spec.reference(loop, n)
+
+
 def test_code_does_not_depend_on_earlier_compiles():
     # pseudo-register ids break the allocator's ties, so they are numbered
     # per compilation, not per process.  Ids do not order an int set, but
@@ -440,9 +452,11 @@ import repro
 from repro.backend.asmprinter import format_program
 from repro.workloads import kernel_by_id
 
-for strategy, kernel in (("ips", 9), ("rase", 13)):
+for target, strategy, kernel in (
+    ("toyp", "ips", 9), ("toyp", "rase", 13), ("i860", "rase", 8),
+):
     exe = repro.compile_c(
-        kernel_by_id(kernel).source, "toyp",
+        kernel_by_id(kernel).source, target,
         repro.CompileOptions(strategy=strategy),
     )
     print(format_program(exe.machine_program, explain=True))
@@ -452,7 +466,9 @@ for strategy, kernel in (("ips", 9), ("rase", 13)):
 def test_code_does_not_depend_on_the_hash_seed():
     # toyp/IPS/K9 and toyp/RASE/K13 each had two codes, chosen by the
     # seed, while a spill temporary's eviction broke spill-cost ties by
-    # the order of a set filled from string-keyed liveness sets
+    # the order of a set filled from string-keyed liveness sets;
+    # i860/RASE/K8 uses both clocks, which protection edges visit in
+    # sorted order
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), REPRO_CACHE="0")
     listings = []
     for seed in ("0", "1", "2"):

@@ -1,23 +1,16 @@
-"""Conformance suite for the pluggable executor layer.
+"""Conformance suite for the executor layer.
 
-Every backend — in-process, local pool, socket — is held to the same
+Both backends — in-process and local pool — are held to the same
 :class:`~repro.eval.executors.base.Executor` contract: submission-order
 results through ``run_grid``, per-unit timeouts, crash containment,
-failure collection, journal resume, and queued-copy cancellation.  The
-socket backend additionally proves the multi-host story: a SIGKILLed
-worker costs only the units it had in flight, because surviving workers
-adopt the orphans and the journal already holds everything finished.
+failure collection, journal resume, and queued-copy cancellation.
 
-Unit functions live at module level so the socket backend can ship them
-*by name* (``tests.test_executors:_square``) to worker subprocesses; the
-socket fixture prepends the repo root to ``PYTHONPATH`` so spawned
-workers can import this module.
+Unit functions live at module level so the local pool can pickle them.
 """
 
 import contextlib
 import os
 import signal
-import threading
 import time
 
 import pytest
@@ -26,10 +19,8 @@ from repro.eval.executors import (
     Executor,
     InprocessAsyncExecutor,
     LocalPoolExecutor,
-    SocketExecutor,
     resolve_executor,
 )
-from repro.eval.executors.socketexec import callable_ref, parse_address
 from repro.eval.grid import (
     FailureCollector,
     GridFailure,
@@ -39,11 +30,9 @@ from repro.eval.grid import (
 )
 from repro.eval.journal import Journal
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-BACKENDS = ("inprocess", "local", "socket")
+BACKENDS = ("inprocess", "local")
 #: backends whose units run in a separate process (safe to SIGKILL)
-PROCESS_BACKENDS = ("local", "socket")
+PROCESS_BACKENDS = ("local",)
 
 
 def _square(x):
@@ -72,13 +61,6 @@ def _mark(x, marker_dir):
     return x * x
 
 
-def _sleep_mark(x, seconds, marker_dir):
-    with open(os.path.join(marker_dir, f"ran_{x}"), "a") as handle:
-        handle.write("x\n")
-    time.sleep(seconds)
-    return x * x
-
-
 @contextlib.contextmanager
 def make_backend(name, *, workers=2, retries=1):
     """Build one backend with fast-failure settings for the suite."""
@@ -86,23 +68,8 @@ def make_backend(name, *, workers=2, retries=1):
         with InprocessAsyncExecutor() as backend:
             yield backend
         return
-    if name == "local":
-        with LocalPoolExecutor(workers=workers, retries=retries, backoff=0.05) as backend:
-            yield backend
-        return
-    # socket: spawned workers must be able to import this module by name
-    saved = os.environ.get("PYTHONPATH")
-    os.environ["PYTHONPATH"] = _REPO_ROOT + (
-        os.pathsep + saved if saved else ""
-    )
-    try:
-        with SocketExecutor(spawn=workers, retries=retries) as backend:
-            yield backend
-    finally:
-        if saved is None:
-            os.environ.pop("PYTHONPATH", None)
-        else:
-            os.environ["PYTHONPATH"] = saved
+    with LocalPoolExecutor(workers=workers, retries=retries, backoff=0.05) as backend:
+        yield backend
 
 
 def _collect(backend, **changes):
@@ -247,60 +214,6 @@ def test_journal_resume_skips_done_units(name, tmp_path):
         assert runs == 1  # resume reused the journalled results
 
 
-# -- multi-host specifics ---------------------------------------------------
-
-
-def test_socket_worker_sigkill_costs_only_inflight_units(tmp_path):
-    """Kill one of two socket workers mid-run: the survivors adopt its
-    orphaned units, the respawned worker rejoins, and nothing that had
-    already finished is re-executed (the journal-as-coordination
-    acceptance property)."""
-    marker_dir = str(tmp_path)
-    count = 6
-    units = [
-        GridTask(f"sm/{x}", _sleep_mark, (x, 0.4, marker_dir))
-        for x in range(count)
-    ]
-    journal_path = str(tmp_path / "journal.jsonl")
-    with make_backend("socket", workers=2, retries=2) as backend:
-        victim = backend._spawned[0]
-
-        def _assassin():
-            time.sleep(0.6)  # mid-run: both workers are busy by now
-            with contextlib.suppress(OSError):
-                os.kill(victim.pid, signal.SIGKILL)
-
-        killer = threading.Thread(target=_assassin, daemon=True)
-        killer.start()
-        with Journal(journal_path) as journal:
-            results = run_grid(
-                units, GridOptions(executor=backend, journal=journal)
-            )
-        killer.join()
-    assert results == [x * x for x in range(count)]  # nothing lost
-    reruns = 0
-    for x in range(count):
-        runs = open(os.path.join(marker_dir, f"ran_{x}")).read().count("x")
-        assert runs >= 1
-        reruns += runs - 1
-    # only what the victim had in flight re-ran (one unit at a time per
-    # worker, plus at most one more racing the kill)
-    assert reruns <= 2
-    # the journal records every completion exactly once, with the worker
-    # that produced it
-    with Journal(journal_path) as journal:
-        assert journal.done_keys() == {f"sm/{x}" for x in range(count)}
-    assert '"by":' in open(journal_path).read()
-
-
-def test_socket_ships_functions_by_name():
-    assert callable_ref(_square) == f"{__name__}:_square"
-    assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
-    assert parse_address("9000") == ("127.0.0.1", 9000)
-    with pytest.raises(ValueError, match="HOST:PORT"):
-        parse_address("not-an-address")
-
-
 # -- spec strings and the redesigned options --------------------------------
 
 
@@ -310,46 +223,8 @@ def test_resolve_executor_specs():
     with resolve_executor("local", jobs=3) as backend:
         assert isinstance(backend, LocalPoolExecutor)
         assert backend.workers == 3
-    with resolve_executor("socket:127.0.0.1:0", jobs=None) as backend:
-        assert isinstance(backend, SocketExecutor)
-        assert backend.spawn == 0  # join-only: workers connect by hand
     with pytest.raises(ValueError, match="executor spec"):
         resolve_executor("carrier-pigeon", jobs=None)
-
-
-def test_shard_partitions_the_key_space(tmp_path):
-    units = [GridTask(f"sq/{x}", _square, (x,)) for x in range(8)]
-    collector = FailureCollector()
-    mine = run_grid(
-        units,
-        GridOptions(shard="1/2", failures="collect", collector=collector),
-    )
-    theirs = run_grid(
-        units,
-        GridOptions(shard="2/2", failures="collect", collector=collector),
-    )
-    owned = 0
-    for x, (a, b) in enumerate(zip(mine, theirs)):
-        skipped_a = isinstance(a, GridFailure)
-        skipped_b = isinstance(b, GridFailure)
-        assert skipped_a != skipped_b  # every key has exactly one owner
-        assert (b if skipped_a else a) == x * x
-        if skipped_a:
-            assert a.error_type == "ShardSkipped"
-        owned += not skipped_a
-    assert 0 < owned < len(units)  # sha256 split really does divide
-    # placeholders are bookkeeping, not failures: nothing was collected
-    assert collector.failures() == []
-    with pytest.raises(ValueError, match="shard"):
-        GridOptions(shard="0/2")
-
-
-def test_legacy_jobs_keyword_raises_naming_replacement():
-    units = [GridTask("sq/2", _square, (2,))]
-    with pytest.raises(TypeError, match=r"GridOptions\(jobs=\.\.\.\)"):
-        run_grid(units, jobs=1)
-    with pytest.raises(TypeError, match="jobs"):
-        run_grid(units, GridOptions(jobs=1), jobs=1)
 
 
 def test_module_level_failure_helpers_are_gone():
@@ -381,7 +256,6 @@ def test_grid_names_are_exported_from_the_package_root():
         "GridFailure",
         "FailureCollector",
         "Executor",
-        "SocketExecutor",
         "Journal",
     ):
         assert name in api.__all__ and hasattr(api, name)

@@ -37,13 +37,6 @@ def test_run_grid_parallel_preserves_submission_order():
     assert results == [i * i for i in range(8)]
 
 
-def test_run_grid_accepts_tuples_and_callables():
-    results = run_grid(
-        [(_square, (3,)), lambda: "bare"], GridOptions(jobs=1)
-    )
-    assert results == [9, "bare"]
-
-
 def test_run_grid_rejects_duplicate_keys():
     with pytest.raises(ValueError, match="duplicate grid key"):
         run_grid(

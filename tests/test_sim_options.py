@@ -1,4 +1,7 @@
-"""The SimOptions record and the graduated legacy keyword spellings."""
+"""The SimOptions record, the simulator's option-taking entry points and
+the removed keyword spellings of ``Simulator`` and ``Simulator.run``
+(those of ``simulate`` and ``run_program``:
+``tests/test_compile_options.py``)."""
 
 import dataclasses
 
@@ -40,16 +43,21 @@ def test_sim_options_defaults_and_replace():
     assert options.max_cycles is None  # original untouched
 
 
-# -- constructor shim --------------------------------------------------------
+# -- constructor -----------------------------------------------------------
 
 
 def test_simulator_legacy_kwargs_raise(exe):
-    with pytest.raises(TypeError, match=r"SimOptions\(model_timing=\.\.\.\)"):
-        Simulator(exe, model_timing=False)
+    for keyword in ("cache", "model_timing"):
+        with pytest.raises(
+            TypeError, match=f"unexpected keyword argument '{keyword}'"
+        ):
+            Simulator(exe, **{keyword: False})
 
 
 def test_simulator_options_plus_legacy_is_an_error(exe):
-    with pytest.raises(TypeError, match="model_timing"):
+    with pytest.raises(
+        TypeError, match="unexpected keyword argument 'model_timing'"
+    ):
         Simulator(exe, repro.SimOptions(), model_timing=False)
 
 
@@ -81,14 +89,26 @@ def test_run_options_override_constructor(exe):
 
 def test_run_legacy_limit_kwargs_raise(exe):
     sim = Simulator(exe)
-    with pytest.raises(TypeError, match="max_instructions"):
-        sim.run("f", (2, 2), max_instructions=10_000)
+    for keyword in ("max_instructions", "max_cycles"):
+        with pytest.raises(
+            TypeError, match=f"unexpected keyword argument '{keyword}'"
+        ):
+            sim.run("f", (2, 2), **{keyword: 10_000})
 
 
 def test_run_legacy_trace_keyword_names_watch(exe):
+    # trace= is gone; the same callback goes through watch=
     sim = Simulator(exe)
-    with pytest.raises(TypeError, match="watch="):
-        sim.run("f", (2, 2), trace=lambda pc, instr, cycle: None)
+    seen = []
+
+    def callback(pc, instr, cycle):
+        seen.append(pc)
+
+    with pytest.raises(TypeError, match="unexpected keyword argument 'trace'"):
+        sim.run("f", (2, 2), trace=callback)
+    assert not seen
+    sim.run("f", (2, 2), watch=callback)
+    assert seen
 
 
 def test_run_watch_callback(exe):
@@ -136,16 +156,6 @@ def test_run_program_options(exe):
     )
     assert result.return_value["int"] == 37
     assert result.cycles == result.instructions
-
-
-def test_run_program_legacy_kwargs_raise(exe):
-    with pytest.raises(TypeError, match="pass options=SimOptions"):
-        run_program(exe, "f", (5, 6), model_timing=False)
-
-
-def test_simulate_legacy_kwargs_raise(exe):
-    with pytest.raises(TypeError, match="pass options=SimOptions"):
-        repro.simulate(exe, "f", (1, 1), model_timing=False)
 
 
 def test_simulate_options_form_is_warning_free(exe):
