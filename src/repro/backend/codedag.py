@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.backend.insts import MachineInstr, Reg
-from repro.il.node import PseudoReg
-from repro.machine.registers import PhysReg, RegisterModel
+from repro.backend.liveness import entity_keys
 from repro.machine.target import TargetMachine
 
 
@@ -97,14 +96,6 @@ class CodeDag:
         return members
 
 
-def _reg_keys(reg, registers: RegisterModel):
-    """Dependence keys for a register: pseudo id, or aliasing units."""
-    if isinstance(reg, PseudoReg):
-        return (("p", reg.id),)
-    assert isinstance(reg, PhysReg)
-    return tuple(("u",) + unit for unit in registers.units_of(reg))
-
-
 def build_code_dag(
     instrs: list[MachineInstr],
     target: TargetMachine,
@@ -121,20 +112,23 @@ def build_code_dag(
     loads_since_store: list[DagNode] = []
     temporal_writer: dict[str, DagNode] = {}  # temporal reg -> DagNode
     temporal_readers: dict[str, list[DagNode]] = {}
+    edges: dict[tuple[int, int], DagEdge] = {}  # (src, dst index) -> edge
 
     def add_edge(src, dst, latency, kind, clock=None):
         if src is dst:
             return
-        for edge in src.succs:
-            if edge.dst is dst:
-                # keep one edge with the strongest constraint
-                if latency > edge.latency:
-                    edge.latency = latency
-                if clock is not None and edge.clock is None:
-                    edge.clock = clock
-                    edge.kind = kind
-                return
-        edge = DagEdge(src, dst, latency, kind, clock)
+        edge = edges.get((src.index, dst.index))
+        if edge is not None:
+            # keep one edge with the strongest constraint
+            if latency > edge.latency:
+                edge.latency = latency
+            if clock is not None and edge.clock is None:
+                edge.clock = clock
+                edge.kind = kind
+            return
+        edge = edges[src.index, dst.index] = DagEdge(
+            src, dst, latency, kind, clock
+        )
         src.succs.append(edge)
         dst.preds.append(edge)
 
@@ -144,7 +138,7 @@ def build_code_dag(
 
         # --- type 1: true dependences on registers ---
         for reg in instr.uses():
-            for key in _reg_keys(reg, registers):
+            for key in entity_keys(reg, registers):
                 producer = last_def.get(key)
                 if producer is not None:
                     add_edge(producer, node, _true_latency(producer, node, target), 1)
@@ -181,7 +175,7 @@ def build_code_dag(
 
         # --- type 3: anti- and output-dependences ---
         for reg in instr.defs():
-            for key in _reg_keys(reg, registers):
+            for key in entity_keys(reg, registers):
                 if include_anti:
                     for user in uses_since_def.get(key, ()):
                         add_edge(user, node, 0, 3)
@@ -239,6 +233,8 @@ def _add_protection_edges(dag: CodeDag, add_edge) -> None:
     An edge added for another head can change them, so they are collected
     again for the next node.
     """
+    if not dag.target.clocks:
+        return  # no explicitly advanced pipelines, so no temporal edges
     temporal_clocks = {
         e.clock for n in dag.nodes for e in n.succs if e.is_temporal
     }

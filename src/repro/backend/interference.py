@@ -5,14 +5,15 @@ a physical-register *unit*) are simultaneously live and may not share
 units.  Following Chaitin, the graph is built from the instruction order
 presented to the allocator: a definition interferes with everything live
 after the defining instruction (minus the source of a move, so moves can
-share a register)."""
+share a register).  Each block is walked once, backwards from its live-out
+set, keeping one set of what is live after each instruction in turn."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from repro.backend.insts import Reg
-from repro.backend.liveness import LivenessInfo, entity_keys, instruction_live_sets
+from repro.backend.liveness import LivenessInfo, entity_keys
 from repro.backend.mfunc import MFunction
 from repro.il.node import PseudoReg
 from repro.machine.registers import RegisterModel
@@ -27,7 +28,8 @@ class InterferenceGraph:
     unit_conflicts: dict[int, set] = field(default_factory=dict)  # id -> unit keys
     #: spill cost per pseudo id (uses weighted by loop depth)
     spill_cost: dict[int, float] = field(default_factory=dict)
-    #: move pairs (a, b) — same color is profitable
+    #: move pairs (a, b) — same color is profitable; filled in
+    #: instruction order, which decides the set's iteration order
     move_pairs: set[tuple[int, int]] = field(default_factory=set)
 
     def ensure(self, pseudo: PseudoReg) -> None:
@@ -71,12 +73,12 @@ def build_interference(
 
     for block in fn.blocks:
         weight = 10.0 ** min(block.loop_depth, 5)
-        after_sets = instruction_live_sets(
-            block, liveness.live_out[block.label], registers
-        )
-        for instr, live_after in zip(block.instrs, after_sets):
+        live_after = set(liveness.live_out[block.label])
+        moves: list[tuple[int, int]] = []  # the block's move pairs, last first
+        for instr in reversed(block.instrs):
             # spill cost accounting
-            for reg in instr.uses():
+            uses = instr.uses()
+            for reg in uses:
                 if isinstance(reg, PseudoReg):
                     graph.ensure(reg)
                     graph.spill_cost[reg.id] += weight
@@ -87,6 +89,7 @@ def build_interference(
                     keys = entity_keys(source.reg, registers)
                     move_source_key = set(keys)
 
+            killed: set = set()
             for reg in instr.defs():
                 if isinstance(reg, PseudoReg):
                     graph.ensure(reg)
@@ -94,6 +97,7 @@ def build_interference(
                     def_keys = {("p", reg.id)}
                 else:
                     def_keys = set(entity_keys(reg, registers))
+                killed |= def_keys
                 excluded = move_source_key or set()
                 for key in live_after:
                     if key in def_keys or key in excluded:
@@ -105,9 +109,12 @@ def build_interference(
                 if len(defs) == 1 and isinstance(defs[0], PseudoReg):
                     for key in move_source_key:
                         if key[0] == "p":
-                            graph.move_pairs.add(
-                                tuple(sorted((defs[0].id, key[1])))
-                            )
+                            moves.append(tuple(sorted((defs[0].id, key[1]))))
+            # step back over the instruction: the live set before it
+            live_after -= killed
+            for reg in uses:
+                live_after.update(entity_keys(reg, registers))
+        graph.move_pairs.update(reversed(moves))
     return graph
 
 

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backend.mfunc import MBlock, MFunction
+from repro.backend.mfunc import MFunction
 from repro.il.node import PseudoReg
-from repro.machine.registers import PhysReg, RegisterModel
+from repro.machine.registers import RegisterModel
 
 
 def entity_keys(reg, registers: RegisterModel) -> tuple:
-    """Liveness keys for a register operand."""
+    """Liveness keys for a register operand: a pseudo's id, or the units
+    a physical register occupies."""
     if isinstance(reg, PseudoReg):
         return (("p", reg.id),)
-    assert isinstance(reg, PhysReg)
-    return tuple(("u",) + unit for unit in registers.units_of(reg))
+    return registers.unit_keys(reg)
 
 
 @dataclass
@@ -93,22 +93,3 @@ def compute_liveness(fn: MFunction, registers: RegisterModel) -> LivenessInfo:
                         info.live_across_call.add(key[1])
             live = (live - def_keys) | use_keys
     return info
-
-
-def instruction_live_sets(
-    block: MBlock, live_out: set, registers: RegisterModel
-) -> list[set]:
-    """Live set *after* each instruction in the block, front to back."""
-    after: list[set] = [set() for _ in block.instrs]
-    live = set(live_out)
-    for index in range(len(block.instrs) - 1, -1, -1):
-        instr = block.instrs[index]
-        after[index] = set(live)
-        def_keys = {
-            key for reg in instr.defs() for key in entity_keys(reg, registers)
-        }
-        use_keys = {
-            key for reg in instr.uses() for key in entity_keys(reg, registers)
-        }
-        live = (live - def_keys) | use_keys
-    return after

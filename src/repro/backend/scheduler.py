@@ -21,7 +21,7 @@ IPS strategy's pressure-bounded first pass.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import time
 from dataclasses import dataclass, field
 
@@ -44,11 +44,13 @@ class ScheduleResult:
     issue_cycle: dict[int, int] = field(default_factory=dict)  # instr.id -> cycle
     #: every nop or issue delay this schedule commits, as (cycle, reason)
     #: events in cycle order — idle cycles classified by the scheduler,
-    #: plus one ``branch_delay`` event per inserted delay-slot nop
+    #: plus one ``branch_delay`` event per inserted delay-slot nop; empty
+    #: when the scheduler does not classify stalls
     stall_events: list[tuple[int, str]] = field(default_factory=list)
     #: committed nop slots: idle cycles in the schedule plus inserted
-    #: delay-slot nops.  Always equals ``sum(self.stalls.values())`` —
-    #: both sides are derived independently and tested for conservation.
+    #: delay-slot nops.  Equals ``sum(self.stalls.values())`` whenever
+    #: stalls are classified — both sides are derived independently and
+    #: tested for conservation.
     nop_slots: int = 0
 
     def cycle_of(self, instr: MachineInstr) -> int:
@@ -64,23 +66,25 @@ class ScheduleResult:
 
 
 class ListScheduler:
-    """A target-parameterised list scheduler."""
+    """A target-parameterised list scheduler.
+
+    ``classify_stalls=False`` skips naming the reason for each idle cycle,
+    for passes whose stall events nobody reads; the schedule is the same.
+    """
 
     def __init__(
         self,
         target: TargetMachine,
         heuristic: str = "maxdist",
         register_limit: int | None = None,
-        include_anti: bool = True,
-        fill_delay_slots_with_nops: bool = True,
+        classify_stalls: bool = True,
     ):
         if heuristic not in ("maxdist", "fifo"):
             raise ValueError(f"unknown scheduling heuristic {heuristic!r}")
         self.target = target
         self.heuristic = heuristic
         self.register_limit = register_limit
-        self.include_anti = include_anti
-        self.fill_nops = fill_delay_slots_with_nops
+        self.classify_stalls = classify_stalls
 
     # -- public API -----------------------------------------------------------
 
@@ -90,9 +94,7 @@ class ListScheduler:
             return ScheduleResult([], 0)
         if timing.ENABLED:
             start = time.perf_counter()
-            dag = build_code_dag(
-                instrs, self.target, include_anti=self.include_anti
-            )
+            dag = build_code_dag(instrs, self.target)
             result = _BlockScheduler(self, dag).run()
             timing.add_seconds(
                 "scheduler.schedule_block", time.perf_counter() - start
@@ -100,7 +102,7 @@ class ListScheduler:
             timing.add("scheduler.blocks")
             timing.add("scheduler.instructions", len(instrs))
             return result
-        dag = build_code_dag(instrs, self.target, include_anti=self.include_anti)
+        dag = build_code_dag(instrs, self.target)
         return _BlockScheduler(self, dag).run()
 
 
@@ -114,25 +116,23 @@ class _BlockScheduler:
         # carry a CJUMP followed by the explicit false-path JUMP, which must
         # issue last, in thread order
         self.controls = [n for n in self.nodes if n.instr.is_branch_or_jump]
+        self.control_set = set(self.controls)
         self.unscheduled = len(self.nodes)
         self.issue_cycle: dict[DagNode, int] = {}
         self.earliest: dict[DagNode, int] = {}
         self.pred_count = {n: len(n.preds) for n in self.nodes}
-        # the ready list is a priority heap keyed on the scheduling
-        # heuristic (maxdist: highest priority first, thread order as the
-        # tie-break; fifo: thread order).  Issued nodes are deleted lazily:
-        # temporal groups issue nodes without going through the heap, so
-        # stale entries are skipped on read and compacted in _issue.
+        # the ready list: entries sorted on the scheduling heuristic
+        # (maxdist: highest priority first, thread order as the tie-break;
+        # fifo: thread order), the node last.  Thread indices are unique,
+        # so two entries never compare their nodes.
         if config.heuristic == "maxdist":
-            self._heap_key = lambda n: (-n.priority, n.index, n)
+            self._ready_key = lambda n: (-n.priority, n.index, n)
         else:
-            self._heap_key = lambda n: (n.index, n)
-        self.ready_heap: list[tuple] = [
-            self._heap_key(n) for n in self.nodes if self.pred_count[n] == 0
-        ]
-        heapq.heapify(self.ready_heap)
-        self._stale = 0
-        for entry in self.ready_heap:
+            self._ready_key = lambda n: (n.index, n)
+        self.ready: list[tuple] = sorted(
+            self._ready_key(n) for n in self.nodes if self.pred_count[n] == 0
+        )
+        for entry in self.ready:
             self.earliest[entry[-1]] = 0
         self.resource_use: dict[int, int] = {}  # cycle -> mask
         self.cycle_classes: frozenset | None = None  # intersection this cycle
@@ -193,6 +193,7 @@ class _BlockScheduler:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> ScheduleResult:
+        classify = self.config.classify_stalls
         cycle = 0
         guard = 0
         limit = 64 + sum(
@@ -203,7 +204,7 @@ class _BlockScheduler:
             self.cycle_classes = None
             before = self.unscheduled
             self._issue_all_possible(cycle)
-            if self.unscheduled == before:
+            if self.unscheduled == before and classify:
                 # an idle cycle: the hardware (or a nop) will fill it —
                 # classify why before moving the clock
                 self.stall_events.append((cycle, self._classify_stall(cycle)))
@@ -269,24 +270,20 @@ class _BlockScheduler:
         return True
 
     def _candidates(self, cycle: int) -> list[DagNode]:
-        issue_cycle = self.issue_cycle
         earliest = self.earliest
-        # a sorted walk of the heap yields heuristic order directly (the
-        # keys are precomputed tuples); issued nodes are skipped lazily
         ready = [
-            entry[-1]
-            for entry in sorted(self.ready_heap)
-            if entry[-1] not in issue_cycle and earliest[entry[-1]] <= cycle
+            entry[-1] for entry in self.ready if earliest[entry[-1]] <= cycle
         ]
         pending_controls = [
-            n for n in self.controls if n not in issue_cycle
+            n for n in self.controls if n not in self.issue_cycle
         ]
         if pending_controls:
             # control instructions end the block: hold them back until only
             # control remains, then release them one at a time in thread
             # order
             if self.unscheduled > len(pending_controls):
-                ready = [n for n in ready if not n.instr.is_branch_or_jump]
+                controls = self.control_set
+                ready = [n for n in ready if n not in controls]
             else:
                 first = pending_controls[0]
                 ready = [n for n in ready if n is first]
@@ -328,18 +325,13 @@ class _BlockScheduler:
         return not self._rule1_blocked(node)
 
     def _issue(self, node: DagNode, cycle: int) -> None:
+        ready = self.ready
+        at = bisect.bisect_left(ready, self._ready_key(node))
+        if at == len(ready) or ready[at][-1] is not node:
+            raise SchedulingError(f"{node} issued while not on the ready list")
+        del ready[at]
         self.issue_cycle[node] = cycle
         self.unscheduled -= 1
-        self._stale += 1
-        if self._stale * 2 > len(self.ready_heap):
-            issue_cycle = self.issue_cycle
-            self.ready_heap = [
-                entry
-                for entry in self.ready_heap
-                if entry[-1] not in issue_cycle
-            ]
-            heapq.heapify(self.ready_heap)
-            self._stale = 0
         self.order.append(node)
         resource_use = self.resource_use
         masks = node.instr.desc.vector_fastpath()
@@ -374,7 +366,7 @@ class _BlockScheduler:
                     # idle cycle can name its producer (latency(mnemonic))
                     self.earliest_cause[dst] = node.instr.desc.mnemonic
             if self.pred_count[dst] == 0:
-                heapq.heappush(self.ready_heap, self._heap_key(dst))
+                bisect.insort(self.ready, self._ready_key(dst))
             if edge.is_temporal and dst not in self.issue_cycle:
                 self.pending_temporal.setdefault(edge.clock, set()).add(dst)
         # this node is no longer pending anywhere
@@ -391,28 +383,22 @@ class _BlockScheduler:
         that blocked them; otherwise the wait is a dependence latency
         (named after the producer) or a genuinely empty ready list.
         """
-        issue_cycle = self.issue_cycle
-        ready = [
-            n
-            for n in self.nodes
-            if n not in issue_cycle and self.pred_count[n] == 0
-        ]
+        ready = [entry[-1] for entry in self.ready]
         if not ready:
             return stalls.EMPTY_READY_LIST
         runnable = [n for n in ready if self.earliest.get(n, 0) <= cycle]
         # mirror _candidates' control holdback: a control waiting for the
         # rest of the block is not the cause — the instructions it waits
         # on are
-        pending_controls = [n for n in self.controls if n not in issue_cycle]
+        controls = self.control_set
+        pending_controls = [
+            n for n in self.controls if n not in self.issue_cycle
+        ]
         if pending_controls and self.unscheduled > len(pending_controls):
-            runnable = [n for n in runnable if not n.instr.is_branch_or_jump]
+            runnable = [n for n in runnable if n not in controls]
         elif pending_controls:
             first = pending_controls[0]
-            runnable = [
-                n
-                for n in runnable
-                if not n.instr.is_branch_or_jump or n is first
-            ]
+            runnable = [n for n in runnable if n not in controls or n is first]
         if runnable:
             node = min(runnable, key=lambda n: n.index)
             return self._blocked_reason(node, cycle)
@@ -490,15 +476,14 @@ class _BlockScheduler:
         for control in self.controls:
             branch_cycle = self.issue_cycle[control]
             slots = abs(control.instr.desc.slots)
-            if self.config.fill_nops:
-                position = instrs.index(control.instr) + 1
-                for slot in range(slots):
-                    nop = make_instr(self.target.nop, [])
-                    nop.comment = "delay slot"
-                    instrs.insert(position + slot, nop)
-                    issue_map[nop.id] = branch_cycle + 1 + slot
-                    events.append((branch_cycle + 1 + slot, stalls.BRANCH_DELAY))
-                    nops_inserted += 1
+            position = instrs.index(control.instr) + 1
+            for slot in range(slots):
+                nop = make_instr(self.target.nop, [])
+                nop.comment = "delay slot"
+                instrs.insert(position + slot, nop)
+                issue_map[nop.id] = branch_cycle + 1 + slot
+                events.append((branch_cycle + 1 + slot, stalls.BRANCH_DELAY))
+                nops_inserted += 1
             cost = max(cost, branch_cycle + 1 + slots)
         events.sort(key=lambda event: event[0])
         # conservation: nop slots are derived from the issue map, not from
@@ -508,6 +493,6 @@ class _BlockScheduler:
             instrs,
             cost,
             issue_map,
-            stall_events=events,
+            stall_events=events if self.config.classify_stalls else [],
             nop_slots=idle + nops_inserted,
         )

@@ -16,6 +16,8 @@ immediate operand can subsume.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.backend.glue import GlueTransformer
 from repro.backend.insts import Imm, Lab, MachineInstr, Reg, make_instr
 from repro.backend.mfunc import MBlock, MFunction
@@ -128,6 +130,9 @@ class Selector:
             for p in target.pattern_order
             if p.kind is PatternKind.VALUE and not self._is_bare_reg_pattern(p)
         ]
+        #: (node op, wanted set, node type) -> the value patterns that can
+        #: match such a node, in description order; filled on first use
+        self._value_index: dict[tuple, list[Pattern]] = {}
         self.store_patterns = [
             p for p in target.pattern_order if p.kind is PatternKind.STORE
         ]
@@ -147,6 +152,17 @@ class Selector:
             OperandMode.REG,
             OperandMode.FIXED_REG,
         )
+
+    @staticmethod
+    def _root_op(pattern: Pattern) -> ILOp | None:
+        """The operator a node needs for ``pattern``'s root to match it
+        without the identity form; None if no node can."""
+        root = pattern.root
+        if isinstance(root, PatOp):
+            return root.op
+        if isinstance(root, PatConst) or root.spec.mode is OperandMode.IMM:
+            return ILOp.CNST
+        return None
 
     def _find_kind(self, kind: InstrKind) -> InstrDesc | None:
         for desc in self.target.instructions.values():
@@ -359,9 +375,18 @@ class Selector:
     def _try_value_patterns(
         self, node: Node, dest: PseudoReg | None, want_set: str | None = None
     ) -> Reg | None:
-        for pattern in self.value_patterns:
-            if not self._result_type_ok(pattern, node, want_set):
-                continue
+        # a root of another operator fails before it emits anything, so
+        # skipping it keeps section 2.1's first-match order
+        key = (node.op, want_set, node.type)
+        patterns = self._value_index.get(key)
+        if patterns is None:
+            patterns = self._value_index[key] = [
+                pattern
+                for pattern in self.value_patterns
+                if self._root_op(pattern) is node.op
+                and self._result_type_ok(pattern, node, want_set)
+            ]
+        for pattern in patterns:
             checkpoint = self._checkpoint()
             try:
                 bindings: dict[int, object] = {}
@@ -629,13 +654,7 @@ class Selector:
                 raise SelectionError("call instruction has unexpected operands")
         call = make_instr(self._call_desc, operands)
         call.implicit_uses = used_arg_regs + [cwvm.sp]
-        clobbers = list(cwvm.caller_save_allocable())
-        if cwvm.retaddr is not None and cwvm.retaddr not in clobbers:
-            clobbers.append(cwvm.retaddr)
-        for result_reg in cwvm.results.values():
-            if result_reg not in clobbers:
-                clobbers.append(result_reg)
-        call.implicit_defs = clobbers
+        call.implicit_defs = list(self._call_clobbers)
         self.emit(call)
 
         if dest is not None:
@@ -643,6 +662,18 @@ class Selector:
             if result_reg is None:
                 raise SelectionError(f"no result register for type {dest.type}")
             self.emit_move(dest, result_reg, comment="call result")
+
+    @cached_property
+    def _call_clobbers(self) -> tuple[PhysReg, ...]:
+        """The registers a call overwrites, the same at every call site."""
+        cwvm = self.target.cwvm
+        clobbers = list(cwvm.caller_save_allocable())
+        if cwvm.retaddr is not None and cwvm.retaddr not in clobbers:
+            clobbers.append(cwvm.retaddr)
+        for result_reg in cwvm.results.values():
+            if result_reg not in clobbers:
+                clobbers.append(result_reg)
+        return tuple(clobbers)
 
     def select_ret(self, node: Node) -> None:
         if self._ret_desc is None:

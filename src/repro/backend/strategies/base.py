@@ -110,6 +110,7 @@ class Strategy:
             target,
             heuristic=self.heuristic,
             register_limit=register_limit,
+            classify_stalls=record_costs,
         )
         pass_kind = "final" if record_costs else (
             "pressure-bounded" if register_limit is not None else "estimate"

@@ -47,7 +47,7 @@ from repro.utils import timing
 #: bump to invalidate every cached artifact after a change to any code
 #: that shapes cached products (CGG, codegen, linker, JIT codegen,
 #: pipeline digests) — this is the "code version" half of every key
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 _FALSE_WORDS = ("0", "false", "off", "no")
 

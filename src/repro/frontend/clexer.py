@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import CSyntaxError, SourceLocation
@@ -88,104 +89,66 @@ class CToken:
         return f"CToken({self.kind.name}, {self.value!r})"
 
 
+#: One token per match, alternatives tried in order.  A word starts with
+#: a character for which ``str.isalpha()`` holds, or ``_``: ``[^\W\d]``
+#: also admits numerics such as ``'½'`` and ``'²'``, which tokenize_c
+#: rejects.  Numbers take decimal digits only (``\d``), which ``int``
+#: and ``float`` accept.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<comment>//[^\n]*|/\*.*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|0[xX](?P<hex>[0-9a-fA-F]*)"
+    r"|(?P<float>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<int>\d+)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCTUATORS)) + ")",
+    re.DOTALL,
+)
+
+
 def tokenize_c(text: str, filename: str = "<c>") -> list[CToken]:
     tokens: list[CToken] = []
     pos = 0
     line = 1
-    column = 1
+    line_start = 0  # offset of the first character of `line`
     length = len(text)
-
-    def location() -> SourceLocation:
-        return SourceLocation(filename, line, column)
-
-    def advance(count: int) -> None:
-        nonlocal pos, line, column
-        for _ in range(count):
-            if text[pos] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            pos += 1
-
+    match = _TOKEN.match
     while pos < length:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            advance(1)
+        found = match(text, pos)
+        kind = found.lastgroup if found else None
+        if kind == "space" or kind == "comment":
+            end = found.end()
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+            pos = end
             continue
-        if text.startswith("//", pos):
-            while pos < length and text[pos] != "\n":
-                advance(1)
-            continue
-        if text.startswith("/*", pos):
-            start = location()
-            advance(2)
-            while not text.startswith("*/", pos):
-                if pos >= length:
-                    raise CSyntaxError("unterminated comment", start)
-                advance(1)
-            advance(2)
-            continue
-        if ch.isalpha() or ch == "_":
-            loc = location()
-            start = pos
-            while pos < length and (text[pos].isalnum() or text[pos] == "_"):
-                advance(1)
-            word = text[start:pos]
+        location = SourceLocation(filename, line, pos - line_start + 1)
+        if found is None:
+            raise CSyntaxError(f"unexpected character {text[pos]!r}", location)
+        end = found.end()
+        if kind == "word":
+            word = found.group()
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise CSyntaxError(f"unexpected character {word[0]!r}", location)
             kind = CTok.KEYWORD if word in KEYWORDS else CTok.IDENT
-            tokens.append(CToken(kind, word, loc))
-            continue
-        if ch.isdigit() or (ch == "." and pos + 1 < length and text[pos + 1].isdigit()):
-            tokens.append(_lex_number(text, pos, location(), advance))
-            continue
-        for punct in _PUNCTUATORS:
-            if text.startswith(punct, pos):
-                tokens.append(CToken(CTok.PUNCT, punct, location()))
-                advance(len(punct))
-                break
-        else:
-            raise CSyntaxError(f"unexpected character {ch!r}", location())
-    tokens.append(CToken(CTok.EOF, None, location()))
+            tokens.append(CToken(kind, word, location))
+        elif kind == "punct":
+            tokens.append(CToken(CTok.PUNCT, found.group(), location))
+        elif kind == "int":
+            tokens.append(CToken(CTok.INT, int(found.group()), location))
+        elif kind == "float":
+            tokens.append(CToken(CTok.FLOAT, float(found.group()), location))
+        elif kind == "hex":
+            if pos + 2 == end:
+                raise CSyntaxError("malformed hex literal", location)
+            tokens.append(CToken(CTok.INT, int(found.group("hex"), 16), location))
+        else:  # a "/*" with no "*/" after it
+            raise CSyntaxError("unterminated comment", location)
+        pos = end
+    tokens.append(
+        CToken(CTok.EOF, None, SourceLocation(filename, line, pos - line_start + 1))
+    )
     return tokens
-
-
-def _lex_number(text: str, pos: int, loc: SourceLocation, advance) -> CToken:
-    start = pos
-    length = len(text)
-    is_float = False
-    if text.startswith("0x", pos) or text.startswith("0X", pos):
-        advance(2)
-        pos += 2
-        digits = pos
-        while pos < length and text[pos] in "0123456789abcdefABCDEF":
-            advance(1)
-            pos += 1
-        if pos == digits:
-            raise CSyntaxError("malformed hex literal", loc)
-        return CToken(CTok.INT, int(text[start:pos], 16), loc)
-    while pos < length and text[pos].isdigit():
-        advance(1)
-        pos += 1
-    if pos < length and text[pos] == ".":
-        is_float = True
-        advance(1)
-        pos += 1
-        while pos < length and text[pos].isdigit():
-            advance(1)
-            pos += 1
-    if pos < length and text[pos] in "eE":
-        probe = pos + 1
-        if probe < length and text[probe] in "+-":
-            probe += 1
-        if probe < length and text[probe].isdigit():
-            is_float = True
-            count = probe - pos
-            advance(count)
-            pos = probe
-            while pos < length and text[pos].isdigit():
-                advance(1)
-                pos += 1
-    literal = text[start:pos]
-    if is_float:
-        return CToken(CTok.FLOAT, float(literal), loc)
-    return CToken(CTok.INT, int(literal), loc)

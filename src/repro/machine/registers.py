@@ -70,8 +70,15 @@ class RegisterModel:
 
     sets: dict[str, RegisterSet] = field(default_factory=dict)
     file_sizes: dict[int, int] = field(default_factory=dict)  # file_id -> unit count
-    #: memoized units_of results (hot path for liveness and simulation)
-    _unit_cache: dict = field(default_factory=dict, repr=False)
+    #: memoized units_of and unit_keys results, keyed on (set_name, index),
+    #: which hashes faster than a PhysReg (hot path for liveness, the code
+    #: DAG and simulation); pickled empty, since every executable carries
+    #: its target
+    _units: dict = field(default_factory=dict, repr=False)
+    _unit_keys: dict = field(default_factory=dict, repr=False)
+
+    def __getstate__(self):
+        return dict(self.__dict__, _units={}, _unit_keys={})
 
     def set(self, name: str) -> RegisterSet:
         try:
@@ -81,14 +88,25 @@ class RegisterModel:
 
     def units_of(self, reg: PhysReg) -> tuple[tuple[int, int], ...]:
         """The (file_id, unit_index) pairs a physical register occupies."""
-        cached = self._unit_cache.get(reg)
-        if cached is not None:
-            return cached
-        rset = self.set(reg.set_name)
-        base = rset.unit_offset + (reg.index - rset.lo) * rset.units_per_reg
-        units = tuple((rset.file_id, base + k) for k in range(rset.units_per_reg))
-        self._unit_cache[reg] = units
+        key = (reg.set_name, reg.index)
+        units = self._units.get(key)
+        if units is None:
+            rset = self.set(reg.set_name)
+            base = rset.unit_offset + (reg.index - rset.lo) * rset.units_per_reg
+            units = self._units[key] = tuple(
+                (rset.file_id, base + k) for k in range(rset.units_per_reg)
+            )
         return units
+
+    def unit_keys(self, reg: PhysReg) -> tuple[tuple[str, int, int], ...]:
+        """:meth:`units_of` as liveness entities: ``("u", file_id, unit)``."""
+        key = (reg.set_name, reg.index)
+        keys = self._unit_keys.get(key)
+        if keys is None:
+            keys = self._unit_keys[key] = tuple(
+                ("u",) + unit for unit in self.units_of(reg)
+            )
+        return keys
 
     def interfere(self, a: PhysReg, b: PhysReg) -> bool:
         """True iff the two physical registers share any unit."""

@@ -1,5 +1,7 @@
 """Unit tests for the code generator generator."""
 
+import pickle
+
 import pytest
 
 from repro.cgg import build_target
@@ -54,6 +56,20 @@ def test_register_units_simple(target):
 
 def test_register_units_pair(target):
     assert target.registers.units_of(PhysReg("d", 1)) == ((0, 2), (0, 3))
+
+
+def test_register_memos_stay_out_of_pickles():
+    # every pickled executable carries its target, so the units memoized
+    # while compiling must not ride along
+    registers = build_target(TINY, name="tiny").registers
+    size = len(pickle.dumps(registers))
+    for rset in registers.sets.values():
+        for reg in rset.registers():
+            registers.unit_keys(reg)
+    assert len(pickle.dumps(registers)) == size
+    copy = pickle.loads(pickle.dumps(registers))
+    assert copy.unit_keys(PhysReg("d", 1)) == (("u", 0, 2), ("u", 0, 3))
+    assert copy.units_of(PhysReg("d", 1)) == ((0, 2), (0, 3))
 
 
 def test_pair_interference(target):

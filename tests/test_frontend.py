@@ -1,6 +1,9 @@
 """Unit tests for the C-subset front end: lexer, parser, checker."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CSemanticError, CSyntaxError
 from repro.frontend import cast
@@ -45,6 +48,59 @@ def test_lexer_unterminated_comment():
 def test_lexer_bad_character():
     with pytest.raises(CSyntaxError, match="unexpected"):
         tokenize_c("a @ b")
+
+
+def test_lexer_rejects_numerics_that_are_neither_letters_nor_digits():
+    # '²' passes str.isdigit() and '½' str.isnumeric(), but int() takes
+    # neither and neither is a letter, so neither starts a token
+    for char in "²½":
+        message = re.escape(f"<c>:1:8: unexpected character {char!r}")
+        with pytest.raises(CSyntaxError, match=message):
+            tokenize_c(f"return {char};")
+
+
+def test_lexer_unicode_letters_and_decimal_digits():
+    tokens = tokenize_c("é1 \u0661")  # ARABIC-INDIC DIGIT ONE
+    assert [(t.kind, t.value) for t in tokens[:-1]] == [
+        (CTok.IDENT, "é1"),
+        (CTok.INT, 1),
+    ]
+
+
+_C_PIECES = list("abexXE_019.+-*/%=<>!~&|^()[]{};,?:") + [
+    " ", "\t", "\n", "//", "/*", "*/", "0x", "1e", "int", "é",
+    "/* 1\n\t*/", "// a\n",
+]
+
+
+@given(st.lists(st.sampled_from(_C_PIECES), max_size=40).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_lexer_locations_point_at_each_token(text):
+    try:
+        tokens = tokenize_c(text)
+    except CSyntaxError:
+        return
+    lines = text.split("\n")
+    starts = [0]
+    for line in lines[:-1]:
+        starts.append(starts[-1] + len(line) + 1)
+    previous_end = 0
+    for token in tokens[:-1]:
+        line, column = token.location.line, token.location.column
+        offset = starts[line - 1] + column - 1
+        assert column <= len(lines[line - 1]), token
+        assert offset >= previous_end, token  # in order, never overlapping
+        if token.kind in (CTok.INT, CTok.FLOAT):
+            # the literal re-lexes to itself from its own first character
+            assert text[offset] in "0123456789.", token
+            again = tokenize_c(text[offset:])[0]
+            assert (again.kind, again.value) == (token.kind, token.value)
+            previous_end = offset + 1
+        else:
+            assert text.startswith(token.value, offset), token
+            previous_end = offset + len(token.value)
+    eof = tokens[-1].location
+    assert (eof.line, eof.column) == (len(lines), len(lines[-1]) + 1)
 
 
 # -- parser ------------------------------------------------------------------

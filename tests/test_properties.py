@@ -83,11 +83,13 @@ def straight_line_block(draw):
     return instrs
 
 
-@given(straight_line_block())
+@given(straight_line_block(), st.one_of(st.none(), st.integers(2, 8)))
 @settings(max_examples=60, deadline=None)
-def test_schedule_respects_all_dependences(instrs):
+def test_schedule_respects_all_dependences(instrs, register_limit):
     dag = build_code_dag(list(instrs), _TOYP)
-    result = ListScheduler(_TOYP).schedule_block(list(instrs))
+    result = ListScheduler(
+        _TOYP, register_limit=register_limit
+    ).schedule_block(list(instrs))
     # every instruction appears exactly once (plus possible nops)
     scheduled = [i for i in result.instrs if not i.is_nop]
     assert sorted(i.id for i in scheduled) == sorted(i.id for i in instrs)

@@ -184,3 +184,26 @@ def test_two_core_ops_cannot_dual_issue(i860):
     two = instr(i860, "addsi", Reg(r[2]), Reg(r[3]), Imm(2))
     result = schedule(i860, [one, two])
     assert result.cycle_of(one) != result.cycle_of(two)
+
+
+def test_issuing_a_node_off_the_ready_list_raises(toyp):
+    # the ready list is sorted; removing an absent entry must fail rather
+    # than take the neighbour it sorts next to
+    from repro.backend.codedag import build_code_dag
+    from repro.backend.scheduler import _BlockScheduler
+    from repro.errors import SchedulingError
+
+    a, b, c, p = (PseudoReg("int", n) for n in "abcp")
+    instrs = [
+        instr(toyp, "addi", Reg(a), Reg(p), Imm(1)),
+        instr(toyp, "addi", Reg(b), Reg(a), Imm(2)),  # waits for a
+        instr(toyp, "addi", Reg(c), Reg(p), Imm(3)),
+    ]
+    block = _BlockScheduler(
+        ListScheduler(toyp, heuristic="fifo"), build_code_dag(instrs, toyp)
+    )
+    ready = [entry[-1].index for entry in block.ready]
+    assert ready == [0, 2]
+    with pytest.raises(SchedulingError, match="not on the ready list"):
+        block._issue(block.nodes[1], 0)
+    assert [entry[-1].index for entry in block.ready] == ready

@@ -292,3 +292,91 @@ def test_i860_fp_ops_expand_to_suboperations(i860):
 
     block = select(i860, build)
     assert mnemonics(block) == ["M1", "M2", "M3", "FWBM"]
+
+
+# -- the root-operator index against the full ordered scan ------------------
+
+
+def _ordered_scan(self, node, dest, want_set=None):
+    """The reference: every value pattern, in description order, behind
+    the result-type check."""
+    from repro.backend.selector import _MatchFailure
+
+    for pattern in self.value_patterns:
+        if not self._result_type_ok(pattern, node, want_set):
+            continue
+        checkpoint = self._checkpoint()
+        try:
+            bindings = {}
+            self._match(pattern.root, node, bindings, identity_ok=False)
+            return self._emit_value(pattern, node, bindings, dest)
+        except _MatchFailure:
+            self._rollback(checkpoint)
+    return None
+
+
+def test_pattern_index_matches_the_ordered_scan(all_targets, monkeypatch):
+    """Indexing value patterns by root operator emits what trying every
+    pattern in order emits, on every target under every strategy."""
+    import repro
+    from repro.backend.asmprinter import format_program
+    from repro.workloads import PROGRAM_SUITE, kernel_by_id
+
+    programs = [(p.name, p.source) for p in PROGRAM_SUITE]
+    programs += [(f"K{k}", kernel_by_id(k).source) for k in (1, 7, 9)]
+
+    def listings():
+        out = {}
+        for name, target in all_targets.items():
+            for strategy in ("postpass", "ips", "rase"):
+                options = repro.CompileOptions(strategy=strategy)
+                for program, source in programs:
+                    exe = repro.compile_c(source, target, options)
+                    out[name, strategy, program] = format_program(
+                        exe.machine_program, explain=True
+                    )
+        return out
+
+    indexed = listings()
+    monkeypatch.setattr(Selector, "_try_value_patterns", _ordered_scan)
+    scanned = listings()
+    assert len(indexed) == 96
+    for unit, listing in indexed.items():
+        assert listing == scanned[unit], unit
+
+
+def test_first_listed_pattern_of_a_root_op_wins():
+    """Three loads share the root operator INDIR: one into the double
+    set, listed first, then two into the integer set.  Each load takes
+    the first listed pattern into its own set, with the index and with
+    the ordered scan."""
+    from repro.cgg import build_target
+    from repro.targets.toyp import TOYP_MARIL
+
+    ld = "    %instr ld r, r, #const16 (int)"
+    assert TOYP_MARIL.count(ld) == 1
+    text = TOYP_MARIL.replace(
+        ld,
+        "    %instr ldd2 d, r, #const16 (double) {$1 = m[$2 + $3];}\n"
+        "        [IF; ID; IE; IA; IA; IW] (1,4,0);\n"
+        "    %instr ldw r, r, #const16 (int) {$1 = m[$2 + $3];}\n"
+        "        [IF; ID; IE; IA; IW] (1,3,0);\n" + ld,
+    )
+    target = build_target(text, name="toyp-loads")
+
+    def build(fn, block):
+        p = fn.new_pseudo("int", "p", is_global=True)
+        i = fn.new_pseudo("int", "i", is_global=True)
+        x = fn.new_pseudo("double", "x", is_global=True)
+        address = Node(ILOp.REG, "int", (), p)
+        block.append(
+            Node(ILOp.SETREG, None, (Node(ILOp.INDIR, "int", (address,)),), i)
+        )
+        block.append(
+            Node(ILOp.SETREG, None, (Node(ILOp.INDIR, "double", (address,)),), x)
+        )
+
+    assert mnemonics(select(target, build)) == ["ldw", "ldd2"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Selector, "_try_value_patterns", _ordered_scan)
+        assert mnemonics(select(target, build)) == ["ldw", "ldd2"]

@@ -322,6 +322,28 @@ def test_worker_error_payload_maps_to_taxonomy_status():
     _run(main())
 
 
+def test_a_character_the_lexer_rejects_is_a_422():
+    # '²' passes str.isdigit() but int() rejects it: a syntax error, not
+    # a crash of the worker unit
+    async def main():
+        service = serve_app(
+            ServeOptions(port=0, executor="inprocess", memo_size=0)
+        )
+        await service.start()
+        try:
+            return await service.handle(
+                "compile",
+                {"source": "int f(void) { return \u00b2; }", "target": "toyp"},
+            )
+        finally:
+            await service.stop()
+
+    status, body = _run(main())
+    assert status == 422
+    assert body["error"]["type"] == "CSyntaxError"
+    assert "<c>:1:22: unexpected character '\u00b2'" in body["error"]["message"]
+
+
 # -- HTTP (real sockets, inprocess executor) --------------------------------
 
 

@@ -3,13 +3,17 @@ packing classes, deadlock freedom, and functional correctness of packed
 explicitly-advanced pipelines."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.backend.codedag import build_code_dag
 from repro.backend.insts import Imm, Lab, Reg, make_instr
+from repro.backend.lower import lower_function
 from repro.backend.scheduler import ListScheduler
+from repro.backend.selector import Selector
 from repro.il.node import PseudoReg
 from repro.machine.registers import PhysReg
 
@@ -352,3 +356,38 @@ def test_random_fp_loops_never_deadlock(program, strategy):
     value = repro.simulate(exe, "f", args=(n,)).return_value["double"]
     # a loop that overflows computes NaN on both sides
     assert value == expected or (math.isnan(value) and math.isnan(expected))
+
+
+def test_random_fp_loop_blocks_schedule_at_every_register_limit(i860):
+    """The selected blocks of random FP loops, straight through the
+    scheduler at register limits 2-8 under both heuristics: none
+    deadlocks, every edge's latency holds, and classifying idle cycles
+    does not move an issue cycle."""
+    rng = random.Random(17)
+    blocks = []
+    for _ in range(4):
+        source, _n, _expected = fp_loop(rng.choice, rng.randint)
+        il = repro.compile_to_il(source)
+        selector = Selector(i860)
+        for fn in il.functions:
+            lower_function(fn, i860, il.globals)
+            blocks += [b.instrs for b in selector.select_function(fn).blocks]
+    assert max(len(instrs) for instrs in blocks) > 40
+    for instrs in blocks:
+        edges = [e for n in build_code_dag(instrs, i860).nodes for e in n.succs]
+        for heuristic in ("maxdist", "fifo"):
+            for limit in range(2, 9):
+                runs = [
+                    schedule(
+                        i860, list(instrs), heuristic=heuristic,
+                        register_limit=limit, classify_stalls=classify,
+                    )
+                    for classify in (True, False)
+                ]
+                cycles = [[run.cycle_of(i) for i in instrs] for run in runs]
+                assert cycles[0] == cycles[1]
+                for edge in edges:
+                    assert (
+                        runs[0].cycle_of(edge.dst.instr)
+                        >= runs[0].cycle_of(edge.src.instr) + edge.latency
+                    )
