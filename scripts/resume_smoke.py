@@ -8,13 +8,16 @@ end to end, outside the unit-test harness:
 2. a ``--jobs 2 --resume journal`` run SIGKILL'd partway through;
 3. the same command again, resuming from the journal.
 
-The resumed run must exit 0 and its deterministic sections (everything
-except the wall-clock ones: Table 3, Claim C2, and the total-time
-footer) must be byte-identical to the single-shot run.
+The killed run's pool workers must exit within 5 s of the kill (their
+pids are read from ``/proc`` before it).  The resumed run must exit 0
+and its deterministic sections (everything except the wall-clock ones:
+Table 3, Claim C2, and the total-time footer) must be byte-identical to
+the single-shot run.
 
 Usage: PYTHONPATH=src python scripts/resume_smoke.py [SCALE]
 """
 
+import glob
 import os
 import signal
 import subprocess
@@ -44,6 +47,30 @@ def journal_records(path):
         return max(0, sum(1 for _ in handle) - 1)  # minus the header
 
 
+def child_pids(parent):
+    """Pids whose parent is ``parent``, read from ``/proc`` (none where
+    there is no ``/proc``)."""
+    pids = []
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(stat) as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == parent:
+            pids.append(int(stat.split("/")[2]))
+    return pids
+
+
+def alive(pid):
+    """True while ``pid`` runs; an exited, unreaped zombie is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 def main():
     workdir = tempfile.mkdtemp(prefix="resume-smoke-")
     journal = os.path.join(workdir, "run.jsonl")
@@ -65,10 +92,18 @@ def main():
         assert time.time() < deadline, "no journal records after 300 s"
         time.sleep(0.2)
     if victim.poll() is None:
+        workers = child_pids(victim.pid)
         victim.send_signal(signal.SIGKILL)
         victim.wait()
         print(f"      killed with {journal_records(journal)} unit(s) "
-              "journalled", flush=True)
+              f"journalled and {len(workers)} pool worker(s)", flush=True)
+        deadline = time.time() + 5
+        while any(map(alive, workers)) and time.time() < deadline:
+            time.sleep(0.1)
+        orphans = [pid for pid in workers if alive(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert not orphans, f"pool workers {orphans} outlived the kill"
     else:
         # the tiny run can legitimately finish before we kill it; the
         # resume below then exercises the all-cached path

@@ -71,6 +71,11 @@ def call(host, port, method, path, doc=None):
         connection.close()
 
 
+def counter(stats, name):
+    """One counter of a ``/v1/stats`` document (absent means 0)."""
+    return stats["counters"].get(name, 0)
+
+
 def check(condition, label, context=None):
     if not condition:
         raise SystemExit(f"serve smoke FAILED: {label}  {context or ''}")
@@ -102,12 +107,12 @@ def main():
         status, second = call(host, port, "POST", "/v1/compile", compile_doc)
         _, stats_after = call(host, port, "GET", "/v1/stats")
         warm_compiles = (
-            stats_after["compile"]["compiled"]
-            - stats_before["compile"]["compiled"]
+            counter(stats_after, "compile.compiled")
+            - counter(stats_before, "compile.compiled")
         )
         warm_cgg = (
-            stats_after["compile"]["cgg_builds"]
-            - stats_before["compile"]["cgg_builds"]
+            counter(stats_after, "cgg.builds")
+            - counter(stats_before, "cgg.builds")
         )
         check(
             status == 200 and second["served"] == "memo",
@@ -140,8 +145,8 @@ def main():
             thread.join()
         _, stats_after = call(host, port, "GET", "/v1/stats")
         burst_compiles = (
-            stats_after["compile"]["compiled"]
-            - stats_before["compile"]["compiled"]
+            counter(stats_after, "compile.compiled")
+            - counter(stats_before, "compile.compiled")
         )
         check(
             all(status == 200 for status, _ in results),
@@ -152,12 +157,9 @@ def main():
             "dedup burst: exactly one fresh compile",
             burst_compiles,
         )
-        coalesced = (
-            stats_after["dedup"]["inflight_hits"]
-            + stats_after["dedup"]["memo_hits"]
-        ) - (
-            stats_before["dedup"]["inflight_hits"]
-            + stats_before["dedup"]["memo_hits"]
+        coalesced = sum(
+            counter(stats_after, name) - counter(stats_before, name)
+            for name in ("serve.dedup_hits", "serve.memo_hits")
         )
         check(
             coalesced == 7,

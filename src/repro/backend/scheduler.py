@@ -22,7 +22,6 @@ IPS strategy's pressure-bounded first pass.
 from __future__ import annotations
 
 import bisect
-import time
 from dataclasses import dataclass, field
 
 from repro.backend.codedag import CodeDag, DagNode, build_code_dag
@@ -32,7 +31,6 @@ from repro.errors import SchedulingError
 from repro.il.node import PseudoReg
 from repro.machine.target import TargetMachine
 from repro.obs import stalls
-from repro.utils import timing
 
 
 @dataclass
@@ -92,16 +90,6 @@ class ListScheduler:
         """List-schedule one basic block's instructions."""
         if not instrs:
             return ScheduleResult([], 0)
-        if timing.ENABLED:
-            start = time.perf_counter()
-            dag = build_code_dag(instrs, self.target)
-            result = _BlockScheduler(self, dag).run()
-            timing.add_seconds(
-                "scheduler.schedule_block", time.perf_counter() - start
-            )
-            timing.add("scheduler.blocks")
-            timing.add("scheduler.instructions", len(instrs))
-            return result
         dag = build_code_dag(instrs, self.target)
         return _BlockScheduler(self, dag).run()
 

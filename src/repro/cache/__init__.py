@@ -16,19 +16,25 @@ mostly reads pickles:
   semantics trees through warmup;
 * ``timing`` — block-timing memo digests (:mod:`repro.sim.blockcache`).
 
-Keys are sha256 over a code-version salt plus the artifact's inputs
-(Maril source, C source, option fingerprints, upstream keys), so a
-changed input or a bumped salt is a clean miss — entries are immutable
-and never updated in place.  Publication is write-then-rename
-(:mod:`repro.cache.store`), safe for concurrent processes sharing one
-cache directory; the grid workers open the same store read-mostly.
+Keys are sha256 over a code salt plus the artifact's inputs (Maril
+source, C source, option fingerprints, upstream keys), so a changed
+input or changed code is a clean miss — entries are immutable and never
+updated in place.  The salt is a sha256 over this package's own
+``*.py`` files (:func:`code_salt`): a change to the compiler, the JIT
+or the pipeline model cannot be served products of the old code.
+Publication is write-then-rename (:mod:`repro.cache.store`), safe for
+concurrent processes sharing one cache directory; the grid workers open
+the same store read-mostly.
 
 Configuration is ambient: the default root is ``~/.cache/repro``,
 overridden by ``REPRO_CACHE_DIR``; ``REPRO_CACHE=0`` disables the cache
 entirely (every get misses, every put is dropped); ``REPRO_CACHE_SALT``
-overrides the code-version salt.  :func:`configure` replaces the
+overrides the code salt.  :func:`configure` replaces the
 process-wide instance programmatically — the evaluation harness points
 it at a fresh tmpdir for cold/warm comparisons.
+
+Gets, misses and writes are counted on the ambient
+:class:`~repro.obs.Trace` (``cache.hit``, ``cache.<layer>.miss``, ...).
 
 This module must stay import-light (no imports from the ``repro``
 package root) — ``repro/__init__`` itself depends on it.
@@ -36,28 +42,41 @@ package root) — ``repro/__init__`` itself depends on it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
 from pathlib import Path
 
 from repro.cache.store import CORRUPT, HIT, FileStore
-from repro.utils import timing
-
-#: bump to invalidate every cached artifact after a change to any code
-#: that shapes cached products (CGG, codegen, linker, JIT codegen,
-#: pipeline digests) — this is the "code version" half of every key
-CACHE_VERSION = 5
+import repro.obs as obs
 
 _FALSE_WORDS = ("0", "false", "off", "no")
 
+#: the ``repro`` package directory, whose sources :func:`code_salt` hashes
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
 __all__ = [
     "ArtifactCache",
-    "CACHE_VERSION",
+    "code_salt",
     "configure",
     "default_root",
     "get_cache",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def code_salt(root: Path = PACKAGE_ROOT) -> str:
+    """sha256 over every ``*.py`` file under ``root`` (relative path and
+    contents, in sorted path order): the code half of every key.
+    Memoized per ``root`` for the life of the process."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix().encode()
+        digest.update(b"%d\x00%s\x00%d\x00" % (len(name), name, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def default_root() -> Path:
@@ -69,14 +88,11 @@ def default_root() -> Path:
 
 
 class ArtifactCache:
-    """Key derivation + counters over a :class:`FileStore`.
+    """Key derivation over a :class:`FileStore`.
 
     ``enabled=False`` makes the cache fully inert: gets miss without
-    touching the filesystem, puts and invalidations are dropped.
-    Counters (``hits``/``misses``/``writes``/``corrupt``) are plain
-    ints on the instance so callers can snapshot deltas even when the
-    :mod:`~repro.utils.timing` recorder is disabled; when it is enabled
-    the same events also flow into ``cache.*`` counters.
+    touching the filesystem, puts and invalidations are dropped, and
+    the code salt is never computed.
     """
 
     def __init__(
@@ -93,17 +109,11 @@ class ArtifactCache:
             )
         self.enabled = bool(enabled)
         if salt is None:
-            salt = os.environ.get("REPRO_CACHE_SALT", f"v{CACHE_VERSION}")
+            salt = os.environ.get("REPRO_CACHE_SALT") or (
+                code_salt() if self.enabled else ""
+            )
         self.salt = salt
         self.store = FileStore(self.root)
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.corrupt = 0
-        #: per-layer session counters: ``layer -> {"hits": n, "misses":
-        #: n, "writes": n}`` — same events as the aggregate ints above,
-        #: attributed to the layer they touched
-        self.layer_counters: dict[str, dict[str, int]] = {}
 
     # -- keys -------------------------------------------------------------
 
@@ -120,14 +130,6 @@ class ArtifactCache:
 
     # -- access -----------------------------------------------------------
 
-    def _layer_count(self, layer: str, event: str) -> None:
-        counts = self.layer_counters.get(layer)
-        if counts is None:
-            counts = self.layer_counters[layer] = {
-                "hits": 0, "misses": 0, "writes": 0
-            }
-        counts[event] += 1
-
     def get(self, layer: str, key: str):
         """The cached value, or ``None`` on a miss (corrupt entries are
         deleted by the store and surface here as misses)."""
@@ -135,21 +137,13 @@ class ArtifactCache:
             return None
         status, value = self.store.read(layer, key)
         if status == HIT:
-            self.hits += 1
-            self._layer_count(layer, "hits")
-            if timing.ENABLED:
-                timing.add("cache.hit")
-                timing.add(f"cache.{layer}.hit")
+            obs.count("cache.hit")
+            obs.count(f"cache.{layer}.hit")
             return value
         if status == CORRUPT:
-            self.corrupt += 1
-            if timing.ENABLED:
-                timing.add("cache.corrupt")
-        self.misses += 1
-        self._layer_count(layer, "misses")
-        if timing.ENABLED:
-            timing.add("cache.miss")
-            timing.add(f"cache.{layer}.miss")
+            obs.count("cache.corrupt")
+        obs.count("cache.miss")
+        obs.count(f"cache.{layer}.miss")
         return None
 
     def put(self, layer: str, key: str, value) -> bool:
@@ -161,14 +155,10 @@ class ArtifactCache:
         try:
             self.store.write(layer, key, value)
         except (pickle.PicklingError, TypeError, AttributeError, OSError):
-            if timing.ENABLED:
-                timing.add("cache.put_failed")
+            obs.count("cache.put_failed")
             return False
-        self.writes += 1
-        self._layer_count(layer, "writes")
-        if timing.ENABLED:
-            timing.add("cache.write")
-            timing.add(f"cache.{layer}.write")
+        obs.count("cache.write")
+        obs.count(f"cache.{layer}.write")
         return True
 
     def invalidate(self, layer: str, key: str) -> bool:
@@ -178,28 +168,13 @@ class ArtifactCache:
 
     # -- introspection ----------------------------------------------------
 
-    def counters(self) -> dict[str, int]:
-        """This process's session counters (not the on-disk totals)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "corrupt": self.corrupt,
-        }
-
     def stats(self) -> dict:
-        """JSON-ready snapshot: configuration, session counters (total
-        and per layer) and a per-layer walk of what is on disk
-        (``entries`` / ``bytes``)."""
+        """JSON-ready snapshot: configuration and a per-layer walk of
+        what is on disk (``entries`` / ``bytes``)."""
         return {
             "root": str(self.root),
             "enabled": self.enabled,
             "salt": self.salt,
-            "session": self.counters(),
-            "session_layers": {
-                layer: dict(counts)
-                for layer, counts in sorted(self.layer_counters.items())
-            },
             "layers": self.store.layer_stats(),
         }
 

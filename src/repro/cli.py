@@ -275,20 +275,11 @@ def cmd_cache(arguments) -> int:
     layers = stats["layers"]
     if not layers:
         print("empty")
-    session_layers = stats.get("session_layers", {})
     for layer, entry in sorted(layers.items()):
-        line = (
+        print(
             f"{layer:8s} {entry['entries']:5d} entr{'y' if entry['entries'] == 1 else 'ies'}, "
             f"{entry['bytes'] / 1024:.1f} KiB"
         )
-        session = session_layers.get(layer)
-        if session:
-            line += (
-                f"  (session: {session['hits']} hit(s), "
-                f"{session['misses']} miss(es), "
-                f"{session['writes']} write(s))"
-            )
-        print(line)
     return 0
 
 

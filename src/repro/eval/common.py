@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import repro
-from repro.cache import get_cache
+import repro.obs as obs
 from repro.sim import DirectMappedCache, SimResult
-from repro.utils import timing
 from repro.workloads import kernel_by_id
 
 STRATEGIES = ("postpass", "ips", "rase")
@@ -89,10 +87,6 @@ class KernelRun:
     #: profiled blocks with no scheduler cost entry (should be 0; a
     #: nonzero count means a selector/labeling bug is skewing the ratio)
     unmatched_blocks: int = 0
-    #: wall seconds spent compiling / simulating (perf trajectory only —
-    #: never part of a table value)
-    compile_seconds: float = 0.0
-    sim_seconds: float = 0.0
     #: final-pass scheduler stall attribution, summed over the kernel's
     #: functions (reason code -> committed nop slots) — free to collect,
     #: so always filled
@@ -101,24 +95,6 @@ class KernelRun:
     #: simulator hazard-kind cycle attribution, filled only when the run
     #: used the accounting pipeline model (``run_kernel(breakdown=True)``)
     cycle_breakdown: dict | None = None
-    #: block-timing cache lookups
-    block_cache_hits: int = 0
-    block_cache_misses: int = 0
-    #: segment-JIT activity.  ``jit_active_segments`` counts compiled
-    #: *plus* preloaded code at run end, so a warm run with
-    #: ``jit_segments == 0`` does not read as "nothing compiled"
-    jit_segments: int = 0
-    jit_active_segments: int = 0
-    jit_hits: int = 0
-    jit_deopts: int = 0
-    #: pipeline-state digests computed (first-visit transition replays);
-    #: steady state keeps this near zero — see the timing chain in
-    #: ``docs/internals.md``
-    timing_digests: int = 0
-    #: artifact-cache activity during this unit: hit/miss/write deltas
-    #: of the process-wide :class:`~repro.cache.ArtifactCache` (``None``
-    #: in journals written before the cache existed)
-    artifact_cache: dict | None = None
 
     @property
     def stall_cycles(self) -> int:
@@ -153,7 +129,7 @@ def estimated_cycles_detailed(
         cost = cost_of.get(label)
         if cost is None:
             unmatched += 1
-            timing.add("eval.profiled_blocks_without_cost")
+            obs.count("eval.profiled_blocks_without_cost")
             continue
         total += cost * count
     if unmatched:
@@ -194,29 +170,18 @@ def run_kernel(
     stall-attribution section turns it on.  Either way the run takes
     the simulation engine.
     """
-    store = get_cache()
-    counters_before = store.counters()
-    compile_start = time.perf_counter()
     # inside a shared-executable scope, same-program units share one
     # executable, so its JIT and timing memo arrive warm
     executable = compile_kernel(
         spec.source, target, repro.CompileOptions(strategy=strategy)
     )
-    compile_seconds = time.perf_counter() - compile_start
     loop, n = spec.args
     n = max(4, int(n * scale))
     data_cache = DirectMappedCache() if cache else None
-    sim_start = time.perf_counter()
     result = repro.simulate(
         executable, "bench", args=(loop, n),
         options=repro.SimOptions(cache=data_cache, trace=breakdown),
     )
-    sim_seconds = time.perf_counter() - sim_start
-    counters_after = store.counters()
-    cache_delta = {
-        name: counters_after[name] - counters_before[name]
-        for name in counters_after
-    }
     estimate, unmatched = estimated_cycles_detailed(executable, result)
     sched_reasons: dict[str, int] = {}
     sched_nop_slots = 0
@@ -233,19 +198,9 @@ def run_kernel(
         code_size=executable.instruction_count(),
         checksum=result.return_value["double"],
         unmatched_blocks=unmatched,
-        compile_seconds=compile_seconds,
-        sim_seconds=sim_seconds,
         sched_stall_reasons=sched_reasons,
         sched_nop_slots=sched_nop_slots,
         cycle_breakdown=result.cycle_breakdown,
-        block_cache_hits=result.block_cache_hits,
-        block_cache_misses=result.block_cache_misses,
-        jit_segments=result.jit_segments,
-        jit_active_segments=result.jit_active_segments,
-        jit_hits=result.jit_hits,
-        jit_deopts=result.jit_deopts,
-        timing_digests=result.timing_digests,
-        artifact_cache=cache_delta,
     )
 
 

@@ -43,13 +43,14 @@ from __future__ import annotations
 import os
 import signal
 import threading
+import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import GridTimeout, error_payload
-from repro.utils import timing
+from repro.obs import Trace, tracing
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -117,30 +118,27 @@ def unit_deadline(seconds: float | None):
 
 
 def run_unit(fn, args, kwargs, timeout):
-    """Worker entry of the local process pool.
+    """Run one work unit under its own :class:`~repro.obs.Trace`; the
+    entry point of every backend.
 
     Returns ``("ok", result, wall_s, metrics)`` or ``("err", payload,
     wall_s, metrics)`` where ``payload`` is an
     :func:`repro.errors.error_payload` — raising across the transport
     boundary would lose the taxonomy's detail fields — and ``metrics``
-    is the worker's per-unit :func:`repro.utils.timing.snapshot` (or
-    ``None`` with instrumentation off).  The recorder is reset at unit
-    entry so the snapshot is a clean delta: with the ``fork`` start
-    method a worker inherits the parent's accumulated counters, and a
-    reused worker process carries its previous units' — either would
-    double-count on merge.
+    is the unit trace's :meth:`~repro.obs.Trace.summary`, which the
+    grid merges into the trace active around it.  A fresh trace per
+    unit makes the summary a clean delta in a reused worker process and
+    in the caller's own process alike.
     """
-    if timing.ENABLED:
-        timing.reset()
-    watch = timing.stopwatch()
+    trace = Trace("unit")
+    start = time.perf_counter()
     try:
-        with unit_deadline(timeout):
+        with tracing(trace), unit_deadline(timeout):
             result = fn(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 — the whole point is containment
-        metrics = timing.snapshot() if timing.ENABLED else None
-        return ("err", error_payload(exc), watch.seconds, metrics)
-    metrics = timing.snapshot() if timing.ENABLED else None
-    return ("ok", result, watch.seconds, metrics)
+        return ("err", error_payload(exc), time.perf_counter() - start,
+                trace.summary())
+    return ("ok", result, time.perf_counter() - start, trace.summary())
 
 
 #: payload standing in for a unit whose worker died without reporting
@@ -159,9 +157,9 @@ class UnitEvent:
     ``status`` is ``"ok"`` (``value`` is the unit's result) or ``"err"``
     (``value`` is an :func:`repro.errors.error_payload` dict — including
     the synthetic ``WorkerCrash`` payload for units whose worker died
-    past the retry budget).  ``metrics`` is the worker's per-unit timing
-    snapshot for parent-side merge; ``attempts`` counts how many times
-    the backend dispatched the key.
+    past the retry budget).  ``metrics`` is the unit trace's summary
+    (``None`` when the unit never reported); ``attempts`` counts how
+    many times the backend dispatched the key.
     """
 
     key: str

@@ -4,10 +4,10 @@
 time *inside* :meth:`next_event` — execution is deferred to the drain
 loop, not performed at submit time, which is what makes cancellation of
 queued units meaningful on a serial backend.  Units run on the caller's
-thread in submission order, so behaviour (and every timing counter) is
-bit-identical to the pre-executor serial loop: no worker processes, no
-pickling, metrics accrue directly in the calling process instead of
-round-tripping through a snapshot merge.
+thread in submission order through the same
+:func:`~repro.eval.executors.base.run_unit` as pool workers, so each
+unit's counters arrive as its own trace summary on either backend: no
+worker processes, no pickling.
 
 This is the backend ``run_grid`` picks for ``jobs=1`` (the reference
 every parallel backend must match byte-for-byte) and the one the
@@ -18,14 +18,12 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.errors import error_payload
 from repro.eval.executors.base import (
     Executor,
     ExecutorProbe,
     UnitEvent,
-    unit_deadline,
+    run_unit,
 )
-from repro.utils import timing
 
 
 class InprocessAsyncExecutor(Executor):
@@ -51,18 +49,10 @@ class InprocessAsyncExecutor(Executor):
             return None
         task, deadline = self._queue.popleft()
         attempts = self._take_attempts(task.key)
-        watch = timing.stopwatch()
-        try:
-            with unit_deadline(deadline):
-                value = task.run()
-        except Exception as exc:  # noqa: BLE001 — containment is the contract
-            return UnitEvent(
-                task.key, "err", error_payload(exc), watch.seconds,
-                attempts=attempts,
-            )
-        return UnitEvent(
-            task.key, "ok", value, watch.seconds, attempts=attempts
+        status, value, wall_s, metrics = run_unit(
+            task.fn, task.args, task.kwargs, deadline
         )
+        return UnitEvent(task.key, status, value, wall_s, metrics, attempts)
 
     def cancel(self, key: str) -> bool:
         kept = deque(item for item in self._queue if item[0].key != key)

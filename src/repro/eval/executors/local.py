@@ -13,7 +13,10 @@ and carries over the grid's pre-executor fault semantics unchanged:
   key exhausts its ``retries`` budget;
 * with the default ``fork`` start method workers inherit the parent's
   warm in-process caches at pool creation, and the persistent artifact
-  cache covers everything else.
+  cache covers everything else;
+* a worker exits on its own once its parent is gone (a SIGKILLed
+  parent cannot shut its pool down, and a worker blocked on the call
+  queue would otherwise wait forever).
 
 Unlike the pre-executor grid, the pool persists across ``run_grid``
 calls until :meth:`close` — the report drives all of its sections
@@ -23,6 +26,8 @@ from section to section instead of being forked fresh per table.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import CancelledError, ProcessPoolExecutor
@@ -39,7 +44,23 @@ from repro.eval.executors.base import (
     resolve_jobs,
     run_unit,
 )
-from repro.utils import timing
+import repro.obs as obs
+
+#: seconds between a pool worker's checks that its parent is alive
+ORPHAN_POLL = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: exit this worker once it is re-parented, which
+    is what happens when the process that forked it dies."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(ORPHAN_POLL)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="orphan-watch", daemon=True).start()
 
 
 class LocalPoolExecutor(Executor):
@@ -67,7 +88,9 @@ class LocalPoolExecutor(Executor):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_exit_with_parent
+            )
         return self._pool
 
     def submit(self, task, timeout: float | None = None) -> str:
@@ -150,7 +173,7 @@ class LocalPoolExecutor(Executor):
     def _rebuild(self, orphans: list[str]) -> None:
         """The pool broke: every in-flight unit is an orphan.  Resubmit
         the ones with retry budget left, crash-fail the rest."""
-        timing.add("grid.pool_rebuilds")
+        obs.count("grid.pool_rebuilds")
         orphans.extend(self._futures.values())
         pool, self._pool = self._pool, None
         self._futures.clear()
@@ -169,7 +192,7 @@ class LocalPoolExecutor(Executor):
                 self._copies[key] = 1
                 self._finish_copy(key)
             else:
-                timing.add("grid.retried_units")
+                obs.count("grid.retried_units")
                 self._copies[key] = self._copies.get(key, 1) - 1
                 self._dispatch(key)
 

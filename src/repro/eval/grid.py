@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclasses_replace
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import reconstruct_error
 from repro.eval.executors import (
@@ -66,7 +66,7 @@ from repro.eval.executors import (
     resolve_timeout,
 )
 from repro.eval.journal import MISSING, Journal
-from repro.utils import timing
+import repro.obs as obs
 
 #: seconds between event polls — each poll is also a work-stealing tick
 POLL = 0.2
@@ -99,9 +99,6 @@ class GridTask:
                 f"GridTask({self.key!r}): fn must be callable — the key "
                 "string comes first"
             )
-
-    def run(self) -> Any:
-        return self.fn(*self.args, **self.kwargs)
 
 
 @dataclass(frozen=True)
@@ -285,7 +282,7 @@ def run_grid(
     journal = opts.journal
     collect = opts.failures == "collect"
     collector = opts.collector if opts.collector is not None else _default_collector
-    timing.add(f"grid.{label}.units", len(tasks))
+    obs.count(f"grid.{label}.units", len(tasks))
 
     results: list = [MISSING] * len(tasks)
     pending: dict[int, GridTask] = {}
@@ -297,8 +294,8 @@ def run_grid(
             pending[index] = task
     resumed = len(tasks) - len(pending)
     if resumed:
-        timing.add(f"grid.{label}.resumed", resumed)
-        timing.add("grid.resumed_units", resumed)
+        obs.count(f"grid.{label}.resumed", resumed)
+        obs.count("grid.resumed_units", resumed)
 
     def record_ok(index: int, value, wall_s: float) -> None:
         results[index] = value
@@ -310,10 +307,10 @@ def run_grid(
         failure = _make_failure(task.key, payload, wall_s, attempts)
         if journal is not None:
             journal.record_failure(task.key, payload, wall_s, attempts)
-        timing.add(f"grid.{label}.failures")
-        timing.add("grid.failed_units")
+        obs.count(f"grid.{label}.failures")
+        obs.count("grid.failed_units")
         if payload.get("type") == "GridTimeout":
-            timing.add("grid.timeouts")
+            obs.count("grid.timeouts")
         if not collect:
             raise reconstruct_error(payload)
         results[index] = failure
@@ -325,7 +322,7 @@ def run_grid(
     backend, owned = _resolve_backend(opts, count, len(pending))
     if backend.backend != "inprocess":
         probe = backend.probe()
-        timing.add(f"grid.{label}.workers", probe.workers or count)
+        obs.count(f"grid.{label}.workers", probe.workers or count)
 
     # global fault counters are bumped inside the backends; snapshot them
     # so each grid label also gets its own slice of them
@@ -334,11 +331,9 @@ def run_grid(
         "grid.retried_units": f"grid.{label}.retries",
         "grid.stolen_units": f"grid.{label}.stolen",
     }
-    before = (
-        {name: timing.counter(name) for name in label_slices}
-        if timing.ENABLED
-        else {}
-    )
+    trace = obs.current_trace()
+    counters = trace.counters if trace is not None else {}
+    before = {name: counters.get(name, 0) for name in label_slices}
 
     outstanding: dict[str, int] = {}
     try:
@@ -358,8 +353,8 @@ def run_grid(
             index = outstanding.pop(event.key, None)
             if index is None:
                 continue  # stale: a steal loser or an aborted run's echo
-            if event.metrics is not None:
-                timing.merge(event.metrics)
+            if event.metrics is not None and trace is not None:
+                trace.merge_summary(event.metrics)
             walls.append(event.wall_s)
             if event.key in stolen:
                 backend.cancel(event.key)  # drop the losing queued copy
@@ -378,11 +373,11 @@ def run_grid(
             _drain(backend, outstanding)
         raise
     finally:
-        if timing.ENABLED:
+        if trace is not None:
             for name, slice_name in label_slices.items():
-                delta = timing.counter(name) - before.get(name, 0)
+                delta = trace.counters.get(name, 0) - before[name]
                 if delta:
-                    timing.add(slice_name, delta)
+                    trace.count(slice_name, delta)
         if owned:
             backend.close()
     return results
@@ -412,7 +407,7 @@ def _maybe_steal(backend, outstanding, pending, walls, stolen, timeout):
             continue
         backend.submit(task, timeout)
         stolen.add(key)
-        timing.add("grid.stolen_units")
+        obs.count("grid.stolen_units")
         return
 
 

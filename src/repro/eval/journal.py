@@ -94,6 +94,13 @@ def decode_value(obj: Any) -> Any:
                     f"cannot reconstruct journalled {obj['C']}: {exc}"
                 ) from None
             fields = {k: decode_value(v) for k, v in obj["F"].items()}
+            unexpected = set(fields) - {f.name for f in dataclasses.fields(cls)}
+            if unexpected:
+                raise JournalError(
+                    f"cannot reconstruct journalled {obj['C']}: it no longer "
+                    f"has the field(s) {', '.join(sorted(unexpected))} (the "
+                    "journal was written by another version; start a new one)"
+                )
             return cls(**fields)
     return obj
 

@@ -16,10 +16,11 @@ aborting the run (the process still exits nonzero so CI notices).  With
 ``--resume JOURNAL`` (or ``REPRO_JOURNAL``) completed units checkpoint
 into a JSONL journal and a re-run after an interruption re-executes only
 the missing or failed units — the resumed tables are byte-identical to a
-single-shot run.  ``--format json`` prints the run as one JSON document:
-the rendered text, the failures, and the run's counter and phase
-snapshot (:func:`repro.utils.timing.snapshot`, merged from every grid
-worker).  Performance is measured by ``bench/run.py``, not here.
+single-shot run.  The whole run records into one
+:class:`~repro.obs.Trace` (every grid unit's own trace summary is
+merged into it), and ``--format json`` prints the run as one JSON
+document: the rendered text, the failures, and that trace's counters
+and phases.  Performance is measured by ``bench/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.eval.table2 import table2
 from repro.eval.table3 import table3
 from repro.eval.table4 import measure as table4_measure
 from repro.eval.table4 import render as table4_render
-from repro.utils import timing
+from repro.obs import Trace, tracing
 
 #: report sections whose body is wall-clock measurement (compile-time
 #: tables) — legitimately different between otherwise identical runs,
@@ -87,11 +88,13 @@ def deterministic_sections(text: str) -> dict[str, str]:
 
 @dataclass
 class ReportResult:
-    """Everything one report run produced: the rendered text and the
-    grid failures that degraded it (empty on a clean run)."""
+    """Everything one report run produced: the rendered text, the grid
+    failures that degraded it (empty on a clean run) and the run
+    trace's :meth:`~repro.obs.Trace.summary` (``counters``, ``phases``)."""
 
     text: str
     failures: list[GridFailure] = field(default_factory=list)
+    metrics: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -133,16 +136,13 @@ def generate_report(
         executor=pool,
         collector=collector,
     )
-    timing.reset()
-    timing.enable()
+    trace = Trace("report")
     # the whole report is one shared-executable scope: every unit — run
     # in-process or in a worker forked after this point — compiles
     # through the executable memo, so sections that revisit the same
     # (kernel, target, strategy) share one warmed executable instead of
     # unpickling and re-warming it per section
-    memo_scope = shared_executables()
-    memo_scope.__enter__()
-    try:
+    with tracing(trace), shared_executables():
         sections: list[str] = []
 
         def section(title: str, body_fn) -> None:
@@ -272,9 +272,9 @@ def generate_report(
             pool.close()
         if journal is not None:
             journal.close()
-        return ReportResult(text="\n".join(sections), failures=failures)
-    finally:
-        memo_scope.__exit__(None, None, None)
+    return ReportResult(
+        text="\n".join(sections), failures=failures, metrics=trace.summary()
+    )
 
 
 def add_report_arguments(parser: argparse.ArgumentParser) -> None:
@@ -323,7 +323,6 @@ def run_report_command(arguments) -> int:
         resume=resume,
     )
     if arguments.format == "json":
-        snapshot = timing.snapshot()
         print(
             json.dumps(
                 {
@@ -332,8 +331,8 @@ def run_report_command(arguments) -> int:
                         failure.summary() for failure in result.failures
                     ],
                     "text": result.text,
-                    "counters": snapshot["counters"],
-                    "phases": snapshot["phases"],
+                    "counters": result.metrics.get("counters", {}),
+                    "phases": result.metrics.get("phases", {}),
                 },
                 indent=2,
                 sort_keys=True,

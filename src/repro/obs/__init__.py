@@ -16,18 +16,22 @@ cooperating layers:
   scheduler attaches to every nop or issue delay it commits, and the
   hazard kinds the pipeline model charges each stall cycle to.
 
-The ambient process-wide metrics recorder in :mod:`repro.utils.timing`
-is a thin adapter over a :class:`Trace` (aggregates only, no span tree);
-hot paths keep their single-boolean guard.
+A trace is the only metrics recorder: every counter and phase of a
+compile, a simulation, a grid unit, a report or a service is recorded
+on one, and every place that renders metrics (``repro run --trace``,
+``repro report --format json``, ``/v1/stats``, the benchmark) reads a
+trace.  Each grid unit runs under its own trace, whose
+:meth:`~repro.obs.trace.Trace.summary` the grid merges into the trace
+active around it.
 
 Instrumented code uses the module-level helpers, which no-op when no
 trace is active::
 
-    from repro import obs
+    import repro.obs as obs
 
     with obs.span("codegen:main", strategy="rase"):
         ...
-    obs.count("scheduler.blocks")
+    obs.count("compile.compiled")
 """
 
 from repro.obs.trace import (

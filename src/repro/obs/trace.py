@@ -71,8 +71,7 @@ class Trace:
 
     The aggregate views (``counters``, ``phase_seconds``, ``phase_calls``)
     accumulate by name across the whole trace — they are what
-    :mod:`repro.utils.timing` exposes as the process metrics recorder,
-    and what :meth:`summary` ships across process boundaries.
+    :meth:`summary` ships across process boundaries.
     """
 
     __slots__ = (
@@ -128,9 +127,9 @@ class Trace:
     def summary(self) -> dict:
         """A picklable/JSON-ready aggregate view (no span tree).
 
-        This is what ``timing.snapshot()`` returns, and what
-        ``repro report --format json`` prints as ``counters`` and
-        ``phases``.
+        This is what a grid unit ships back on ``UnitEvent.metrics``,
+        and what ``repro report --format json`` prints as ``counters``
+        and ``phases``.
         """
         return {
             "phases": {
@@ -146,9 +145,9 @@ class Trace:
     def merge_summary(self, summary: dict) -> None:
         """Fold another trace's :meth:`summary` into this one.
 
-        This is how the evaluation grid carries worker-side metrics back
-        to the parent: the worker's aggregates serialize as a plain dict,
-        and the parent merges them into its ambient recorder.
+        This is how the evaluation grid carries a unit's metrics back:
+        the unit trace's aggregates serialize as a plain dict, and the
+        grid merges them into the trace active around it.
         """
         if not summary:
             return

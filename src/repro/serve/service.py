@@ -15,8 +15,9 @@ One :class:`Service` owns
   running coalesce onto one future — K concurrent identical requests
   cause exactly one compile;
 * a bounded **response memo** for completed requests: the service is
-  deterministic, so a finished response can be replayed byte-for-byte
-  without touching a worker;
+  deterministic, so a finished response — a 200, or a 400/422 error
+  the same request would raise again — can be replayed byte-for-byte
+  without touching a worker (a 5xx or a 504 is never replayed);
 * per-request **deadlines**: the worker arms the grid's ``SIGALRM``
   unit deadline, and the event loop holds an ``asyncio.wait_for``
   backstop — either way the caller gets a structured 504 carrying the
@@ -25,10 +26,12 @@ One :class:`Service` owns
   requests finish (bounded by ``drain_grace``), then closes the
   executor.
 
-Counters flow through :mod:`repro.utils.timing` (``serve.*``, plus the
-``compile.*``/``cgg.*``/``cache.*`` counters merged back from worker
-metrics), so ``/v1/stats`` reads the same numbers the rest of the
-harness does.
+Counters live on one service-owned :class:`~repro.obs.Trace`: the
+service's own ``serve.*`` counters plus every unit trace's counters
+(``compile.*``, ``cgg.*``, ``cache.*``, ``sim.*``), merged as events
+complete, so ``/v1/stats`` reads the same names the rest of the harness
+does.  It keeps counters only: phase names such as ``codegen:<fn>``
+carry request function names and would grow without bound.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import GridTimeout, error_payload
+from repro.errors import GridTimeout
 from repro.eval.executors import Executor, resolve_executor, resolve_jobs
 from repro.eval.grid import GridTask
+from repro.obs import Trace
 from repro.serve import schema, workers
 from repro.serve.schema import (
     CompileRequest,
@@ -53,10 +57,13 @@ from repro.serve.schema import (
     RunResponse,
     request_key,
 )
-from repro.utils import timing
 
 #: endpoints whose latency the stats ring tracks
 _TIMED = ("compile", "run", "explain")
+
+#: error statuses a repeated identical request would get again, so the
+#: response memo replays them (5xx and deadline failures are retried)
+_MEMO_ERRORS = (400, 422)
 
 
 @dataclass(frozen=True)
@@ -111,17 +118,16 @@ class Service:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._pending: dict[str, _Pending] = {}
-        self._memo: collections.OrderedDict[str, dict] = (
+        #: request key -> ``(status, body)`` of a replayable response
+        self._memo: collections.OrderedDict[str, tuple[int, dict]] = (
             collections.OrderedDict()
         )
         self._latency: dict[str, collections.deque] = {
             kind: collections.deque(maxlen=2048) for kind in _TIMED
         }
-        self._requests: collections.Counter = collections.Counter()
-        self._responses: collections.Counter = collections.Counter()
-        self._dedup_hits = 0
-        self._memo_hits = 0
-        self._timeouts = 0
+        #: the service's counters (see the module doc); written only on
+        #: the event loop, which the drain thread hands every event to
+        self.trace = Trace("serve")
         self._started_at = time.monotonic()
         self._draining = False
         self._stop_event: asyncio.Event | None = None
@@ -157,7 +163,6 @@ class Service:
         resolution — ``self.port`` holds the real port after this."""
         from repro.serve.http import handle_connection
 
-        timing.enable()
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._warm()
@@ -250,7 +255,8 @@ class Service:
 
     def _resolve_event(self, event) -> None:
         if event.metrics is not None:
-            timing.merge(event.metrics)
+            for name, amount in event.metrics["counters"].items():
+                self.trace.count(name, amount)
         entry = self._pending.pop(event.key, None)
         if entry is None:
             return  # stale: every waiter timed out and re-keyed
@@ -265,16 +271,16 @@ class Service:
             return limit
         return min(requested, limit)
 
-    def _memo_get(self, key: str) -> dict | None:
-        body = self._memo.get(key)
-        if body is not None:
+    def _memo_get(self, key: str) -> tuple[int, dict] | None:
+        entry = self._memo.get(key)
+        if entry is not None:
             self._memo.move_to_end(key)
-        return body
+        return entry
 
-    def _memo_put(self, key: str, body: dict) -> None:
+    def _memo_put(self, key: str, status: int, body: dict) -> None:
         if self.options.memo_size <= 0:
             return
-        self._memo[key] = body
+        self._memo[key] = (status, body)
         self._memo.move_to_end(key)
         while len(self._memo) > self.options.memo_size:
             self._memo.popitem(last=False)
@@ -285,8 +291,7 @@ class Service:
         entry = self._pending.get(key)
         if entry is not None:
             entry.waiters += 1
-            self._dedup_hits += 1
-            timing.add("serve.dedup_hits")
+            self.trace.count("serve.dedup_hits")
         else:
             entry = _Pending(self._loop.create_future())
             self._pending[key] = entry
@@ -304,8 +309,7 @@ class Service:
                 # fresh work, and drop any queued copy of this one
                 del self._pending[key]
                 self._executor.cancel(key)
-            self._timeouts += 1
-            timing.add("serve.timeouts")
+            self.trace.count("serve.timeouts")
             raise GridTimeout(
                 f"request exceeded its {timeout_s:g}s deadline",
                 seconds=timeout_s,
@@ -313,50 +317,51 @@ class Service:
 
     async def handle(self, kind: str, doc) -> tuple[int, dict]:
         """One parsed POST body -> ``(status, response document)``."""
-        self._requests[kind] += 1
-        timing.add(f"serve.requests.{kind}")
-        watch = timing.stopwatch()
+        self.trace.count(f"serve.requests.{kind}")
+        start = time.perf_counter()
         try:
             request = schema.parse_request(kind, doc)
             key = request_key(kind, request)
             memo = self._memo_get(key)
             if memo is not None:
-                self._memo_hits += 1
-                timing.add("serve.memo_hits")
-                body = dict(memo)
-                body["served"] = "memo"
-                body["wall_ms"] = round(watch.seconds * 1000, 3)
-                return self._done(kind, 200, body, watch)
+                self.trace.count("serve.memo_hits")
+                status, body = memo
+                body = dict(body)
+                if status == 200:
+                    body["served"] = "memo"
+                    body["wall_ms"] = _ms_since(start)
+                return self._done(kind, status, body, start)
             fn, args = _unit_for(kind, request)
             timeout_s = self._deadline(request.timeout_s)
             event = await self._execute(kind, key, fn, args, timeout_s)
             if not event.ok:
                 status = schema.status_for(event.value)
-                return self._done(
-                    kind, status, schema.error_body(event.value), watch
-                )
-            body = _response_for(kind, key, event.value).to_json()
-            self._memo_put(key, body)
+                body = schema.error_body(event.value)
+                if status in _MEMO_ERRORS:
+                    self._memo_put(key, status, body)
+                return self._done(kind, status, dict(body), start)
+            body = _response_for(kind, key, event).to_json()
+            self._memo_put(key, 200, body)
             body = dict(body)
             body["served"] = "executor"
-            body["wall_ms"] = round(watch.seconds * 1000, 3)
-            return self._done(kind, 200, body, watch)
+            body["wall_ms"] = _ms_since(start)
+            return self._done(kind, 200, body, start)
         except Exception as exc:  # noqa: BLE001 — every error is a payload
             status, body = schema.error_body_from_exception(exc)
-            return self._done(kind, status, body, watch)
+            return self._done(kind, status, body, start)
 
-    def _done(self, kind, status, body, watch) -> tuple[int, dict]:
+    def _done(self, kind, status, body, start) -> tuple[int, dict]:
         if kind in self._latency:
-            self._latency[kind].append(watch.seconds * 1000)
-        self._responses[f"{status // 100}xx"] += 1
+            self._latency[kind].append(_ms_since(start))
+        self.trace.count(f"serve.responses.{status // 100}xx")
         if status >= 400:
-            timing.add("serve.errors")
+            self.trace.count("serve.errors")
         return status, body
 
     # -- read-only endpoints ----------------------------------------------
 
     def healthz(self) -> tuple[int, dict]:
-        self._requests["healthz"] += 1
+        self.trace.count("serve.requests.healthz")
         status = 503 if self._draining else 200
         return status, {
             "api": schema.API_VERSION,
@@ -368,7 +373,7 @@ class Service:
         from repro.eval.table1 import description_stats
         from repro.targets import TARGET_NAMES
 
-        self._requests["targets"] += 1
+        self.trace.count("serve.requests.targets")
         listing = []
         for name in TARGET_NAMES:
             stats = description_stats(name)
@@ -387,61 +392,19 @@ class Service:
     def stats(self) -> tuple[int, dict]:
         from repro.cache import get_cache
 
-        self._requests["stats"] += 1
+        self.trace.count("serve.requests.stats")
         store = get_cache()
         probe = self._executor.probe() if self._executor else None
         return 200, {
             "api": schema.API_VERSION,
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "draining": self._draining,
-            "requests": dict(self._requests),
-            "responses": dict(self._responses),
             "in_flight": len(self._pending),
-            "dedup": {
-                "inflight_hits": self._dedup_hits,
-                "memo_hits": self._memo_hits,
-                "memo_entries": len(self._memo),
-            },
-            "timeouts": self._timeouts,
-            "compile": {
-                "calls": timing.counter("compile.calls"),
-                "compiled": timing.counter("compile.compiled"),
-                "cgg_builds": timing.counter("cgg.builds"),
-            },
-            "sim": {
-                "jit": {
-                    "segments": timing.counter("sim.jit.segments"),
-                    "active_segments": timing.counter(
-                        "sim.jit.active_segments"
-                    ),
-                    "hits": timing.counter("sim.jit.hit"),
-                    "deopts": timing.counter("sim.jit.deopt"),
-                },
-                "timing": {
-                    "digests_computed": timing.counter(
-                        "sim.timing.digests_computed"
-                    ),
-                    "memo_hits": timing.counter("sim.block_cache.hit"),
-                    "memo_misses": timing.counter("sim.block_cache.miss"),
-                },
-                "superblock": {
-                    "traces": timing.counter("sim.jit.superblocks"),
-                    "side_exits": timing.counter("sim.jit.side_exits"),
-                    "demoted": timing.counter("sim.jit.sb_demoted"),
-                    "preloaded_segments": timing.counter(
-                        "sim.jit.preloaded"
-                    ),
-                    "preloaded_traces": timing.counter(
-                        "sim.jit.sb_preloaded"
-                    ),
-                },
-            },
+            "memo_entries": len(self._memo),
+            "counters": dict(sorted(self.trace.counters.items())),
             "artifact_cache": {
                 "enabled": store.enabled,
                 "root": str(store.root),
-                "hits": timing.counter("cache.hit"),
-                "misses": timing.counter("cache.miss"),
-                "writes": timing.counter("cache.write"),
             },
             "executor": (
                 {
@@ -480,7 +443,13 @@ def _unit_for(kind: str, request):
     return fn, (request.source, request.target, request.options)
 
 
-def _response_for(kind: str, key: str, value: dict):
+def _response_for(kind: str, key: str, event):
+    """The response record for a successful unit ``event``; compile
+    provenance comes from the unit trace's own counters."""
+    value = event.value
+    counters = event.metrics["counters"] if event.metrics else {}
+    compiled = counters.get("compile.compiled", 0)
+    cgg_builds = counters.get("cgg.builds", 0)
     if kind == "compile":
         return CompileResponse(
             key=key,
@@ -489,8 +458,8 @@ def _response_for(kind: str, key: str, value: dict):
             assembly=value["assembly"],
             functions=tuple(value["functions"]),
             instructions=value["instructions"],
-            compiled=value["compiled"],
-            cgg_builds=value["cgg_builds"],
+            compiled=compiled,
+            cgg_builds=cgg_builds,
         )
     if kind == "explain":
         return ExplainResponse(
@@ -513,9 +482,13 @@ def _response_for(kind: str, key: str, value: dict):
         cache_hits=value["cache_hits"],
         cache_misses=value["cache_misses"],
         cycle_breakdown=value["cycle_breakdown"],
-        compiled=value["compiled"],
-        cgg_builds=value["cgg_builds"],
+        compiled=compiled,
+        cgg_builds=cgg_builds,
     )
+
+
+def _ms_since(start: float) -> float:
+    return round((time.perf_counter() - start) * 1000, 3)
 
 
 def _percentiles(samples) -> dict | None:

@@ -5,38 +5,25 @@ so every executor backend can run them: the local pool pickles the
 callable itself, and its workers pull targets and executables from the
 persistent artifact cache.
 
-Each unit reports compile provenance — how many *fresh* kernel compiles
-and CGG builds it caused — by snapshotting the :mod:`repro.utils.timing`
-counters around the work.  On a warm artifact cache both deltas are 0;
+Every unit runs under its own trace
+(:func:`~repro.eval.executors.base.run_unit`), so compile provenance —
+how many *fresh* kernel compiles and CGG builds it caused — is that
+trace's ``compile.compiled`` and ``cgg.builds`` counters, which the
+service copies into the response.  On a warm artifact cache both are 0;
 ``/v1/stats`` and the CI serve smoke assert exactly that.
 """
 
 from __future__ import annotations
 
+import repro
 from repro.options import CompileOptions, SimOptions
-from repro.utils import timing
-
-
-def _compile(source: str, target: str, options: CompileOptions):
-    import repro
-
-    before = (
-        timing.counter("compile.compiled"),
-        timing.counter("cgg.builds"),
-    )
-    executable = repro.compile_c(source, target, options)
-    after = (
-        timing.counter("compile.compiled"),
-        timing.counter("cgg.builds"),
-    )
-    return executable, after[0] - before[0], after[1] - before[1]
 
 
 def compile_unit(source: str, target: str, options: CompileOptions) -> dict:
     """``POST /v1/compile``: source -> scheduled assembly listing."""
     from repro.backend.asmprinter import format_program
 
-    executable, compiled, cgg_builds = _compile(source, target, options)
+    executable = repro.compile_c(source, target, options)
     program = executable.machine_program
     return {
         "target": target,
@@ -44,8 +31,6 @@ def compile_unit(source: str, target: str, options: CompileOptions) -> dict:
         "assembly": format_program(program),
         "functions": [fn.name for fn in program.functions],
         "instructions": executable.instruction_count(),
-        "compiled": compiled,
-        "cgg_builds": cgg_builds,
     }
 
 
@@ -54,7 +39,7 @@ def explain_unit(source: str, target: str, options: CompileOptions) -> dict:
     scheduler's per-function stall-reason tallies."""
     from repro.backend.asmprinter import format_program
 
-    executable, compiled, cgg_builds = _compile(source, target, options)
+    executable = repro.compile_c(source, target, options)
     program = executable.machine_program
     functions = {
         name: {
@@ -68,8 +53,6 @@ def explain_unit(source: str, target: str, options: CompileOptions) -> dict:
         "strategy": options.strategy,
         "listing": format_program(program, explain=True),
         "functions": functions,
-        "compiled": compiled,
-        "cgg_builds": cgg_builds,
     }
 
 
@@ -82,9 +65,7 @@ def run_unit(
     sim: SimOptions,
 ) -> dict:
     """``POST /v1/run``: compile, link and simulate one function."""
-    import repro
-
-    executable, compiled, cgg_builds = _compile(source, target, options)
+    executable = repro.compile_c(source, target, options)
     result = repro.simulate(executable, entry, tuple(args), options=sim)
     return {
         "target": target,
@@ -102,6 +83,4 @@ def run_unit(
             if result.cycle_breakdown is not None
             else None
         ),
-        "compiled": compiled,
-        "cgg_builds": cgg_builds,
     }

@@ -1719,11 +1719,8 @@ class SegmentJIT:
         self.uncompilable = 0
         self.preloaded = 0
         self.deopts = 0
-        self.hits = 0
         self.superblocks = 0
         self.sb_preloaded = 0
-        self.sb_demoted = 0
-        self.side_exits = 0
         #: something export() would return changed since the last
         #: persist — a fresh translation, refusal or blacklisting
         self.dirty = False
@@ -1864,7 +1861,6 @@ class SegmentJIT:
             fallback = self._materialize(item, fallback)
         self._tables[flag][head] = fallback
         self.sb_nodes.pop(item, None)
-        self.sb_demoted += 1
         self.dirty = True
 
     def _select_trace(self, head: int, block_counts=None):
@@ -2072,18 +2068,3 @@ class SegmentJIT:
             self._pending[table_index][entry] = record
             staged += 1
         return staged
-
-    @property
-    def stats(self) -> dict:
-        return {
-            "compiled": self.compiled,
-            "uncompilable": self.uncompilable,
-            "preloaded": self.preloaded,
-            "active_segments": self.active_segments(),
-            "deopts": self.deopts,
-            "hits": self.hits,
-            "superblocks": self.superblocks,
-            "sb_preloaded": self.sb_preloaded,
-            "sb_demoted": self.sb_demoted,
-            "side_exits": self.side_exits,
-        }

@@ -8,7 +8,6 @@ halts the run, and the result is read from the CWVM result register.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.backend.insts import MachineInstr
@@ -23,7 +22,6 @@ from repro.sim.executor import SemanticsCompiler
 from repro.sim.jit import SUPERBLOCK_WARMUP, JitDeopt, SegmentJIT
 from repro.sim.pipeline import AccountingPipelineModel, PipelineModel
 from repro.sim.state import MachineState
-from repro.utils import timing
 
 _HALT = -1
 
@@ -36,27 +34,6 @@ _MISS = object()
 #: the engine caps generated code's back-edge fuse at it, so compiled
 #: loops return to the dispatch loop's boundary check
 WATCHDOG_STRIDE = 256
-
-#: version tag mixed into the ``jit`` artifact-cache key; bumped when
-#: the :meth:`SegmentJIT.export` payload format changes (v2: tagged
-#: records with trace superblocks and their segment fallbacks; v3:
-#: traces may inline calls/returns and truncate nodes at their hot
-#: conditional; v4: one unified 15-tuple call contract for segments and
-#: traces, with transition-table probes and inline data-cache tag
-#: checks, so earlier generated functions are stale; v5: exit kinds
-#: 1-3 close their final segment inside generated code — the dispatch
-#: loop no longer closes them, so v4 functions would leave segments
-#: untimed — and payloads carry marshalled code objects so a warm
-#: process skips re-``compile()``-ing every generated source)
-_JIT_PAYLOAD_VERSION = "v5"
-
-#: version tag mixed into the ``timing`` artifact-cache key; bumped
-#: when the :meth:`BlockTimingCache.export` payload format changes
-#: (v2: exit-id-chained per-segment transition tables replace the flat
-#: 5-tuple-keyed memo; v3: records carry per-hazard-kind stall deltas
-#: so trace runs ride the fast path — v1 payloads have no key and are
-#: never fetched)
-_TIMING_PAYLOAD_VERSION = "v3"
 
 
 def _timeout(max_cycles, function, pc, cycle) -> SimulationTimeout:
@@ -186,6 +163,34 @@ class SimResult:
         return getattr(self, "_dilation", 0.0)
 
 
+#: ``SimResult`` field -> the trace counter :meth:`Simulator.run` adds
+#: it to (``cycle_breakdown`` adds ``sim.stall.<kind>`` besides)
+SIM_COUNTERS = (
+    ("instructions", "sim.instructions"),
+    ("cycles", "sim.cycles"),
+    ("block_cache_hits", "sim.block_cache.hit"),
+    ("block_cache_misses", "sim.block_cache.miss"),
+    ("timing_digests", "sim.timing.digests_computed"),
+    ("jit_segments", "sim.jit.segments"),
+    ("jit_hits", "sim.jit.hit"),
+    ("jit_deopts", "sim.jit.deopt"),
+    ("jit_superblocks", "sim.jit.superblocks"),
+    ("jit_side_exits", "sim.jit.side_exits"),
+)
+
+
+def _count_result(trace, result: SimResult) -> None:
+    """Add one run's :data:`SIM_COUNTERS` to ``trace``."""
+    for name, counter in SIM_COUNTERS:
+        amount = getattr(result, name)
+        if amount:
+            trace.count(counter, amount)
+    if result.cycle_breakdown:
+        for kind, amount in result.cycle_breakdown.items():
+            if amount:
+                trace.count(f"sim.stall.{kind}", amount)
+
+
 def _resolve_cache(cache) -> DirectMappedCache | None:
     """``SimOptions.cache`` -> a cache instance or ``None``."""
     if cache is None or cache is False:
@@ -282,35 +287,10 @@ class Simulator:
                 result = self._run(
                     function, args, arg_types, run_options, cache, watch
                 )
-            if node is not None:
+            if node is not None:  # a trace is active
                 node.attrs["cycles"] = result.cycles
                 node.attrs["instructions"] = result.instructions
-            if result.block_cache_hits:
-                obs.count("sim.block_cache.hit", result.block_cache_hits)
-            if result.block_cache_misses:
-                obs.count("sim.block_cache.miss", result.block_cache_misses)
-            if result.timing_digests:
-                obs.count(
-                    "sim.timing.digests_computed", result.timing_digests
-                )
-            if result.jit_segments:
-                obs.count("sim.jit.segments", result.jit_segments)
-            if result.jit_active_segments:
-                obs.count(
-                    "sim.jit.active_segments", result.jit_active_segments
-                )
-            if result.jit_hits:
-                obs.count("sim.jit.hit", result.jit_hits)
-            if result.jit_deopts:
-                obs.count("sim.jit.deopt", result.jit_deopts)
-            if result.jit_superblocks:
-                obs.count("sim.jit.superblocks", result.jit_superblocks)
-            if result.jit_side_exits:
-                obs.count("sim.jit.side_exits", result.jit_side_exits)
-            if result.cycle_breakdown:
-                for kind, count in result.cycle_breakdown.items():
-                    if count:
-                        obs.count(f"sim.stall.{kind}", count)
+                _count_result(obs.current_trace(), result)
         if watch is None:
             self._persist_sim_artifacts()
         return result
@@ -335,7 +315,7 @@ class Simulator:
         exe = self.executable
         jit = getattr(exe, "_segment_jit", None)
         if jit is not None and jit.dirty:
-            key = self._artifact_key("jit", _JIT_PAYLOAD_VERSION)
+            key = self._artifact_key("jit")
             if key is not None and artifact_cache.get_cache().put(
                 "jit", key, jit.export()
             ):
@@ -345,9 +325,7 @@ class Simulator:
             for miss_penalty, block_cache in caches.items():
                 if not block_cache.dirty:
                     continue
-                key = self._artifact_key(
-                    "timing", _TIMING_PAYLOAD_VERSION, repr(miss_penalty)
-                )
+                key = self._artifact_key("timing", repr(miss_penalty))
                 if key is not None and artifact_cache.get_cache().put(
                     "timing", key, block_cache.export()
                 ):
@@ -394,7 +372,7 @@ class Simulator:
         jit = getattr(self.executable, "_segment_jit", None)
         if jit is None:
             jit = SegmentJIT(self.executable)
-            key = self._artifact_key("jit", _JIT_PAYLOAD_VERSION)
+            key = self._artifact_key("jit")
             if key is not None:
                 payload = artifact_cache.get_cache().get("jit", key)
                 if isinstance(payload, dict):
@@ -421,9 +399,7 @@ class Simulator:
                 key,
                 static=self._pipe_static[1],
             )
-            artifact_key = self._artifact_key(
-                "timing", _TIMING_PAYLOAD_VERSION, repr(key)
-            )
+            artifact_key = self._artifact_key("timing", repr(key))
             if artifact_key is not None:
                 payload = artifact_cache.get_cache().get(
                     "timing", artifact_key
@@ -471,7 +447,6 @@ class Simulator:
         block_of = self.block_of
         block_starts = self._block_starts
         pipeline_issue = pipeline.issue if pipeline else None
-        wall_start = time.perf_counter() if timing.ENABLED else 0.0
         # the watchdog is checked every WATCHDOG_STRIDE instructions so
         # its cost on the hot path is one extra branch per instruction
         watchdog = max_cycles is not None
@@ -573,10 +548,6 @@ class Simulator:
         cycles = pipeline.cycles if pipeline else executed
         if watchdog and cycles > max_cycles:
             raise _timeout(max_cycles, function, pc, cycles)
-        if timing.ENABLED:
-            timing.add_seconds("sim.run", time.perf_counter() - wall_start)
-            timing.add("sim.instructions", executed)
-            timing.add("sim.cycles", cycles)
         result = SimResult(
             return_value=None,
             cycles=cycles,
@@ -664,7 +635,6 @@ class Simulator:
         closures = self.closures
         block_of = self.block_of
         block_starts = self._block_starts
-        wall_start = time.perf_counter() if timing.ENABLED else 0.0
         # ret reads the %retaddr register on every function return; the
         # unit lookup and sign fix are hoisted out of state.read_reg
         units_get = state.units.get
@@ -691,16 +661,12 @@ class Simulator:
         jit_hits_run = 0
         jit_compiled_before = jit.compiled
         jit_deopts_before = jit.deopts
-        jit_active_before = jit.active_segments()
         # trace-superblock dispatch state: the edge profile feeds trace
         # selection
         sb_edges = jit.edges
         sb_sites = jit.edge_sites
         sb_exits_run = 0
         jit_superblocks_before = jit.superblocks
-        jit_preloaded_before = jit.preloaded
-        jit_sb_preloaded_before = jit.sb_preloaded
-        jit_sb_demoted_before = jit.sb_demoted
         # an armed watchdog caps generated code's back-edge fuse, so a
         # compiled loop returns to the boundary check about every
         # WATCHDOG_STRIDE instructions
@@ -1018,31 +984,10 @@ class Simulator:
             if block_cache is not None
             else 0
         )
-        jit.hits += jit_hits_run
-        jit.side_exits += sb_exits_run
         jit_segments = jit.compiled - jit_compiled_before
         jit_deopts = jit.deopts - jit_deopts_before
         jit_superblocks = jit.superblocks - jit_superblocks_before
-        jit_preloaded_delta = jit.preloaded - jit_preloaded_before
-        jit_sb_preloaded_delta = jit.sb_preloaded - jit_sb_preloaded_before
-        jit_sb_demoted_delta = jit.sb_demoted - jit_sb_demoted_before
         jit_active = jit.active_segments()
-        if timing.ENABLED:
-            timing.add_seconds("sim.run", time.perf_counter() - wall_start)
-            timing.add("sim.instructions", executed)
-            timing.add("sim.cycles", cycles)
-            timing.add("sim.block_cache.hit", hits)
-            timing.add("sim.block_cache.miss", misses)
-            timing.add("sim.timing.digests_computed", digests)
-            timing.add("sim.jit.segments", jit_segments)
-            timing.add("sim.jit.active_segments", jit_active - jit_active_before)
-            timing.add("sim.jit.hit", jit_hits_run)
-            timing.add("sim.jit.deopt", jit_deopts)
-            timing.add("sim.jit.superblocks", jit_superblocks)
-            timing.add("sim.jit.side_exits", sb_exits_run)
-            timing.add("sim.jit.preloaded", jit_preloaded_delta)
-            timing.add("sim.jit.sb_preloaded", jit_sb_preloaded_delta)
-            timing.add("sim.jit.sb_demoted", jit_sb_demoted_delta)
         result = SimResult(
             return_value=None,
             cycles=cycles,

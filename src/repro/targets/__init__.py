@@ -30,15 +30,12 @@ from typing import Callable
 from repro.cache import get_cache
 from repro.errors import MarionError
 from repro.machine.target import TargetMachine
-from repro.utils import timing
+import repro.obs as obs
 
 TARGET_NAMES = ("toyp", "r2000", "m88000", "i860")
 
 #: name -> memoized TargetMachine (process-local)
 _CACHE: dict[str, TargetMachine] = {}
-
-#: name -> how many times the Maril description was actually CGG-built
-_BUILD_COUNTS: dict[str, int] = {}
 
 
 def _build(name: str) -> TargetMachine:
@@ -62,9 +59,7 @@ def _build(name: str) -> TargetMachine:
         raise MarionError(
             f"unknown target {name!r}; known: {', '.join(TARGET_NAMES)}"
         )
-    _BUILD_COUNTS[name] = _BUILD_COUNTS.get(name, 0) + 1
-    with timing.phase(f"target_build.{name}"):
-        return builder()
+    return builder()
 
 
 def _target_key(variant: str, source: str) -> str:
@@ -86,7 +81,7 @@ def _disk_load(variant: str, source: str) -> TargetMachine | None:
         # a key collision or foreign artifact — rebuild cleanly
         store.invalidate("target", key)
         return None
-    timing.add("target_cache.disk_hit")
+    obs.count("target_cache.disk_hit")
     target.content_key = key
     return target
 
@@ -128,16 +123,16 @@ def load_target(name: str, fresh: bool = False) -> TargetMachine:
     in-process instance is left alone).
     """
     if fresh:
-        timing.add("target_cache.bypass")
+        obs.count("target_cache.bypass")
         store = get_cache()
         if store.enabled and name in TARGET_NAMES:
             store.invalidate("target", _target_key(name, maril_source(name)))
         return _build(name)
     cached = _CACHE.get(name)
     if cached is not None:
-        timing.add("target_cache.hit")
+        obs.count("target_cache.hit")
         return cached
-    timing.add("target_cache.miss")
+    obs.count("target_cache.miss")
     target = None
     source = maril_source(name) if name in TARGET_NAMES else None
     if source is not None:
@@ -151,13 +146,8 @@ def load_target(name: str, fresh: bool = False) -> TargetMachine:
 
 
 def clear_target_cache() -> None:
-    """Forget every cached target (build counts are kept)."""
+    """Forget every cached target."""
     _CACHE.clear()
-
-
-def target_build_count(name: str) -> int:
-    """How many times ``name`` has been CGG-built in this process."""
-    return _BUILD_COUNTS.get(name, 0)
 
 
 def maril_source(name: str) -> str:

@@ -1,23 +1,28 @@
 """The persistent artifact cache: disk round-trips for all four layers,
-invalidation on changed inputs, corruption tolerance, and the
-``fresh=True`` / ``REPRO_CACHE=0`` escape hatches.
+invalidation on changed inputs and changed code, corruption tolerance,
+and the ``fresh=True`` / ``REPRO_CACHE=0`` escape hatches.
 
 Every test runs against a private tmpdir cache and restores the
-process-wide (disabled-for-tests) configuration afterwards.
+process-wide (disabled-for-tests) configuration afterwards.  CGG builds
+and cache traffic are read off the ``cgg.builds`` and ``cache.*``
+counters of a trace around the work.
 """
+
+import shutil
 
 import pytest
 
 import repro
 from repro.backend.asmprinter import format_program
-from repro.cache import ArtifactCache, configure, get_cache
-from repro.sim import DirectMappedCache
-from repro.targets import (
-    clear_target_cache,
-    load_target,
-    maril_source,
-    target_build_count,
+from repro.cache import (
+    PACKAGE_ROOT,
+    ArtifactCache,
+    code_salt,
+    configure,
+    get_cache,
 )
+from repro.sim import DirectMappedCache
+from repro.targets import clear_target_cache, load_target, maril_source
 
 KERNEL = """
 double bench(int loop, int n) {
@@ -31,6 +36,20 @@ double bench(int loop, int n) {
 """
 
 OPTIONS = repro.CompileOptions(strategy="rase")
+
+
+def counted(fn, *args):
+    """``(fn(*args), counters)``: the counters a trace around the call
+    recorded."""
+    trace = repro.Trace("cache test")
+    with repro.tracing(trace):
+        value = fn(*args)
+    return value, trace.counters
+
+
+def builds(name: str) -> int:
+    """CGG builds one ``load_target(name)`` causes."""
+    return counted(load_target, name)[1].get("cgg.builds", 0)
 
 
 @pytest.fixture
@@ -58,12 +77,12 @@ def _simulate(executable):
 
 def test_target_disk_round_trip(store):
     first = load_target("toyp")
-    builds = target_build_count("toyp")
     assert first.content_key
     clear_target_cache()
-    second = load_target("toyp")
+    second, counters = counted(load_target, "toyp")
     # a disk hit, not a rebuild — and not the same instance
-    assert target_build_count("toyp") == builds
+    assert counters.get("cgg.builds", 0) == 0
+    assert counters["cache.target.hit"] == 1
     assert second is not first
     assert second.content_key == first.content_key
     # the unpickled target compiles identically
@@ -77,16 +96,14 @@ def test_target_disk_round_trip(store):
 def test_fresh_bypasses_and_invalidates_disk(store):
     load_target("toyp")
     assert store.store.layer_stats()["target"]["files"] == 1
-    builds = target_build_count("toyp")
-    fresh = load_target("toyp", fresh=True)
+    fresh, counters = counted(load_target, "toyp", True)
     # fresh built privately and deleted the disk entry
-    assert target_build_count("toyp") == builds + 1
+    assert counters["cgg.builds"] == 1
     assert store.store.layer_stats().get("target", {}).get("files", 0) == 0
     assert fresh.content_key is None
     # the next cold load must rebuild (both layers were bypassed)
     clear_target_cache()
-    load_target("toyp")
-    assert target_build_count("toyp") == builds + 2
+    assert builds("toyp") == 1
 
 
 # -- layer 2: executables --------------------------------------------------
@@ -96,9 +113,9 @@ def test_executable_disk_round_trip(store):
     target = load_target("r2000")
     first = repro.compile_c(KERNEL, target, OPTIONS)
     assert first.content_key
-    hits_before = store.hits
-    second = repro.compile_c(KERNEL, target, OPTIONS)
-    assert store.hits == hits_before + 1
+    second, counters = counted(repro.compile_c, KERNEL, target, OPTIONS)
+    assert counters["cache.hit"] == 1
+    assert counters.get("compile.compiled", 0) == 0
     assert second is not first
     assert second.content_key == first.content_key
     assert format_program(second.machine_program) == format_program(
@@ -113,18 +130,18 @@ def test_executable_disk_round_trip(store):
 def test_options_and_source_changes_miss(store):
     target = load_target("r2000")
     repro.compile_c(KERNEL, target, OPTIONS)
-    writes = store.writes
     # changed options -> new key, full compile
-    repro.compile_c(KERNEL, target, repro.CompileOptions(strategy="ips"))
-    assert store.writes == writes + 1
+    _, counters = counted(
+        repro.compile_c, KERNEL, target, repro.CompileOptions(strategy="ips")
+    )
+    assert counters["cache.exe.write"] == 1
     # changed source -> new key, full compile
-    repro.compile_c(KERNEL + "\n", target, OPTIONS)
-    assert store.writes == writes + 2
+    _, counters = counted(repro.compile_c, KERNEL + "\n", target, OPTIONS)
+    assert counters["cache.exe.write"] == 1
     # unchanged inputs -> pure hit, no new artifact
-    hits = store.hits
-    repro.compile_c(KERNEL, target, OPTIONS)
-    assert store.writes == writes + 2
-    assert store.hits == hits + 1
+    _, counters = counted(repro.compile_c, KERNEL, target, OPTIONS)
+    assert counters.get("cache.write", 0) == 0
+    assert counters["cache.hit"] == 1
 
 
 def test_salt_bump_is_clean_miss(tmp_path):
@@ -132,11 +149,9 @@ def test_salt_bump_is_clean_miss(tmp_path):
         configure(root=tmp_path, enabled=True, salt="v-old")
         clear_target_cache()
         load_target("m88000")
-        builds = target_build_count("m88000")
         configure(root=tmp_path, enabled=True, salt="v-new")
         clear_target_cache()
-        load_target("m88000")
-        assert target_build_count("m88000") == builds + 1
+        assert builds("m88000") == 1
         # both salted entries coexist; neither clobbered the other
         assert get_cache().store.layer_stats()["target"]["files"] == 2
     finally:
@@ -156,19 +171,17 @@ def _single_artifact(store, layer):
 
 def test_corrupt_entry_is_clean_miss(store):
     load_target("toyp")
-    builds = target_build_count("toyp")
     path = _single_artifact(store, "target")
     blob = bytearray(path.read_bytes())
     blob[-1] ^= 0xFF
     path.write_bytes(bytes(blob))
     clear_target_cache()
-    load_target("toyp")
+    _, counters = counted(load_target, "toyp")
     # detected, deleted, rebuilt and re-published
-    assert store.corrupt == 1
-    assert target_build_count("toyp") == builds + 1
+    assert counters["cache.corrupt"] == 1
+    assert counters["cgg.builds"] == 1
     clear_target_cache()
-    load_target("toyp")
-    assert target_build_count("toyp") == builds + 1
+    assert builds("toyp") == 0
 
 
 def test_truncated_entry_is_clean_miss(store):
@@ -176,10 +189,9 @@ def test_truncated_entry_is_clean_miss(store):
     repro.compile_c(KERNEL, target, OPTIONS)
     path = _single_artifact(store, "exe")
     path.write_bytes(path.read_bytes()[: 40])
-    misses = store.misses
-    executable = repro.compile_c(KERNEL, target, OPTIONS)
-    assert store.corrupt == 1
-    assert store.misses == misses + 1
+    executable, counters = counted(repro.compile_c, KERNEL, target, OPTIONS)
+    assert counters["cache.corrupt"] == 1
+    assert counters["cache.miss"] == 1
     assert _simulate(executable).instructions > 0
 
 
@@ -199,11 +211,11 @@ def test_jit_and_timing_preload_round_trip(store):
     # "new process": no in-process target, so the target and then a
     # fresh executable object come straight off the disk
     clear_target_cache()
-    builds = target_build_count("r2000")
-    exe_hits = store.layer_counters["exe"]["hits"]
-    second = repro.compile_c(KERNEL, load_target("r2000"), OPTIONS)
-    assert target_build_count("r2000") == builds
-    assert store.layer_counters["exe"]["hits"] == exe_hits + 1
+    second, counters = counted(
+        lambda: repro.compile_c(KERNEL, load_target("r2000"), OPTIONS)
+    )
+    assert counters.get("cgg.builds", 0) == 0
+    assert counters["cache.exe.hit"] == 1
     assert not hasattr(second, "_segment_jit")
     warm = _simulate(second)
     assert warm.cycles == reference.cycles
@@ -290,12 +302,10 @@ def test_repro_cache_zero_disables(tmp_path, monkeypatch):
         store = configure()  # re-read the environment
         assert not store.enabled
         assert store.root == tmp_path
+        assert store.salt == ""  # the code salt is never computed
         clear_target_cache()
-        load_target("toyp")
-        repro.compile_c(KERNEL, "toyp", OPTIONS)
-        assert store.counters() == {
-            "hits": 0, "misses": 0, "writes": 0, "corrupt": 0,
-        }
+        _, counters = counted(repro.compile_c, KERNEL, "toyp", OPTIONS)
+        assert not any(name.startswith("cache.") for name in counters)
         assert not any(tmp_path.iterdir())
     finally:
         clear_target_cache()
@@ -306,9 +316,28 @@ def test_repro_cache_zero_disables(tmp_path, monkeypatch):
 def test_store_survives_unpicklable_values(tmp_path):
     store = ArtifactCache(root=tmp_path, enabled=True)
     key = store.key("x")
-    assert not store.put("target", key, lambda: None)  # closure
+    # a closure does not pickle
+    written, counters = counted(store.put, "target", key, lambda: None)
+    assert not written
+    assert counters == {"cache.put_failed": 1}
     assert store.get("target", key) is None
-    assert store.writes == 0
+
+
+def test_salt_is_derived_from_the_package_sources(tmp_path):
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        PACKAGE_ROOT, copy, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    assert code_salt(copy) == code_salt(PACKAGE_ROOT)
+    assert ArtifactCache(root=tmp_path, enabled=True).salt == code_salt()
+    # one changed byte in one source file changes the salt
+    edited = tmp_path / "edited"
+    shutil.copytree(copy, edited)
+    source = edited / "sim" / "pipeline.py"
+    data = bytearray(source.read_bytes())
+    data[-1] ^= 1
+    source.write_bytes(bytes(data))
+    assert code_salt(edited) != code_salt(copy)
 
 
 def test_key_parts_are_framed(tmp_path):

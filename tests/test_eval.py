@@ -163,38 +163,35 @@ def test_report_json_prints_run_and_its_counters(monkeypatch, capsys, failed):
 
     from repro.eval import report
     from repro.eval.grid import GridFailure
-    from repro.utils import timing
+    from repro.obs import Trace
 
     def fake_report(**kwargs):
         # stands in for the real, 20-second run: record what a run
-        # records, then return its rendered result
-        timing.reset()
-        timing.enable()
-        timing.add("compile.compiled", 3)
-        timing.add_seconds("sim.run", 0.5)
+        # records on its trace, then return its rendered result
+        trace = Trace("report")
+        trace.count("compile.compiled", 3)
+        trace.add_seconds("simulate:bench", 0.5)
         failures = (
             [GridFailure(key="table4/r2000/rase/K7", error_type="Timeout",
                          message="budget exceeded")]
             if failed
             else []
         )
-        return report.ReportResult(text="Table 1\n", failures=failures)
+        return report.ReportResult(
+            text="Table 1\n", failures=failures, metrics=trace.summary()
+        )
 
     monkeypatch.setattr(report, "generate_report", fake_report)
     parser = argparse.ArgumentParser()
     report.add_report_arguments(parser)
-    try:
-        status = report.run_report_command(
-            parser.parse_args(["--format", "json"])
-        )
-    finally:
-        timing.enable(False)
-        timing.reset()
+    status = report.run_report_command(
+        parser.parse_args(["--format", "json"])
+    )
     document = json.loads(capsys.readouterr().out)
     assert set(document) == {"ok", "failures", "text", "counters", "phases"}
     assert document["text"] == "Table 1\n"
     assert document["counters"] == {"compile.compiled": 3}
-    assert document["phases"]["sim.run"]["seconds"] == 0.5
+    assert document["phases"]["simulate:bench"]["seconds"] == 0.5
     assert document["ok"] is not failed
     assert status == (1 if failed else 0)
     assert document["failures"] == (

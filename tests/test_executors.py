@@ -3,7 +3,9 @@
 Both backends — in-process and local pool — are held to the same
 :class:`~repro.eval.executors.base.Executor` contract: submission-order
 results through ``run_grid``, per-unit timeouts, crash containment,
-failure collection, journal resume, and queued-copy cancellation.
+failure collection, journal resume, queued-copy cancellation, and the
+same per-unit trace counters.  Pool workers must not outlive a killed
+parent.
 
 Unit functions live at module level so the local pool can pickle them.
 """
@@ -11,10 +13,14 @@ Unit functions live at module level so the local pool can pickle them.
 import contextlib
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.eval.executors import (
     Executor,
     InprocessAsyncExecutor,
@@ -29,6 +35,7 @@ from repro.eval.grid import (
     run_grid,
 )
 from repro.eval.journal import Journal
+from repro.workloads import kernel_by_id
 
 BACKENDS = ("inprocess", "local")
 #: backends whose units run in a separate process (safe to SIGKILL)
@@ -53,6 +60,15 @@ def _kill_self(delay=0.0):
     # pool breaks cannot burn their retry budget by association
     time.sleep(delay)
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _compile_and_run(kernel_id):
+    spec = kernel_by_id(kernel_id)
+    executable = repro.compile_c(spec.source, "r2000", repro.CompileOptions())
+    return repro.simulate(
+        executable, "bench", (spec.args[0], 8),
+        options=repro.SimOptions(cache=True),
+    ).cycles
 
 
 def _mark(x, marker_dir):
@@ -212,6 +228,81 @@ def test_journal_resume_skips_done_units(name, tmp_path):
     for x in range(4):
         runs = open(os.path.join(marker_dir, f"ran_{x}")).read().count("x")
         assert runs == 1  # resume reused the journalled results
+
+
+def test_a_unit_ships_the_same_counters_on_every_backend():
+    shipped = {}
+    for name in BACKENDS:
+        with make_backend(name) as backend:
+            backend.submit(GridTask("K1", _compile_and_run, (1,)))
+            event = backend.next_event(timeout=120)
+        assert event.ok, event.value
+        shipped[name] = {
+            counter: amount
+            for counter, amount in event.metrics["counters"].items()
+            if counter.startswith(("compile.", "sim."))
+        }
+    assert shipped["inprocess"]["compile.compiled"] == 1
+    assert shipped["inprocess"]["sim.instructions"] > 0
+    assert shipped["local"] == shipped["inprocess"]
+
+
+#: a process that holds a 2-worker pool, prints its workers' pids and
+#: waits to be killed
+POOL_HOLDER = textwrap.dedent("""
+    import os, time
+    from repro.eval.executors import LocalPoolExecutor
+    from repro.eval.grid import GridTask
+
+    def pid_after(seconds):
+        time.sleep(seconds)
+        return os.getpid()
+
+    pool = LocalPoolExecutor(workers=2)
+    for index in range(2):
+        pool.submit(GridTask(f"pid/{index}", pid_after, (1.0,)))
+    pids = {pool.next_event(timeout=60).value for _ in range(2)}
+    print(*sorted(pids), flush=True)
+    time.sleep(120)
+""")
+
+
+def _alive(pid):
+    """True while ``pid`` runs (an exited, unreaped zombie counts as gone)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def test_pool_workers_exit_when_their_parent_is_killed():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    holder = subprocess.Popen(
+        [sys.executable, "-c", POOL_HOLDER],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    workers = []
+    try:
+        workers = [int(pid) for pid in holder.stdout.readline().split()]
+        assert len(workers) == 2
+        holder.send_signal(signal.SIGKILL)
+        holder.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 # -- spec strings and the redesigned options --------------------------------

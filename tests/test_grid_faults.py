@@ -8,6 +8,7 @@ unit degrades to a structured :class:`GridFailure`.
 """
 
 import dataclasses
+import json
 import os
 import signal
 import time
@@ -214,6 +215,25 @@ def test_journal_config_mismatch_refuses_resume(tmp_path):
         Journal(journal_path, config={"scale": 1.0})
     # same config resumes fine
     Journal(journal_path, config={"scale": 0.3}).close()
+
+
+def test_journal_record_with_a_field_the_class_lost_is_a_journal_error(
+    tmp_path,
+):
+    # a KernelRun journalled by a version whose record had one more field
+    record = encode_value(grid_run_kernel(1, "r2000", "postpass", scale=0.05))
+    record["F"]["compile_seconds"] = 0.25
+    journal_path = tmp_path / "journal.jsonl"
+    journal_path.write_text(
+        json.dumps({"schema": 1, "kind": "header", "config": {}}) + "\n"
+        + json.dumps({"schema": 1, "key": "table4/r2000/postpass/K1",
+                      "status": "ok", "wall_s": 0.1, "result": record})
+        + "\n"
+    )
+    with pytest.raises(
+        JournalError, match=r"repro\.eval\.common:KernelRun.*compile_seconds"
+    ):
+        Journal(str(journal_path))
 
 
 def test_journal_tolerates_torn_final_record(tmp_path):

@@ -136,21 +136,32 @@ def test_simulate_records_span_and_stall_counters():
     assert counted == result.stall_cycles
 
 
-def test_timing_adapter_is_backed_by_obs_trace():
-    from repro.utils import timing
+def test_one_trace_counts_a_compile_and_each_run_once():
+    # the simulator writes every sim.* counter from its SimResult fields,
+    # through one table; a gauge (live JIT segments) is a field only
+    from repro.sim.simulator import SIM_COUNTERS
+    from repro.workloads import kernel_by_id
 
-    timing.reset()
-    timing.enable()
-    try:
-        with timing.phase("x"):
-            pass
-        timing.add("y", 2)
-        snap = timing.snapshot()
-        assert snap["counters"]["y"] == 2
-        assert "x" in snap["phases"]
-        assert isinstance(timing.recorder(), Trace)
-        timing.merge({"counters": {"y": 3}, "phases": {}})
-        assert timing.counter("y") == 5
-    finally:
-        timing.enable(False)
-        timing.reset()
+    spec = kernel_by_id(1)
+    trace = Trace("k1")
+    with tracing(trace):
+        exe = repro.compile_c(spec.source, "r2000", repro.CompileOptions())
+        runs = [
+            repro.simulate(
+                exe, "bench", (spec.args[0], 20),
+                options=repro.SimOptions(cache=True),
+            )
+            for _ in range(3)
+        ]
+    counters = trace.counters
+    assert counters["compile.compiled"] == 1
+    for field, name in SIM_COUNTERS:
+        assert counters.get(name, 0) == sum(
+            getattr(run, field) for run in runs
+        ), name
+    assert counters["sim.instructions"] == 3 * runs[0].instructions > 0
+    assert runs[-1].jit_active_segments > 0
+    assert "sim.jit.active_segments" not in counters
+    assert {name for name in counters if name.startswith("sim.")} <= {
+        name for _field, name in SIM_COUNTERS
+    }

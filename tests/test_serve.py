@@ -26,7 +26,6 @@ from repro.errors import GridTimeout, RequestError, error_payload
 from repro.eval.executors import Executor, ExecutorProbe, UnitEvent
 from repro.serve import ServeOptions, serve_app
 from repro.serve import schema
-from repro.utils import timing
 
 SRC = "int add(int a, int b) { return a + b; }"
 
@@ -171,13 +170,15 @@ COMPILE_VALUE = {
     "assembly": "add: ...",
     "functions": ["add"],
     "instructions": 12,
-    "compiled": 1,
-    "cgg_builds": 0,
 }
 
 
 def _run(coro):
     return asyncio.run(coro)
+
+
+def _dedup_hits(service):
+    return service.trace.counters.get("serve.dedup_hits", 0)
 
 
 def test_concurrent_identical_requests_coalesce_to_one_unit():
@@ -194,11 +195,11 @@ def test_concurrent_identical_requests_coalesce_to_one_unit():
                 for _ in range(5)
             ]
             for _ in range(200):  # all five attached, exactly one submit
-                if service._dedup_hits >= 4 and stub.submitted:
+                if _dedup_hits(service) >= 4 and stub.submitted:
                     break
                 await asyncio.sleep(0.01)
             assert len(stub.submitted) == 1
-            assert service._dedup_hits == 4
+            assert _dedup_hits(service) == 4
             stub.release(stub.submitted[0].key, dict(COMPILE_VALUE))
             results = await asyncio.gather(*waiters)
         finally:
@@ -243,7 +244,7 @@ def test_distinct_requests_do_not_coalesce():
         finally:
             await service.stop()
         assert [status for status, _ in results] == [200, 200]
-        assert service._dedup_hits == 0
+        assert _dedup_hits(service) == 0
 
     _run(main())
 
@@ -322,6 +323,57 @@ def test_worker_error_payload_maps_to_taxonomy_status():
     _run(main())
 
 
+async def _fail_or_replay(service, stub, doc, payload):
+    """One compile request; if it reaches the executor, its unit fails
+    with ``payload``.  Returns ``(status, body)``."""
+    submitted = len(stub.submitted)
+    waiter = asyncio.create_task(service.handle("compile", dict(doc)))
+    for _ in range(200):
+        if waiter.done() or len(stub.submitted) > submitted:
+            break
+        await asyncio.sleep(0.01)
+    if len(stub.submitted) > submitted:
+        stub.release(stub.submitted[-1].key, payload, ok=False)
+    return await waiter
+
+
+def test_deterministic_errors_are_memoized_but_timeouts_are_not():
+    from repro.errors import CSyntaxError
+
+    async def main():
+        stub = GatedExecutor()
+        service = serve_app(ServeOptions(port=0, executor=stub))
+        await service.start()
+        try:
+            syntax = error_payload(CSyntaxError("bad token"))
+            doc = {"source": SRC, "target": "toyp"}
+            failed = [
+                await _fail_or_replay(service, stub, doc, syntax)
+                for _ in range(3)
+            ]
+            syntax_units = len(stub.submitted)
+            timeout = error_payload(GridTimeout("too slow", seconds=1.0))
+            slow = {"source": SRC + "\n", "target": "toyp"}
+            timed_out = [
+                await _fail_or_replay(service, stub, slow, timeout)
+                for _ in range(2)
+            ]
+        finally:
+            await service.stop()
+        return failed, syntax_units, timed_out, len(stub.submitted)
+
+    failed, syntax_units, timed_out, units = _run(main())
+    # a 422 is what the same request gets again: one unit, three
+    # identical bodies
+    assert syntax_units == 1
+    assert [status for status, _ in failed] == [422] * 3
+    assert failed[0][1]["error"]["type"] == "CSyntaxError"
+    assert failed[1][1] == failed[0][1] == failed[2][1]
+    # a deadline failure is retried on the executor every time
+    assert [status for status, _ in timed_out] == [504] * 2
+    assert units == syntax_units + 2
+
+
 def test_a_character_the_lexer_rejects_is_a_422():
     # '²' passes str.isdigit() but int() rejects it: a syntax error, not
     # a crash of the worker unit
@@ -384,7 +436,7 @@ def test_http_endpoints_end_to_end():
         out = {}
         try:
             out["health"] = await _request(port, "GET", "/v1/healthz")
-            before = timing.counter("compile.compiled")
+            before = service.trace.counters.get("compile.compiled", 0)
             out["compile"] = await _request(
                 port, "POST", "/v1/compile",
                 {"source": SRC, "target": "toyp"},
@@ -394,7 +446,7 @@ def test_http_endpoints_end_to_end():
                 {"source": SRC, "target": "toyp"},
             )
             out["fresh_compiles"] = (
-                timing.counter("compile.compiled") - before
+                service.trace.counters["compile.compiled"] - before
             )
             out["run"] = await _request(
                 port, "POST", "/v1/run",
@@ -456,8 +508,12 @@ def test_http_endpoints_end_to_end():
 
     status, body = out["stats"]
     assert status == 200
-    assert body["requests"]["compile"] == 2
-    assert body["dedup"]["memo_hits"] == 1
+    assert body["counters"]["serve.requests.compile"] == 2
+    assert body["counters"]["serve.memo_hits"] == 1
+    assert body["memo_entries"] == 3  # compile, run, explain
+    assert body["artifact_cache"] == {
+        "enabled": False, "root": body["artifact_cache"]["root"]
+    }
     assert body["executor"]["backend"] == "inprocess"
     assert body["latency_ms"]["compile"]["count"] == 2
 
@@ -477,6 +533,30 @@ def test_http_endpoints_end_to_end():
     status, body = out["badmethod"]
     assert status == 405
     assert body["error"]["code"] == "method_not_allowed"
+
+
+def test_stats_counters_are_the_units_own_counters():
+    async def main():
+        service = serve_app(ServeOptions(port=0, executor="inprocess"))
+        await service.start()
+        try:
+            run = await _request(
+                service.port, "POST", "/v1/run",
+                {"source": SRC, "entry": "add", "args": [2, 3],
+                 "target": "toyp"},
+            )
+            stats = await _request(service.port, "GET", "/v1/stats")
+        finally:
+            await service.stop()
+        return run, stats
+
+    (run_status, run), (stats_status, stats) = _run(main())
+    assert run_status == stats_status == 200
+    counters = stats["counters"]
+    assert counters["sim.instructions"] == run["instructions"] > 0
+    assert counters["sim.cycles"] == run["cycles"]
+    assert counters["compile.compiled"] == run["compiled"] == 1
+    assert not {"compile", "sim", "requests", "dedup"} & set(stats)
 
 
 def test_http_keep_alive_serves_many_requests_per_connection():
@@ -502,7 +582,7 @@ def test_http_keep_alive_serves_many_requests_per_connection():
 
     (s1, b1), (s2, b2) = _run(main())
     assert s1 == 200 and s2 == 200
-    assert b2["requests"]["healthz"] >= 1
+    assert b2["counters"]["serve.requests.healthz"] >= 1
 
 
 def test_http_oversized_body_is_413():

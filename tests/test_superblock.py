@@ -14,7 +14,7 @@ plus superblocks — and compares every observable field.
 import pytest
 
 import repro
-from repro.cache import configure, get_cache
+from repro.cache import configure
 from repro.errors import SimulationError
 from repro.sim.cache import DirectMappedCache
 from repro.sim.jit import (
@@ -316,9 +316,11 @@ def test_superblock_disk_preload_round_trip(store):
 
     # "new process": a fresh executable straight off the disk preloads
     # both the plain segments and the promoted traces
-    second = _compile(DIAMOND)
-    assert not hasattr(second, "_segment_jit")
-    warm = _run(second, (3, HOT))
+    trace = repro.Trace("warm")
+    with repro.tracing(trace):
+        second = _compile(DIAMOND)
+        assert not hasattr(second, "_segment_jit")
+        warm = _run(second, (3, HOT))
     # the timing memo is preloaded too, so the hit/miss split shifts
     # (all hits) while the architectural observables stay identical
     for field in COMPARED_FIELDS:
@@ -329,7 +331,9 @@ def test_superblock_disk_preload_round_trip(store):
     assert warm.jit_superblocks == 0
     assert second._segment_jit.sb_preloaded > 0
     assert second._segment_jit.compiled == 0
-    assert get_cache().counters()["hits"] > 0
+    # executable, JIT code and timing memo all came off the disk
+    for layer in ("exe", "jit", "timing"):
+        assert trace.counters[f"cache.{layer}.hit"] == 1, layer
 
 
 # -- configuration ------------------------------------------------------------

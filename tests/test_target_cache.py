@@ -4,7 +4,7 @@ cached target (compiled code is bit-identical to fresh-target output)."""
 
 import repro
 from repro.backend.asmprinter import format_program
-from repro.targets import load_target, target_build_count
+from repro.targets import load_target
 
 PROGRAM_A = """
 int sum(int n) {
@@ -33,10 +33,12 @@ def test_repeated_load_returns_same_instance():
 
 def test_single_cgg_build_per_name_per_process():
     load_target("m88000")
-    builds_after_first = target_build_count("m88000")
-    for _ in range(5):
-        load_target("m88000")
-    assert target_build_count("m88000") == builds_after_first
+    trace = repro.Trace("reloads")
+    with repro.tracing(trace):
+        for _ in range(5):
+            load_target("m88000")
+    assert trace.counters.get("cgg.builds", 0) == 0
+    assert trace.counters["target_cache.hit"] == 5
 
 
 def test_fresh_returns_distinct_instance():
