@@ -172,7 +172,8 @@ def cmd_run(arguments) -> int:
         print(
             f"jit:          {result.jit_active_segments} segments active "
             f"({result.jit_segments} compiled this run), "
-            f"{result.jit_hits} dispatch hits, {result.jit_deopts} deopts"
+            f"{result.jit_hits} dispatch hits, {result.jit_deopts} deopts, "
+            f"{result.interpreted} instructions interpreted"
         )
     if result.block_cache_hits or result.block_cache_misses:
         print(

@@ -99,6 +99,13 @@ def _i860(eap: bool):
     return target
 
 
+def load_variants() -> None:
+    """Build (or load) both i860 EAP variants into this process's memo,
+    so processes forked afterwards inherit them."""
+    _i860(True)
+    _i860(False)
+
+
 def _compile_for(target, source: str, strategy: str):
     # through the executable memo (and the exe layer of the artifact cache,
     # since the cached variants carry content keys) so shared scopes
@@ -140,7 +147,7 @@ def ablation_temporal(
     ids = [spec.id for spec in LIVERMORE_KERNELS if spec.id in kernel_ids]
     if jobs is None or jobs == 1:
         # warm the variant memo so the serial path builds each target once
-        _i860(True), _i860(False)
+        load_variants()
     return run_grid(
         [
             GridTask(

@@ -38,6 +38,7 @@ from repro.eval.ablation import (
     ablation_heuristic,
     ablation_temporal,
     ablation_temporal_dual,
+    load_variants,
     render,
 )
 from repro.eval.claims import (
@@ -62,6 +63,7 @@ from repro.eval.table3 import table3
 from repro.eval.table4 import measure as table4_measure
 from repro.eval.table4 import render as table4_render
 from repro.obs import Trace, tracing
+from repro.targets import load_target
 
 #: report sections whose body is wall-clock measurement (compile-time
 #: tables) — legitimately different between otherwise identical runs,
@@ -70,6 +72,10 @@ from repro.obs import Trace, tracing
 NONDETERMINISTIC_SECTIONS = ("Table 3", "Claim C2")
 
 _SECTION_SPLIT = re.compile(r"={72}\n(.+)\n={72}\n")
+
+#: the targets the report's sections compile for (Table 1 lists all
+#: three; the ablations' i860 variants come from :func:`load_variants`)
+SECTION_TARGETS = ("m88000", "r2000", "i860")
 
 
 def deterministic_sections(text: str) -> dict[str, str]:
@@ -143,6 +149,12 @@ def generate_report(
     # (kernel, target, strategy) share one warmed executable instead of
     # unpickling and re-warming it per section
     with tracing(trace), shared_executables():
+        # build every target before the pool forks its workers (at the
+        # first pooled section), so they inherit the built targets
+        # instead of each running the CGG again
+        for name in SECTION_TARGETS:
+            load_target(name)
+        load_variants()
         sections: list[str] = []
 
         def section(title: str, body_fn) -> None:

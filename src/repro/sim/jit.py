@@ -20,6 +20,13 @@ Inside the generated function:
   value is bit-identical — including NaN payloads (floats are never
   held as typed locals because the f32<->f64 conversion can quiet a
   signaling NaN);
+* temporal registers (the i860's pipeline latches ``m1..m3`` and
+  ``a1..a3``) are read and written in machine state through a prologue
+  local ``tp = state.temporal``, exactly as the interpreter does
+  (``tp.get(name, 0.0)`` before the first write).  A latch write
+  mutates state in place, so it counts as a non-undoable side effect;
+  a write whose value's static type differs from the latch's is
+  refused, because the interpreter would store that value as it is;
 * memory accesses perform the data-cache tag check (pure shift/mask
   over the cache's preallocated tag array — the same arithmetic
   :meth:`DirectMappedCache.access` runs, inlined), the miss-mask and
@@ -61,11 +68,12 @@ what keeps compiled code bit-identical to the interpreter.  Both shapes
 share one codegen (:class:`_TraceCodegen`; a plain segment is a
 one-node trace) and therefore one branch in the dispatch loop.
 
-Anything the translator does not cover — temporal registers, invalid
+Anything the translator does not cover — mistyped latch writes, invalid
 double pairings, control in a delay slot, unallocated operands — is
 refused statically (:class:`Uncompilable`) and that entry permanently
-stays on the interpreter.  Division guards that trip *before* the first
-non-undoable side effect (a real cache access or a memory write) raise
+stays on the interpreter; ``SimResult.interpreted`` counts what a run
+left there.  Division guards that trip *before* the first non-undoable
+side effect (a real cache access, a memory write or a latch write) raise
 :class:`JitDeopt`: the caller undoes the block-count increments the
 compiled prefix made, clears the (still unconsumed) event list, and
 re-executes the segment interpreted, which then raises the exact
@@ -440,6 +448,9 @@ class _SegmentCodegen:
         self.max_exec = 0
         self.consts: dict[str, object] = {}
         self.looping = False
+        #: any temporal-register (latch) access: binds ``tp`` in the
+        #: prologue
+        self.uses_temporal = False
 
     # -- driver ---------------------------------------------------------------
 
@@ -571,7 +582,15 @@ class _SegmentCodegen:
                 self._scan_expr(target.address, instr, "int")
                 self._scan_expr(stmt.value, instr, None)
                 return
-            # NameRef (temporal register) or anything else
+            if isinstance(target, ast.NameRef):
+                # the interpreter stores the value as is: a write whose
+                # static type differs from the latch's would leave a
+                # value of the wrong Python type in the latch
+                type_name = self.tr.compiler._temporal_type(target.name)
+                if self._scan_expr(stmt.value, instr, type_name) != type_name:
+                    raise Uncompilable(f"mistyped write to {target.name}")
+                self.uses_temporal = True
+                return
             raise Uncompilable(f"cannot compile assignment to {target}")
         raise Uncompilable(f"cannot compile statement {stmt}")
 
@@ -627,7 +646,9 @@ class _SegmentCodegen:
             if expr.name == "eval":
                 return arg_type
             raise Uncompilable(f"unknown builtin {expr.name}")
-        # NameRef (temporal register) or anything else
+        if isinstance(expr, ast.NameRef):
+            self.uses_temporal = True
+            return self.tr.compiler._temporal_type(expr.name)
         raise Uncompilable(f"cannot compile expression {expr}")
 
     # -- decide: which views become typed locals -------------------------------
@@ -764,6 +785,12 @@ class _SegmentCodegen:
             return self._emit_binary(expr, instr, expected, pc, slot)
         if isinstance(expr, ast.BuiltinCall):
             return self._emit_builtin(expr, instr, pc, slot)
+        if isinstance(expr, ast.NameRef):
+            # the interpreter's read: the latch's value, or its type's
+            # zero before the first write
+            type_name = self.tr.compiler._temporal_type(expr.name)
+            default = 0.0 if type_name in ("float", "double") else 0
+            return f"tp.get({expr.name!r}, {default!r})", type_name, False
         raise Uncompilable(f"cannot compile expression {expr}")
 
     def _emit_reg_read(self, instr: MachineInstr, position: int):
@@ -940,6 +967,16 @@ class _SegmentCodegen:
                 return
             if isinstance(target, ast.MemRef):
                 self._emit_mem_write(stmt, instr, pc, slot)
+                return
+            if isinstance(target, ast.NameRef):
+                type_name = self.tr.compiler._temporal_type(target.name)
+                vcode, _, _ = self._expr(
+                    stmt.value, instr, type_name, pc, slot
+                )
+                self._line(f"tp[{target.name!r}] = {vcode}")
+                # latches live in machine state, not in locals: a deopt
+                # past this point would re-execute the write
+                self.effects = True
                 return
         raise Uncompilable(f"cannot compile statement {stmt}")
 
@@ -1522,6 +1559,8 @@ class _TraceCodegen(_SegmentCodegen):
         for position, (entry, trace, tail) in enumerate(self.nodes):
             self._emit_node(position, entry, trace, tail, position == last)
         prologue = ["    u = state.units"]
+        if self.uses_temporal:
+            prologue.append("    tp = state.temporal")
         if self.has_mem:
             prologue.append("    mem = state.memory")
             prologue.append("    ml = len(mem)")

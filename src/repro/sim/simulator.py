@@ -148,6 +148,10 @@ class SimResult:
     #: timing transition); on a warm run this stays near zero while
     #: ``block_cache_hits`` counts every boundary
     timing_digests: int = 0
+    #: instructions executed outside generated code: by the closure
+    #: interpreter, before warmup or for an entry the JIT refused.  A
+    #: ``watch=`` run interprets every instruction
+    interpreted: int = 0
 
     @property
     def stall_cycles(self) -> int:
@@ -176,6 +180,7 @@ SIM_COUNTERS = (
     ("jit_deopts", "sim.jit.deopt"),
     ("jit_superblocks", "sim.jit.superblocks"),
     ("jit_side_exits", "sim.jit.side_exits"),
+    ("interpreted", "sim.interpreted"),
 )
 
 
@@ -552,6 +557,7 @@ class Simulator:
             return_value=None,
             cycles=cycles,
             instructions=executed,
+            interpreted=executed,
             loads=loads,
             stores=stores,
             cache_hits=cache.hits if cache else 0,
@@ -659,6 +665,8 @@ class Simulator:
         jit_cached = cache is not None
         jit_table = jit.functions(jit_cached)
         jit_hits_run = 0
+        # instructions generated code executed; the rest were interpreted
+        jit_executed = 0
         jit_compiled_before = jit.compiled
         jit_deopts_before = jit.deopts
         # trace-superblock dispatch state: the edge profile feeds trace
@@ -737,6 +745,7 @@ class Simulator:
                         load_bit = 1
                     else:
                         executed += exec_delta
+                        jit_executed += exec_delta
                         loads += load_delta
                         stores += store_delta
                         virtual_issue += cycle_delta
@@ -992,6 +1001,7 @@ class Simulator:
             return_value=None,
             cycles=cycles,
             instructions=executed,
+            interpreted=executed - jit_executed,
             loads=loads,
             stores=stores,
             cache_hits=cache.hits if cache else 0,

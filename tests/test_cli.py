@@ -66,6 +66,21 @@ def test_cli_run_double_with_cache(c_file, capsys):
     assert "cache:" in out
 
 
+def test_cli_run_reports_interpreted_instructions(tmp_path, capsys):
+    # a loop long enough to warm the JIT: the jit: line says how much of
+    # the run stayed outside generated code
+    path = tmp_path / "loop.c"
+    path.write_text(
+        "int s(int n) { int i; int t; t = 0;"
+        " for (i = 0; i < n; i = i + 1) { t = t + i; } return t; }"
+    )
+    assert main(["run", str(path), "--entry", "s", "--args", "200"]) == 0
+    out = capsys.readouterr().out
+    assert "'int': 19900" in out
+    jit = [line for line in out.splitlines() if line.startswith("jit:")]
+    assert jit and jit[0].endswith("instructions interpreted")
+
+
 def test_cli_no_schedule_baseline(c_file, capsys):
     assert main(["run", c_file, "--entry", "f", "--args", "2", "3", "--no-schedule"]) == 0
     assert "'int': 7" in capsys.readouterr().out

@@ -12,7 +12,8 @@ import pytest
 import repro
 from repro.errors import MarionError, SimulationError
 from repro.sim.cache import DirectMappedCache
-from repro.sim.jit import MAX_DEOPTS, SegmentJIT
+from repro.maril import ast
+from repro.sim.jit import MAX_DEOPTS, SegmentJIT, Uncompilable, _TraceCodegen
 from repro.workloads import kernel_by_id
 
 from tests.helpers import simulate_oracle
@@ -102,8 +103,8 @@ def test_jit_bit_identical_k1(target, strategy):
 @pytest.mark.parametrize("target", ("r2000", "i860"))
 def test_jit_bit_identical_k7(target):
     # K7 (equation of state) has a wider loop body than K1: more views
-    # per segment, and on i860 temporal (EAP) sub-operations that the
-    # translator must refuse without perturbing the interpreted result
+    # per segment, and on i860 temporal (EAP) sub-operations whose
+    # latch reads and writes compile alongside the register views
     spec = kernel_by_id(7)
     reference, jitted, executable = _differential(spec, target, "postpass")
     for field in COMPARED_FIELDS:
@@ -151,16 +152,78 @@ def test_jit_bit_identical_with_timing_off(target):
     assert on.cycles == on.instructions == reference.instructions
 
 
-def test_i860_temporal_segments_stay_interpreted():
-    # temporal registers are refused statically: some i860 segments must
-    # come back Uncompilable, and those entries pin to the interpreter
+def test_i860_temporal_segments_compile():
+    # the EAP latches (m1..m3, a1..a3) compile as reads and writes of
+    # the machine's temporal map: no K7 entry is refused, some compiled
+    # functions touch a latch, and the run equals the interpreter's
     spec = kernel_by_id(7)
-    executable = _compile(spec, "i860", "postpass")
-    executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
-    _simulate(executable, spec)
+    reference, jitted, executable = _differential(spec, "i860", "postpass")
+    for field in COMPARED_FIELDS:
+        assert getattr(jitted, field) == getattr(reference, field), field
     jit = executable._segment_jit
-    assert jit.uncompilable > 0
-    assert None in jit.functions(True).values()
+    assert jit.uncompilable == 0
+    records = list(jit.functions(True).values())
+    assert records and None not in records
+    assert any(
+        "tp = state.temporal" in record[0]._jit_source for record in records
+    )
+    assert jitted.interpreted < reference.interpreted == reference.instructions
+
+
+#: Livermore kernels whose steady state must run in generated code on
+#: every target: K7 and K11 were mostly interpreted on the i860 while
+#: its latches were refused, and K9 leaves the largest interpreted tail
+SHARE_KERNELS = (7, 9, 11)
+
+
+def test_warm_runs_interpret_under_two_percent():
+    # with the default JIT_WARMUP, by the third run every hot entry is
+    # compiled: what is left to the interpreter is cold code (prologues,
+    # loop exits), not a refused loop body
+    shares = {}
+    for kernel_id in SHARE_KERNELS:
+        spec = kernel_by_id(kernel_id)
+        for target in TARGETS:
+            for strategy in STRATEGIES:
+                executable = _compile(spec, target, strategy)
+                for _ in range(3):
+                    result = _simulate(executable, spec, scale=0.02)
+                shares[f"{target}/{strategy}/K{kernel_id}"] = (
+                    result.interpreted / result.instructions
+                )
+    worst = max(shares, key=shares.get)
+    assert shares[worst] < 0.02, (worst, shares[worst])
+
+
+#: i860 kernels for the engine-vs-oracle sweep: the FP loops whose
+#: steady state runs through the multiplier and adder latches
+ORACLE_KERNELS = (3, 7, 8, 9, 11)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_i860_engine_matches_the_oracle(strategy):
+    # the reference interleaved model (a watch= run) shares no code with
+    # generated code: a warm engine run, plain and with stall
+    # accounting, must reproduce its cycles, results and per-hazard
+    # breakdown on kernels that advance the latches every iteration
+    fields = [
+        field for field in COMPARED_FIELDS
+        if not field.startswith("block_cache")
+    ]
+    for kernel_id in ORACLE_KERNELS:
+        spec = kernel_by_id(kernel_id)
+        executable = _compile(spec, "i860", strategy)
+        plain = _simulate(executable, spec, scale=0.01)
+        traced = _simulate(executable, spec, scale=0.01, trace=True)
+        oracle = _simulate(
+            executable, spec, scale=0.01, oracle=True, trace=True
+        )
+        assert traced.interpreted < 0.02 * traced.instructions, kernel_id
+        assert traced.cycle_breakdown == oracle.cycle_breakdown, kernel_id
+        for field in fields:
+            expected = getattr(oracle, field)
+            assert getattr(plain, field) == expected, (kernel_id, field)
+            assert getattr(traced, field) == expected, (kernel_id, field)
 
 
 # -- deopt paths --------------------------------------------------------------
@@ -227,6 +290,62 @@ def test_chained_loop_raises_inline():
     reference = _compile_source(DIV_TRAP, warmup=NEVER)
     with pytest.raises(SimulationError, match="integer division by zero"):
         _run_divloop(reference, 50, 30)
+
+
+#: a hot i860 callee that advances the multiplier latches (M1..M3)
+#: and then divides by the product's integer part: a plain segment
+#: whose division guard comes after a latch write
+LATCH_DIV = """
+int divide(int a, double x, double y) {
+  int q;
+  q = x * y;
+  return a / q;
+}
+int divcall(int n, int m) {
+  int s; int i;
+  s = 0;
+  for (i = 0; i < n; i = i + 1) { s = s + divide(100, m - i, 1.0); }
+  return s;
+}
+"""
+
+
+def test_latch_write_then_division_raises_inline(monkeypatch):
+    # a latch lives in machine state, not in a generated-code local, so
+    # a deopt after the write would re-execute it: the guard raises the
+    # interpreter's error inline instead.  Traces stay off (a looping
+    # trace raises inline whatever it wrote)
+    monkeypatch.setattr("repro.sim.simulator.SUPERBLOCK_WARMUP", NEVER)
+    messages = []
+    for warmup in (NEVER, WARMUP):
+        executable = _compile_source(LATCH_DIV, "i860", warmup=warmup)
+        with pytest.raises(SimulationError) as raised:
+            repro.simulate(executable, "divcall", args=(50, 30))
+        messages.append(str(raised.value))
+    jit = executable._segment_jit
+    callee = jit.functions(False)[executable.entry("divide")]
+    assert "tp['m1'] = " in callee[0]._jit_source
+    assert jit.deopts == 0
+    assert messages[1] == messages[0]
+    assert "integer division by zero" in messages[0]
+
+
+def test_mistyped_latch_write_is_refused():
+    # the interpreter stores a latch write's value as it is, so a value
+    # whose static type differs from the latch's stays interpreted (no
+    # machine description has one; the i860's latches are all double)
+    executable = _compile_source(LATCH_DIV, "i860")
+    entry = executable.entry("divide")
+    codegen = _TraceCodegen(
+        executable._segment_jit.translator, [entry],
+        [(entry, [entry], None)], cached=False, plain=True,
+    )
+    instr = executable.instrs[entry]
+    latch = ast.NameRef("m1")
+    codegen._scan_stmt(ast.AssignStmt(latch, ast.FloatLit(2.0)), instr)
+    assert codegen.uses_temporal
+    with pytest.raises(Uncompilable, match="mistyped"):
+        codegen._scan_stmt(ast.AssignStmt(latch, ast.IntLit(2)), instr)
 
 
 def test_deopt_undoes_partial_block_counts():
@@ -319,6 +438,7 @@ def test_jit_inactive_on_the_reference_timing_path():
     executable = _compile_source(HOT_LOOP, warmup=1)
     watched = simulate_oracle(executable, "hot", (100,))
     assert watched.jit_segments == watched.jit_hits == 0
+    assert watched.interpreted == watched.instructions
     assert watched.block_cache_hits == watched.block_cache_misses == 0
     for cache in (False, True):
         plain = _run_hot(executable, 100, cache=cache)
@@ -351,3 +471,4 @@ def test_jit_off_reports_zero_counters():
     result = _run_hot(executable, 100)
     assert result.jit_segments == result.jit_hits == result.jit_deopts == 0
     assert result.jit_active_segments == 0
+    assert result.interpreted == result.instructions

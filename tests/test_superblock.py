@@ -164,9 +164,8 @@ def test_superblock_bit_identical_diamond(target, strategy, monkeypatch):
         assert getattr(segments, field) == getattr(reference, field), field
         assert getattr(traced, field) == getattr(reference, field), field
     assert traced.jit_deopts == 0
-    if target != "i860":  # temporal sub-operations refuse translation
-        assert traced.jit_superblocks > 0
-        assert traced.jit_side_exits > 0
+    assert traced.jit_superblocks > 0
+    assert traced.jit_side_exits > 0
     assert segments.jit_superblocks == 0
     assert segments.jit_side_exits == 0
 
