@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fingerprint the code the compiler emits for the paper's units.
+"""Fingerprint the code the compiler emits for the paper's units, and how it runs.
 
 Compiles the 228 paper units (the five suite programs of Table 3 and the
 fourteen Livermore kernels of Table 4, on every target under every
@@ -8,10 +8,21 @@ maps ``target/strategy/program`` to the sha256 of
 ``format_program(explain=True)``: the listing with every issue cycle and
 stall line, so a change in schedule, allocation or selection shows.
 
+Each unit's digest also covers two engine runs of the unit, one under
+``SimOptions(cache=True, trace=True)`` and then a plain
+``SimOptions(cache=True)`` run that reuses the first run's timing memo:
+suite programs run at their own entry and arguments, Livermore kernels
+run ``bench`` at ``(loop, max(4, int(n * 0.05)))``, the problem size
+``run_kernel`` uses at scale 0.05.  Each run contributes its return
+value, cycles, instructions, loads, stores, cache hits and misses and
+block counts, and the traced run its stall breakdown, so a simulator
+change can show its timing is exact the way a compiler change shows its
+code is byte-identical.
+
 With ``--against FILE`` (an earlier run's output) it lists the units
 whose fingerprint differs, is missing or is new, and exits 1 if there is
-any.  A change meant to keep the emitted code byte-identical runs it on
-both sides::
+any.  A change meant to keep the emitted code and its simulated results
+identical runs it on both sides::
 
     PYTHONPATH=src python scripts/code_fingerprint.py > before.json
     PYTHONPATH=src python scripts/code_fingerprint.py --against before.json
@@ -32,12 +43,50 @@ from repro.workloads import LIVERMORE_KERNELS, PROGRAM_SUITE  # noqa: E402
 
 STRATEGIES = ("postpass", "ips", "rase")
 
+#: Livermore problem-size scale of the simulated runs
+SIM_SCALE = 0.05
 
-def paper_programs() -> list[tuple[str, str]]:
-    """``(name, source)`` for the 19 programs of Tables 3 and 4."""
-    programs = [(p.name, p.source) for p in PROGRAM_SUITE]
-    programs += [(f"K{k.id}", k.source) for k in LIVERMORE_KERNELS]
+
+def paper_programs() -> list[tuple[str, str, str, tuple]]:
+    """``(name, source, entry, args)`` for the 19 programs of Tables 3
+    and 4; the kernels' arguments are scaled by :data:`SIM_SCALE`."""
+    programs = [(p.name, p.source, p.entry, p.args) for p in PROGRAM_SUITE]
+    for spec in LIVERMORE_KERNELS:
+        loop, n = spec.args
+        programs.append(
+            (f"K{spec.id}", spec.source, "bench",
+             (loop, max(4, int(n * SIM_SCALE))))
+        )
     return programs
+
+
+def run_record(result) -> tuple:
+    """The deterministic counts of one engine run."""
+    return (
+        sorted(result.return_value.items()),
+        result.cycles,
+        result.instructions,
+        result.loads,
+        result.stores,
+        result.cache_hits,
+        result.cache_misses,
+        sorted(result.block_counts.items()),
+    )
+
+
+def simulation_record(exe, entry: str, args: tuple) -> str:
+    """A traced and then a plain engine run of one unit, as text."""
+    traced = repro.simulate(
+        exe, entry, args, options=repro.SimOptions(cache=True, trace=True)
+    )
+    plain = repro.simulate(
+        exe, entry, args, options=repro.SimOptions(cache=True)
+    )
+    return repr((
+        run_record(traced),
+        sorted(traced.cycle_breakdown.items()),
+        run_record(plain),
+    ))
 
 
 def fingerprints() -> dict[str, str]:
@@ -46,9 +95,10 @@ def fingerprints() -> dict[str, str]:
         machine = repro.load_target(target)
         for strategy in STRATEGIES:
             options = repro.CompileOptions(strategy=strategy)
-            for name, source in paper_programs():
+            for name, source, entry, args in paper_programs():
                 exe = repro.compile_c(source, machine, options)
                 listing = format_program(exe.machine_program, explain=True)
+                listing += "\n" + simulation_record(exe, entry, args)
                 digest = hashlib.sha256(listing.encode()).hexdigest()
                 out[f"{target}/{strategy}/{name}"] = digest
     return out

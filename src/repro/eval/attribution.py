@@ -1,13 +1,13 @@
 """The report's stall-attribution section.
 
 Answers "where do the cycles go?" per target and strategy: one
-representative Livermore kernel is compiled and simulated under the
-accounting pipeline model (``SimOptions(trace=True)``), and the cycles
-the issue point lost come back attributed to hazard kinds — alongside
-the scheduler's own stall-reason histogram for the same binary (why the
-*static* schedule carries nop slots).  The runs fan out over the same
-fault-tolerant grid as the tables, at a fixed small problem scale so
-the section stays cheap regardless of ``--scale``.
+representative Livermore kernel is compiled and simulated with
+``SimOptions(trace=True)``, and the cycles the issue point lost come
+back attributed to hazard kinds — alongside the scheduler's own
+stall-reason histogram for the same binary (why the *static* schedule
+carries nop slots).  The runs fan out over the same fault-tolerant
+grid as the tables, at a fixed small problem scale so the section
+stays cheap regardless of ``--scale``.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ class KernelRun:
     sched_stall_reasons: dict = field(default_factory=dict)
     sched_nop_slots: int = 0
     #: simulator hazard-kind cycle attribution, filled only when the run
-    #: used the accounting pipeline model (``run_kernel(breakdown=True)``)
+    #: reported it (``run_kernel(breakdown=True)``)
     cycle_breakdown: dict | None = None
 
     @property
@@ -141,12 +141,6 @@ def estimated_cycles_detailed(
     return total, unmatched
 
 
-def estimated_cycles(executable, profile: SimResult) -> int:
-    """Back-compat wrapper around :func:`estimated_cycles_detailed`."""
-    total, _unmatched = estimated_cycles_detailed(executable, profile)
-    return total
-
-
 def kernel_key(
     section: str, target: str, strategy: str, kernel_id: int
 ) -> str:
@@ -164,8 +158,8 @@ def run_kernel(
 ) -> KernelRun:
     """Compile and simulate one Livermore kernel under one strategy.
 
-    ``breakdown=True`` simulates under the accounting pipeline model
-    (``SimOptions(trace=True)``), filling ``KernelRun.cycle_breakdown``.
+    ``breakdown=True`` simulates with ``SimOptions(trace=True)``, so the
+    run reports its stall attribution in ``KernelRun.cycle_breakdown``.
     Table 4's bulk measurement leaves it off; the report's dedicated
     stall-attribution section turns it on.  Either way the run takes
     the simulation engine.

@@ -12,10 +12,9 @@ identifies as the main source of its actual/estimated gap in Table 4).
 from repro.sim.simulator import SimResult, Simulator, run_program
 from repro.sim.blockcache import BlockTimingCache
 from repro.sim.cache import DirectMappedCache
-from repro.sim.pipeline import AccountingPipelineModel, PipelineModel
+from repro.sim.pipeline import PipelineModel
 
 __all__ = [
-    "AccountingPipelineModel",
     "BlockTimingCache",
     "DirectMappedCache",
     "PipelineModel",

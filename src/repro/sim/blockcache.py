@@ -37,7 +37,8 @@ re-derives a key it already knows.
 The *digest* canonicalizes everything :meth:`PipelineModel.issue` and
 :meth:`PipelineModel.transfer` can observe, relative to the entry issue
 cycle: producer ready times (aged out once they can no longer
-interlock), temporal (EAP) producers, resource-ring occupancy at and
+interlock) and the cache-miss stretch an interlock can still charge,
+temporal (EAP) producers, resource-ring occupancy at and
 beyond the issue point, packing-class commitments, the memory-ordering
 watermarks and the branch-redirect floor.  Two states with equal
 digests are indistinguishable to every future issue, so a cached
@@ -45,16 +46,16 @@ digests are indistinguishable to every future issue, so a cached
 steady-state loop iterations reduce to one dictionary probe per block.
 
 On a cache miss the segment is *replayed* through a real
-:class:`AccountingPipelineModel` materialized from the entry digest; the
-data cache is replaced by a scripted stand-in feeding back the hit/miss
+:class:`PipelineModel` materialized from the entry digest; the data
+cache is replaced by a scripted stand-in feeding back the hit/miss
 outcomes the functional side already observed, so the real cache model
-is consulted exactly once per access.  Replaying under the accounting
-model means every record also memoizes the segment's per-hazard-kind
-stall attribution, which is what lets ``SimOptions(trace=True)`` runs
-ride this fast path: a warm trace run sums memoized stall-delta tuples
-instead of attributing every issue.  ``tests/test_block_timing.py``
-holds the fast path bit-identical to the reference interleaved model
-across the whole target × strategy grid.
+is consulted exactly once per access.  The model attributes every cycle
+it charges to a hazard kind, so every record also memoizes the
+segment's per-hazard-kind stall deltas, which is what lets
+``SimOptions(trace=True)`` runs ride this fast path: a warm trace run
+sums memoized stall-delta tuples instead of attributing every issue.
+``tests/test_block_timing.py`` holds the fast path bit-identical to the
+reference interleaved model across the whole target × strategy grid.
 
 The segment JIT (:mod:`repro.sim.jit`) compiles hot segments' functional
 side to flat Python but leaves this timing contract untouched: a
@@ -68,11 +69,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from repro.sim.pipeline import (
-    _RING_MASK,
-    AccountingPipelineModel,
-    PipelineModel,
-)
+from repro.sim.pipeline import _RING_MASK, PipelineModel
 
 #: digest of a pristine pipeline — the state every run starts in
 EMPTY_DIGEST = (0, (), (), (), (), -1, 0)
@@ -132,36 +129,33 @@ def state_digest(model: PipelineModel, max_latency: int) -> tuple:
     """Canonicalize ``model``'s timing state relative to its issue point.
 
     Components that cannot affect any future :meth:`PipelineModel.issue`
-    are normalized away: producers and temporal producers older than
-    ``max_latency``, ring occupancy and packing classes below the issue
-    point, a redirect floor already passed, and memory-ordering
-    watermarks that can no longer delay anything.  Every surviving cycle
-    is encoded relative to ``model.last_issue``.
+    (its cycles or its attribution) are normalized away: producers and
+    temporal producers older than ``max_latency``, the part of a
+    producer's cache-miss stretch no later interlock can reach, ring
+    occupancy and packing classes below the issue point, a redirect
+    floor already passed, and memory-ordering watermarks that can no
+    longer delay anything.  Every surviving cycle is encoded relative to
+    ``model.last_issue``.
     """
     base = model.last_issue
     redirect = model.redirect_floor - base
     if redirect < 0:
         redirect = 0
     horizon = base - max_latency
-    # the accounting model's producer entries carry a third component
-    # (the cache-miss stretch folded into ready, so the stall raise can
-    # be split between miss and latency); it shapes attribution but
-    # never cycles, and once a producer can no longer raise
-    # (``rel <= 0``) it is unobservable — normalized to 0 so plain and
-    # accounting models digest identical steady states identically
-    producers = sorted(
-        (
-            (
-                unit,
-                entry[0] - base,
-                entry[1],
-                entry[2] if len(entry) > 2 and entry[0] > base else 0,
+    # a producer's miss stretch (the third component) shapes attribution
+    # but never cycles: an interlock on the producer raises the issue
+    # point by at most ``rel + max_latency`` and charges the first
+    # ``stretch`` cycles of the raise to the miss, so the stretch is
+    # capped at that raise — steady states that differ only in an old
+    # miss digest identically
+    producers = []
+    for unit, (ready, token, stretch) in model.producers.items():
+        if ready > horizon:
+            rel = ready - base
+            producers.append(
+                (unit, rel, token, min(stretch, rel + max_latency))
             )
-            for unit, entry in model.producers.items()
-            if entry[0] > horizon
-        ),
-        key=itemgetter(0),
-    )
+    producers.sort(key=itemgetter(0))
     temporals = sorted(
         (name, entry[0] - base, entry[1])
         for name, entry in model.temporal_producers.items()
@@ -202,18 +196,10 @@ def load_state(model: PipelineModel, digest: tuple, base: int) -> None:
     redirect, producers, temporals, ring, classes, store, load = digest
     model.last_issue = base
     model.redirect_floor = base + redirect
-    # materialize producer entries in the shape the target model's
-    # ``issue`` unpacks: 3-tuples (with the miss stretch) for the
-    # accounting model, plain 2-tuples otherwise
-    if isinstance(model, AccountingPipelineModel):
-        model.producers = {
-            unit: (base + rel, token, extra)
-            for unit, rel, token, extra in producers
-        }
-    else:
-        model.producers = {
-            unit: (base + rel, token) for unit, rel, token, _extra in producers
-        }
+    model.producers = {
+        unit: (base + rel, token, extra)
+        for unit, rel, token, extra in producers
+    }
     model.temporal_producers = {
         name: (base + rel, mnemonic) for name, rel, mnemonic in temporals
     }
@@ -289,16 +275,11 @@ class BlockTimingCache:
         self.scripted = (
             _ScriptedCache(miss_penalty) if miss_penalty is not None else None
         )
-        # replays run under the *accounting* model so every record also
-        # carries its per-hazard-kind stall deltas — the one-time cost
-        # makes ``SimOptions(trace=True)`` runs eligible for the fast
-        # path (the breakdown is as transition-deterministic as the
-        # cycle delta: both are functions of the replayed issue
-        # sequence).  Accounting state is not part of the digest, so
-        # records are interchangeable with plain-model replays.
-        self.pipeline = AccountingPipelineModel(
-            target, self.scripted, static=static
-        )
+        # every record also carries its per-hazard-kind stall deltas,
+        # which makes ``SimOptions(trace=True)`` runs eligible for the
+        # fast path (the breakdown is as transition-deterministic as the
+        # cycle delta: both are functions of the replayed issue sequence)
+        self.pipeline = PipelineModel(target, self.scripted, static=static)
         self._kind_names = tuple(self.pipeline.kind_cycles)
         self.max_latency = target_max_latency(target)
         self.instrs = instrs
@@ -377,7 +358,7 @@ class BlockTimingCache:
 
     def stall_kinds(self) -> tuple:
         """Hazard-kind names, in the order every record's stall-delta
-        tuple uses (the accounting model's declaration order)."""
+        tuple uses (:data:`~repro.obs.stalls.SIM_STALL_KINDS`)."""
         return self._kind_names
 
     # -- artifact-cache serialization ------------------------------------

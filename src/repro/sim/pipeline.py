@@ -14,6 +14,17 @@ scheduler used — but observed at run time, the way the hardware would:
   latency (delay-slot instructions issue in the gap);
 * data-cache misses stretch a load's result latency.
 
+Every cycle the issue point advances is charged to one hazard kind of
+:data:`repro.obs.stalls.SIM_STALL_KINDS`, so over a whole run
+``sum(cycle_breakdown.values()) == cycles - 1``.  The raises are
+telescoped in program order — branch redirect first, then register
+interlock (split into load-use / fp-advance / cache-miss / plain
+latency), then memory ordering, then the structural scan (split into
+resource and packing-class conflicts).  On a single-issue machine the
+``resource`` kind therefore *includes* plain issue-slot serialization
+(about one cycle per instruction): the issue stage is itself a committed
+resource, which is exactly how the hardware sees it.
+
 This is the simulator's hottest loop (one :meth:`PipelineModel.issue` per
 dynamic instruction), so everything static about an instruction is
 *predecoded* once into a :class:`_Decoded` record — operand register
@@ -28,6 +39,17 @@ from repro.backend.insts import MachineInstr, Reg
 from repro.machine.registers import PhysReg
 from repro.machine.resources import commit, conflicts
 from repro.machine.target import TargetMachine
+from repro.obs.stalls import (
+    BRANCH,
+    CACHE_MISS,
+    FP_ADVANCE,
+    LATENCY_KIND,
+    LOAD_USE,
+    MEMORY_ORDER,
+    PACKING,
+    RESOURCE,
+    SIM_STALL_KINDS,
+)
 from repro.sim.cache import DirectMappedCache
 
 #: per-cycle resource words live in a tagged ring (cycle tag + busy mask),
@@ -72,7 +94,10 @@ class PipelineModel:
         self.cache = cache
         self.last_issue = 0
         self.redirect_floor = 0  # earliest issue after a taken transfer
-        #: unit key -> (producer issue cycle, (mnemonic, produced reg) token)
+        #: unit key -> (ready, (mnemonic, produced reg) token, miss_extra):
+        #: ``ready`` is the producer's issue cycle plus any cache-miss
+        #: stretch, and ``miss_extra`` is that stretch, remembered so an
+        #: interlock can be split between the miss and the latency
         self.producers: dict = {}
         self.temporal_producers: dict[str, tuple[int, str]] = {}
         self.ring_cycle: list[int] = [-1] * _RING
@@ -85,13 +110,21 @@ class PipelineModel:
         #: cycles beyond it cannot conflict, so hazard scans stop there
         self._frontier = -1
         #: instr.id -> _Decoded.  ``static`` lets callers share one decode
-        #: table across model instances (the simulator hoists it to the
-        #: executable so repeated runs stop re-decoding the program); the
-        #: table is only shareable between models of the *same* class —
-        #: the accounting subclass stores a different ``lat_memo`` shape.
+        #: table across model instances of one target (the simulator
+        #: hoists it to the executable, so repeated runs and every
+        #: block-timing replay stop re-decoding the program)
         self._static: dict[int, _Decoded] = {} if static is None else static
         #: producer mnemonic -> latency (temporal reads)
         self._mnemonic_latency: dict[str, int] = {}
+        #: hazard kind -> cycles charged so far, in SIM_STALL_KINDS order
+        self.kind_cycles: dict[str, int] = {
+            kind: 0 for kind in SIM_STALL_KINDS
+        }
+
+    @property
+    def cycle_breakdown(self) -> dict[str, int]:
+        """Stall kind -> attributed cycles (zero entries included)."""
+        return dict(self.kind_cycles)
 
     # -- predecode --------------------------------------------------------------
 
@@ -131,7 +164,7 @@ class PipelineModel:
             (unit_keys(reg), (desc.mnemonic, reg))
             for reg in instr.implicit_defs
         )
-        decoded.lat_memo = {}
+        decoded.lat_memo = {}  # id(token) -> (latency, producer is a load)
         fastpath = desc.vector_fastpath()
         decoded.masks = (
             None
@@ -178,50 +211,76 @@ class PipelineModel:
         decoded = self._static.get(instr.id)
         if decoded is None:
             decoded = self._decode(instr)
+        kind_cycles = self.kind_cycles
         producers = self.producers
         producers_get = producers.get
         ring_cycle = self.ring_cycle
         ring_mask = self.ring_mask
 
-        # operand readiness (register interlock)
+        # branch redirect
         start = self.last_issue
         if self.redirect_floor > start:
+            kind_cycles[BRANCH] += self.redirect_floor - start
             start = self.redirect_floor
+
+        # register interlock
         lat_memo = decoded.lat_memo
         for unit in decoded.use_units:
             producer = producers_get(unit)
             if producer is None:
                 continue
-            p_issue, token = producer
-            latency = lat_memo.get(id(token))
-            if latency is None:
+            ready, token, miss_extra = producer
+            memo = lat_memo.get(id(token))
+            if memo is None:
                 latency = self._latency(token[0], token[1], instr)
-                lat_memo[id(token)] = latency
-            if p_issue + latency > start:
-                start = p_issue + latency
+                producer_desc = self.target.instructions.get(token[0])
+                is_load = bool(
+                    producer_desc is not None and producer_desc.reads_memory
+                )
+                memo = (latency, is_load)
+                lat_memo[id(token)] = memo
+            latency, is_load = memo
+            ready += latency
+            if ready > start:
+                raised = ready - start
+                miss_part = min(raised, miss_extra)
+                if miss_part:
+                    kind_cycles[CACHE_MISS] += miss_part
+                    raised -= miss_part
+                if raised:
+                    kind = LOAD_USE if is_load else LATENCY_KIND
+                    kind_cycles[kind] += raised
+                start = ready
         if decoded.temporal_reads:
+            # temporal (EAP) resources model the i860's explicitly-advanced
+            # fp pipelines, so a wait on one is an fp-advance stall
             for name in decoded.temporal_reads:
                 producer = self.temporal_producers.get(name)
                 if producer is not None:
                     p_issue, p_mnemonic = producer
                     ready = p_issue + self._temporal_latency(p_mnemonic)
                     if ready > start:
+                        kind_cycles[FP_ADVANCE] += ready - start
                         start = ready
 
         # memory ordering
         if decoded.reads_memory and self.last_store_issue >= 0:
             if self.last_store_issue + 1 > start:
+                kind_cycles[MEMORY_ORDER] += self.last_store_issue + 1 - start
                 start = self.last_store_issue + 1
         if decoded.writes_memory:
             if self.last_store_issue + 1 > start:
+                kind_cycles[MEMORY_ORDER] += self.last_store_issue + 1 - start
                 start = self.last_store_issue + 1
             if self.last_load_issue > start:
+                kind_cycles[MEMORY_ORDER] += self.last_load_issue - start
                 start = self.last_load_issue
 
-        # structural hazards + packing classes.  Resources and packing
-        # classes only exist at cycles <= _frontier, so the scan stops the
-        # moment the candidate cycle passes it — the common case (issuing
-        # at the stream frontier) does no dict lookups at all.
+        # structural hazards + packing classes, one attribution per
+        # rejected candidate cycle.  Resources and packing classes only
+        # exist at cycles <= _frontier, so the scan stops the moment the
+        # candidate cycle passes it — the common case (issuing at the
+        # stream frontier) does no dict lookups at all.
         classes = decoded.classes
         cycle_classes = self.cycle_classes
         cycle = start
@@ -234,11 +293,13 @@ class PipelineModel:
                     at = cycle + offset
                     slot = at & _RING_MASK
                     if ring_cycle[slot] == at and ring_mask[slot] & mask:
+                        kind_cycles[RESOURCE] += 1
                         break
                 else:
                     if classes:
                         existing = cycle_classes.get(cycle)
                         if existing is not None and not (existing & classes):
+                            kind_cycles[PACKING] += 1
                             cycle += 1
                             continue
                     break
@@ -256,19 +317,20 @@ class PipelineModel:
         else:
             vector = decoded.vector
             while cycle <= frontier:
-                conflict = False
                 for offset, need in enumerate(vector):
                     at = cycle + offset
                     slot = at & _RING_MASK
                     busy = ring_mask[slot] if ring_cycle[slot] == at else 0
                     if conflicts(busy, need):
-                        conflict = True
+                        kind_cycles[RESOURCE] += 1
                         break
-                if not conflict and classes:
-                    existing = cycle_classes.get(cycle)
-                    if existing is not None and not (existing & classes):
-                        conflict = True
-                if not conflict:
+                else:
+                    if classes:
+                        existing = cycle_classes.get(cycle)
+                        if existing is not None and not (existing & classes):
+                            kind_cycles[PACKING] += 1
+                            cycle += 1
+                            continue
                     break
                 cycle += 1
             last = cycle + len(vector) - 1
@@ -303,14 +365,14 @@ class PipelineModel:
                     if cycle > self.last_load_issue:
                         self.last_load_issue = cycle
 
-        # record produced values (producers store issue cycle; the
+        # record produced values (producers store their ready cycle; the
         # consumer adds the pair latency at use)
         for units, token in decoded.def_entries:
-            entry = (cycle + extra_latency, token)
+            entry = (cycle + extra_latency, token, extra_latency)
             for unit in units:
                 producers[unit] = entry
         for units, token in decoded.implicit_defs:
-            entry = (cycle, token)
+            entry = (cycle, token, 0)
             for unit in units:
                 producers[unit] = entry
         if decoded.temporal_writes:
@@ -341,231 +403,3 @@ class PipelineModel:
     @property
     def cycles(self) -> int:
         return self.last_issue + 1
-
-
-class AccountingPipelineModel(PipelineModel):
-    """A :class:`PipelineModel` that attributes every cycle of issue-point
-    advance to a hazard kind (``SimOptions(trace=True)`` selects it).
-
-    The accounting identity: each :meth:`issue` call charges exactly
-    ``issue_cycle - last_issue`` cycles across the kinds in
-    :data:`repro.obs.stalls.SIM_STALL_KINDS`, so over a whole run
-    ``sum(cycle_breakdown.values()) == cycles - 1``.  The raises are
-    telescoped in program order — branch redirect first, then register
-    interlock (split into load-use / fp-advance / cache-miss / plain
-    latency), then memory ordering, then the structural scan (split into
-    resource and packing-class conflicts).  On a single-issue machine the
-    ``resource`` kind therefore *includes* plain issue-slot serialization
-    (about one cycle per instruction): the issue stage is itself a
-    committed resource, which is exactly how the hardware sees it.
-
-    This is a full override of the hot path so the default model pays
-    nothing for the bookkeeping; ``test_pipeline_accounting`` keeps the
-    two models' timing in lock-step.
-    """
-
-    def __init__(
-        self,
-        target: TargetMachine,
-        cache: DirectMappedCache | None = None,
-        static: dict | None = None,
-    ):
-        super().__init__(target, cache, static)
-        from repro.obs import stalls as _stalls
-
-        self._kinds = _stalls
-        self.kind_cycles: dict[str, int] = {
-            kind: 0 for kind in _stalls.SIM_STALL_KINDS
-        }
-
-    @property
-    def cycle_breakdown(self) -> dict[str, int]:
-        """Stall kind -> attributed cycles (zero entries included)."""
-        return dict(self.kind_cycles)
-
-    def issue(self, instr: MachineInstr, mem_log) -> int:
-        decoded = self._static.get(instr.id)
-        if decoded is None:
-            decoded = self._decode(instr)
-        kinds = self._kinds
-        kind_cycles = self.kind_cycles
-        producers = self.producers
-        producers_get = producers.get
-        ring_cycle = self.ring_cycle
-        ring_mask = self.ring_mask
-
-        # branch redirect
-        start = self.last_issue
-        if self.redirect_floor > start:
-            kind_cycles[kinds.BRANCH] += self.redirect_floor - start
-            start = self.redirect_floor
-
-        # register interlock.  Producer entries here are 3-tuples
-        # (ready, token, miss_extra): miss_extra is the cache-miss stretch
-        # folded into ready, remembered so the raise can be split between
-        # the miss and the underlying latency.
-        lat_memo = decoded.lat_memo
-        for unit in decoded.use_units:
-            producer = producers_get(unit)
-            if producer is None:
-                continue
-            ready, token, miss_extra = producer
-            memo = lat_memo.get(id(token))
-            if memo is None:
-                latency = self._latency(token[0], token[1], instr)
-                producer_desc = self.target.instructions.get(token[0])
-                is_load = bool(
-                    producer_desc is not None and producer_desc.reads_memory
-                )
-                memo = (latency, is_load)
-                lat_memo[id(token)] = memo
-            latency, is_load = memo
-            ready += latency
-            if ready > start:
-                raised = ready - start
-                miss_part = min(raised, miss_extra)
-                if miss_part:
-                    kind_cycles[kinds.CACHE_MISS] += miss_part
-                    raised -= miss_part
-                if raised:
-                    kind_cycles[
-                        kinds.LOAD_USE if is_load else kinds.LATENCY_KIND
-                    ] += raised
-                start = ready
-        if decoded.temporal_reads:
-            # temporal (EAP) resources model the i860's explicitly-advanced
-            # fp pipelines, so a wait on one is an fp-advance stall
-            for name in decoded.temporal_reads:
-                producer = self.temporal_producers.get(name)
-                if producer is not None:
-                    p_issue, p_mnemonic = producer
-                    ready = p_issue + self._temporal_latency(p_mnemonic)
-                    if ready > start:
-                        kind_cycles[kinds.FP_ADVANCE] += ready - start
-                        start = ready
-
-        # memory ordering
-        if decoded.reads_memory and self.last_store_issue >= 0:
-            if self.last_store_issue + 1 > start:
-                kind_cycles[kinds.MEMORY_ORDER] += (
-                    self.last_store_issue + 1 - start
-                )
-                start = self.last_store_issue + 1
-        if decoded.writes_memory:
-            if self.last_store_issue + 1 > start:
-                kind_cycles[kinds.MEMORY_ORDER] += (
-                    self.last_store_issue + 1 - start
-                )
-                start = self.last_store_issue + 1
-            if self.last_load_issue > start:
-                kind_cycles[kinds.MEMORY_ORDER] += self.last_load_issue - start
-                start = self.last_load_issue
-
-        # structural hazards + packing classes, one attribution per
-        # rejected candidate cycle
-        classes = decoded.classes
-        cycle_classes = self.cycle_classes
-        cycle = start
-        frontier = self._frontier
-        masks = decoded.masks
-        if masks is not None:
-            while cycle <= frontier:
-                blocked = False
-                for offset, mask in masks:
-                    at = cycle + offset
-                    slot = at & _RING_MASK
-                    if ring_cycle[slot] == at and ring_mask[slot] & mask:
-                        blocked = True
-                        break
-                if blocked:
-                    kind_cycles[kinds.RESOURCE] += 1
-                    cycle += 1
-                    continue
-                if classes:
-                    existing = cycle_classes.get(cycle)
-                    if existing is not None and not (existing & classes):
-                        kind_cycles[kinds.PACKING] += 1
-                        cycle += 1
-                        continue
-                break
-            last = cycle
-            for offset, mask in masks:
-                at = cycle + offset
-                slot = at & _RING_MASK
-                if ring_cycle[slot] == at:
-                    ring_mask[slot] |= mask
-                else:
-                    ring_cycle[slot] = at
-                    ring_mask[slot] = mask
-                last = at
-        else:
-            vector = decoded.vector
-            while cycle <= frontier:
-                blocked = False
-                for offset, need in enumerate(vector):
-                    at = cycle + offset
-                    slot = at & _RING_MASK
-                    busy = ring_mask[slot] if ring_cycle[slot] == at else 0
-                    if conflicts(busy, need):
-                        blocked = True
-                        break
-                if blocked:
-                    kind_cycles[kinds.RESOURCE] += 1
-                    cycle += 1
-                    continue
-                if classes:
-                    existing = cycle_classes.get(cycle)
-                    if existing is not None and not (existing & classes):
-                        kind_cycles[kinds.PACKING] += 1
-                        cycle += 1
-                        continue
-                break
-            last = cycle + len(vector) - 1
-            for offset, need in enumerate(vector):
-                at = cycle + offset
-                slot = at & _RING_MASK
-                busy = ring_mask[slot] if ring_cycle[slot] == at else 0
-                ring_cycle[slot] = at
-                ring_mask[slot] = commit(busy, need)
-        if classes:
-            existing = cycle_classes.get(cycle)
-            cycle_classes[cycle] = (
-                classes if existing is None else existing & classes
-            )
-        if last < cycle:
-            last = cycle
-        if last > frontier:
-            self._frontier = last
-
-        # memory + cache effects
-        extra_latency = 0
-        if mem_log:
-            cache = self.cache
-            for address, is_write, _size in mem_log:
-                if cache is not None and not cache.access(address):
-                    if not is_write:
-                        extra_latency += cache.miss_penalty
-                if is_write:
-                    if cycle > self.last_store_issue:
-                        self.last_store_issue = cycle
-                else:
-                    if cycle > self.last_load_issue:
-                        self.last_load_issue = cycle
-
-        for units, token in decoded.def_entries:
-            entry = (cycle + extra_latency, token, extra_latency)
-            for unit in units:
-                producers[unit] = entry
-        for units, token in decoded.implicit_defs:
-            entry = (cycle, token, 0)
-            for unit in units:
-                producers[unit] = entry
-        if decoded.temporal_writes:
-            mnemonic = decoded.mnemonic
-            for name in decoded.temporal_writes:
-                self.temporal_producers[name] = (cycle, mnemonic)
-
-        self.last_issue = cycle
-        if cycle - self._horizon > 256:
-            self._prune(cycle)
-        return cycle

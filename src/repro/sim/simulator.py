@@ -20,7 +20,7 @@ from repro.sim.blockcache import SEGMENT_CAP, BlockTimingCache, decode_blocks
 from repro.sim.cache import DirectMappedCache
 from repro.sim.executor import SemanticsCompiler
 from repro.sim.jit import SUPERBLOCK_WARMUP, JitDeopt, SegmentJIT
-from repro.sim.pipeline import AccountingPipelineModel, PipelineModel
+from repro.sim.pipeline import PipelineModel
 from repro.sim.state import MachineState
 
 _HALT = -1
@@ -84,8 +84,8 @@ _EMPTY_TRANSITIONS: dict = {}
 def _cold_tables(entry, end, transfer, _empty=_EMPTY_TRANSITIONS):
     """Transition-table accessor handed to generated code on
     ``trace=True`` runs: every inline probe misses into a shared empty
-    table, so each boundary takes the (accounting) ``close()`` path —
-    same memo, same records, bit-identical cycles."""
+    table, so each boundary takes the stall-accumulating ``close()``
+    path — same memo, same records, bit-identical cycles."""
     return _empty
 
 
@@ -160,12 +160,6 @@ class SimResult:
             return 0
         return sum(self.cycle_breakdown.values())
 
-    @property
-    def dilation(self) -> float:
-        """Instructions executed per instruction generated — set by callers
-        that know the static code size (Table 3)."""
-        return getattr(self, "_dilation", 0.0)
-
 
 #: ``SimResult`` field -> the trace counter :meth:`Simulator.run` adds
 #: it to (``cycle_breakdown`` adds ``sim.stall.<kind>`` besides)
@@ -233,14 +227,12 @@ class Simulator:
             decoded = (closures, block_of, block_starts)
             executable._sim_decode = decoded
         self.closures, self.block_of, self._block_starts = decoded
-        # the pipeline decode tables are likewise per-program: one dict
-        # for the base model (shared with the block-timing replay model)
-        # and one for the accounting model, whose latency memo stores a
-        # different shape — sharing them across runs stops every new
-        # Simulator/_run from re-decoding the whole program
+        # the pipeline decode table is likewise per-program, shared by
+        # every reference run and block-timing replay model, so no new
+        # Simulator/_run re-decodes the whole program
         pipe_static = getattr(executable, "_pipe_static", None)
         if pipe_static is None:
-            pipe_static = ({}, {})
+            pipe_static = {}
             executable._pipe_static = pipe_static
         self._pipe_static = pipe_static
 
@@ -402,7 +394,7 @@ class Simulator:
                 self.target,
                 self.executable.instrs,
                 key,
-                static=self._pipe_static[1],
+                static=self._pipe_static,
             )
             artifact_key = self._artifact_key("timing", repr(key))
             if artifact_key is not None:
@@ -430,16 +422,11 @@ class Simulator:
         cwvm = self.target.cwvm
         if cache is not None:
             cache.reset()
-        if not options.model_timing:
-            pipeline = None
-        elif options.trace:
-            pipeline = AccountingPipelineModel(
-                self.target, cache, static=self._pipe_static[1]
-            )
-        else:
-            pipeline = PipelineModel(
-                self.target, cache, static=self._pipe_static[0]
-            )
+        pipeline = (
+            PipelineModel(self.target, cache, static=self._pipe_static)
+            if options.model_timing
+            else None
+        )
 
         pc = exe.entry(function)
         executed = 0
@@ -503,9 +490,7 @@ class Simulator:
 
             kind = effect[0]
             if kind == "goto":
-                target_pc = self._execute_delay_slots(
-                    instr, pc, state, pipeline, block_counts
-                )
+                self._execute_delay_slots(instr, pc, state, pipeline)
                 executed += abs(instr.desc.slots)
                 if pipeline:
                     pipeline.transfer(instr, issue_cycle)
@@ -535,9 +520,7 @@ class Simulator:
                         cycle=pipeline.cycles if pipeline else executed,
                     )
             elif kind == "ret":
-                target_pc = self._execute_delay_slots(
-                    instr, pc, state, pipeline, block_counts
-                )
+                self._execute_delay_slots(instr, pc, state, pipeline)
                 executed += abs(instr.desc.slots)
                 if pipeline:
                     pipeline.transfer(instr, issue_cycle)
@@ -565,7 +548,7 @@ class Simulator:
             block_counts=block_counts,
             cycle_breakdown=(
                 pipeline.cycle_breakdown
-                if isinstance(pipeline, AccountingPipelineModel)
+                if pipeline is not None and options.trace
                 else None
             ),
         )
@@ -1026,7 +1009,7 @@ class Simulator:
         return result
 
     def _execute_delay_slots(
-        self, instr: MachineInstr, pc: int, state, pipeline, block_counts
+        self, instr: MachineInstr, pc: int, state, pipeline
     ) -> None:
         """Execute the delay-slot instructions following a taken transfer.
 
@@ -1046,7 +1029,6 @@ class Simulator:
                 )
             if pipeline:
                 pipeline.issue(self.executable.instrs[slot_pc], mem_log)
-        return None
 
     def _read_result(self, state: MachineState):
         # probe both result registers; the caller knows which one is real

@@ -266,6 +266,38 @@ def test_equal_digests_predict_equal_futures(toyp):
     assert c_model == c_clone
 
 
+def test_digest_keeps_a_miss_stretch_a_use_can_still_wait_on(r2000):
+    """Equal futures include the attribution: an R2000 ``lw`` misses at
+    cycle 0 (ready at 20), a ``div.d`` and an ``add.d`` on its result
+    carry the issue point to cycle 20, and the load's use two cycles
+    later is charged to the miss both by the continuous model and by a
+    model materialized from the digest taken at cycle 20."""
+    max_latency = target_max_latency(r2000)
+    gpr = lambda n: Reg(PhysReg("r", n))  # noqa: E731
+    fpr = lambda n: Reg(PhysReg("d", n))  # noqa: E731
+    model = PipelineModel(r2000, DirectMappedCache(miss_penalty=20))
+    head = (
+        (instr(r2000, "lw", gpr(8), gpr(30), Imm(0)), [(8192, False, 4)]),
+        (instr(r2000, "div.d", fpr(1), fpr(2), fpr(3)), []),
+        (instr(r2000, "add.d", fpr(4), fpr(1), fpr(1)), []),
+    )
+    assert [model.issue(*step) for step in head] == [0, 1, 20]
+    digest = state_digest(model, max_latency)
+    use = instr(r2000, "addiu", gpr(9), gpr(8), Imm(1))
+    before = dict(model.kind_cycles)
+    assert model.issue(use, []) == 22
+    continuous = {
+        kind: cycles - before[kind]
+        for kind, cycles in model.kind_cycles.items()
+        if cycles != before[kind]
+    }
+    assert continuous == {"cache_miss": 2}
+    clone = PipelineModel(r2000)
+    load_state(clone, digest, 100)
+    assert clone.issue(use, []) == 102
+    assert {k: v for k, v in clone.cycle_breakdown.items() if v} == continuous
+
+
 def test_table_backstop_caps_admissions(toyp):
     cache = BlockTimingCache(toyp, [], None)
     # pretend the memo is already at capacity (the backstop counts

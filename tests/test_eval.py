@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval.common import estimated_cycles, run_kernel
+from repro.eval.common import run_kernel
 from repro.eval.figure7 import dual_operation_count, figure7
 from repro.eval.table1 import description_stats, table1
 from repro.eval.table2 import phase_sizes, table2

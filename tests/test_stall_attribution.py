@@ -1,10 +1,11 @@
 """Stall attribution: both conservation identities, per target.
 
 The scheduler classifies every nop slot it commits with a reason code,
-and the accounting pipeline model charges every cycle the issue point
-advances to a hazard kind.  Both taxonomies are conserved by
-construction; these tests pin the identities on hand-built hazard
-kernels and on real compiled code across all targets.
+and the pipeline model charges every cycle the issue point advances to
+a hazard kind (``SimOptions(trace=True)`` reports the breakdown).  Both
+taxonomies are conserved by construction; these tests pin the
+identities on hand-built hazard kernels and on real compiled code
+across all targets.
 """
 
 import pytest
@@ -102,7 +103,8 @@ def test_cycle_breakdown_conservation(target):
 
 @pytest.mark.parametrize("target", ["toyp", "r2000", "m88000", "i860"])
 def test_accounting_model_matches_base_model(target):
-    """trace=True must not change what the simulation computes."""
+    """A ``trace=True`` engine run computes what a plain one does; only
+    the plain run leaves the breakdown out."""
     exe = _compile(target)
     base = repro.simulate(exe, "f", (40,))
     acct = repro.simulate(
