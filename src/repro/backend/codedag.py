@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.backend.insts import MachineInstr, Reg
-from repro.backend.liveness import entity_keys
+from repro.backend.liveness import register_keys
 from repro.machine.target import TargetMachine
 
 
@@ -137,12 +137,11 @@ def build_code_dag(
         desc = instr.desc
 
         # --- type 1: true dependences on registers ---
-        for reg in instr.uses():
-            for key in entity_keys(reg, registers):
-                producer = last_def.get(key)
-                if producer is not None:
-                    add_edge(producer, node, _true_latency(producer, node, target), 1)
-                uses_since_def.setdefault(key, []).append(node)
+        for key in register_keys(instr.uses(), registers):
+            producer = last_def.get(key)
+            if producer is not None:
+                add_edge(producer, node, _true_latency(producer, node, target), 1)
+            uses_since_def.setdefault(key, []).append(node)
 
         # --- type 1 temporal: true dependences through temporal registers ---
         for name in desc.temporal_reads:
@@ -174,16 +173,15 @@ def build_code_dag(
             loads_since_store = []
 
         # --- type 3: anti- and output-dependences ---
-        for reg in instr.defs():
-            for key in entity_keys(reg, registers):
-                if include_anti:
-                    for user in uses_since_def.get(key, ()):
-                        add_edge(user, node, 0, 3)
-                    producer = last_def.get(key)
-                    if producer is not None:
-                        add_edge(producer, node, 1, 3)
-                last_def[key] = node
-                uses_since_def[key] = []
+        for key in register_keys(instr.defs(), registers):
+            if include_anti:
+                for user in uses_since_def.get(key, ()):
+                    add_edge(user, node, 0, 3)
+                producer = last_def.get(key)
+                if producer is not None:
+                    add_edge(producer, node, 1, 3)
+            last_def[key] = node
+            uses_since_def[key] = []
         # temporal registers: order writers (output dependence per register)
         for name in desc.temporal_writes:
             producer = temporal_writer.get(name)
@@ -228,10 +226,12 @@ def _add_protection_edges(dag: CodeDag, add_edge) -> None:
     non-backtracking scheduler cannot deadlock (figure 6).  An ancestor
     the head already reaches gets no edge, which would close a cycle.
 
-    The head's descendants are collected once per node x: every edge added
-    for x ends at the head and starts outside them, so they stay the same.
-    An edge added for another head can change them, so they are collected
-    again for the next node.
+    One walk per node x covers the sources y of all its alternate
+    entries, and the head's descendants are collected once per x: every
+    edge added for x ends at the head and starts outside them, so neither
+    the ancestors the walk finds nor the descendants change while it
+    runs.  An edge added for another head can change them, so both are
+    found again for the next node.
     """
     if not dag.target.clocks:
         return  # no explicitly advanced pipelines, so no temporal edges
@@ -246,8 +246,6 @@ def _add_protection_edges(dag: CodeDag, add_edge) -> None:
             ]
             if not incoming_temporal:
                 continue  # node is a head or not in a sequence for this clock
-            sequence = None
-            head = None
             alternates = [
                 e for e in node.preds if not (e.is_temporal and e.clock == clock)
             ]
@@ -259,16 +257,15 @@ def _add_protection_edges(dag: CodeDag, add_edge) -> None:
                 members_cache[key] = dag.sequence_of(head, clock)
             sequence = members_cache[key]
             below = None  # the head's descendants, collected on first need
-            for entry in alternates:
-                for ancestor in _ancestors_inclusive(entry.src):
-                    if ancestor in sequence:
-                        continue
-                    if ancestor.instr.desc.affects_clock != clock:
-                        continue
-                    if below is None:
-                        below = _descendants_inclusive(head)
-                    if ancestor not in below:
-                        add_edge(ancestor, head, 0, 4)
+            for ancestor in _ancestors_inclusive(*(e.src for e in alternates)):
+                if ancestor in sequence:
+                    continue
+                if ancestor.instr.desc.affects_clock != clock:
+                    continue
+                if below is None:
+                    below = _descendants_inclusive(head)
+                if ancestor not in below:
+                    add_edge(ancestor, head, 0, 4)
 
 
 def _descendants_inclusive(node: DagNode) -> set[DagNode]:
@@ -282,16 +279,22 @@ def _descendants_inclusive(node: DagNode) -> set[DagNode]:
     return seen
 
 
-def _ancestors_inclusive(node: DagNode):
-    seen = {id(node)}
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for edge in current.preds:
-            if id(edge.src) not in seen:
-                seen.add(id(edge.src))
-                stack.append(edge.src)
+def _ancestors_inclusive(*starts: DagNode):
+    """Every node that reaches one of ``starts``, the starts included,
+    each once: a depth-first walk from each start in turn."""
+    seen: set[DagNode] = set()
+    for start in starts:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        while stack:
+            current = stack.pop()
+            yield current
+            for edge in current.preds:
+                if edge.src not in seen:
+                    seen.add(edge.src)
+                    stack.append(edge.src)
 
 
 def _compute_priorities(dag: CodeDag) -> None:

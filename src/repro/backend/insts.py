@@ -29,10 +29,6 @@ class Reg:
     def __str__(self) -> str:
         return str(self.reg)
 
-    @property
-    def is_physical(self) -> bool:
-        return isinstance(self.reg, PhysReg)
-
 
 @dataclass(frozen=True)
 class Imm:
@@ -97,11 +93,6 @@ class MachineInstr:
         # their register (e.g. the r[0] source of the TOYP move)
         out.extend(self.implicit_uses)
         return out
-
-    def reg_operand_positions(self) -> list[int]:
-        return [
-            i for i, op in enumerate(self.operands) if isinstance(op, Reg)
-        ]
 
     def rewrite_reg(self, index: int, reg) -> None:
         self.operands[index] = Reg(reg)

@@ -39,21 +39,6 @@ class InterferenceGraph:
             self.unit_conflicts[pseudo.id] = set()
             self.spill_cost[pseudo.id] = 0.0
 
-    def add_edge(self, a: PseudoReg, b: PseudoReg) -> None:
-        if a.id == b.id:
-            return
-        self.ensure(a)
-        self.ensure(b)
-        self.adjacency[a.id].add(b.id)
-        self.adjacency[b.id].add(a.id)
-
-    def add_unit_conflict(self, pseudo: PseudoReg, unit_key) -> None:
-        self.ensure(pseudo)
-        self.unit_conflicts[pseudo.id].add(unit_key)
-
-    def degree(self, pseudo_id: int) -> int:
-        return len(self.adjacency[pseudo_id])
-
     def neighbors(self, pseudo_id: int) -> set[int]:
         return self.adjacency[pseudo_id]
 
@@ -64,71 +49,70 @@ def build_interference(
     """Build the interference graph from the instruction order presented
     (Chaitin): each definition interferes with everything live after it,
     except a move's source; spill costs accumulate 10^loop-depth per
-    occurrence."""
+    occurrence.  Each instruction's registers and keys are the ones
+    ``liveness`` computed for the same, unchanged, instructions."""
     graph = InterferenceGraph()
 
-    # make sure every pseudo is present even if it never interferes
+    # every pseudo an instruction names, so each live pseudo key has a node
     for pseudo in fn.pseudo_registers():
         graph.ensure(pseudo)
+    adjacency = graph.adjacency
+    unit_conflicts = graph.unit_conflicts
+    spill_cost = graph.spill_cost
 
     for block in fn.blocks:
         weight = 10.0 ** min(block.loop_depth, 5)
         live_after = set(liveness.live_out[block.label])
         moves: list[tuple[int, int]] = []  # the block's move pairs, last first
-        for instr in reversed(block.instrs):
+        for instr, (uses, defs, use_keys, def_keys) in zip(
+            reversed(block.instrs), reversed(liveness.effects[block.label])
+        ):
             # spill cost accounting
-            uses = instr.uses()
             for reg in uses:
                 if isinstance(reg, PseudoReg):
-                    graph.ensure(reg)
-                    graph.spill_cost[reg.id] += weight
-            move_source_key = None
+                    spill_cost[reg.id] += weight
+            move_source_key = ()
             if instr.desc.is_move and len(instr.desc.use_operands) == 1:
                 source = instr.operands[instr.desc.use_operands[0]]
                 if isinstance(source, Reg):
-                    keys = entity_keys(source.reg, registers)
-                    move_source_key = set(keys)
+                    move_source_key = entity_keys(source.reg, registers)
 
-            killed: set = set()
-            for reg in instr.defs():
+            for reg in defs:
                 if isinstance(reg, PseudoReg):
-                    graph.ensure(reg)
-                    graph.spill_cost[reg.id] += weight
-                    def_keys = {("p", reg.id)}
+                    spill_cost[reg.id] += weight
+                    own = ("p", reg.id)
+                    neighbors = adjacency[reg.id]
+                    conflicts = unit_conflicts[reg.id]
+                    for key in live_after:
+                        if key == own or key in move_source_key:
+                            continue
+                        if key[0] != "p":
+                            conflicts.add(key)
+                        elif key[1] in adjacency:
+                            neighbors.add(key[1])
+                            adjacency[key[1]].add(reg.id)
                 else:
-                    def_keys = set(entity_keys(reg, registers))
-                killed |= def_keys
-                excluded = move_source_key or set()
-                for key in live_after:
-                    if key in def_keys or key in excluded:
-                        continue
-                    _record_conflict(graph, def_keys, key, reg, registers)
+                    # a physical definition makes its units hostile to
+                    # live pseudos
+                    units = registers.unit_keys(reg)
+                    for key in live_after:
+                        if (
+                            key[0] == "p"
+                            and key[1] in unit_conflicts
+                            and key not in move_source_key
+                        ):
+                            unit_conflicts[key[1]].update(units)
 
-            if instr.desc.is_move and move_source_key is not None:
-                defs = instr.defs()
-                if len(defs) == 1 and isinstance(defs[0], PseudoReg):
-                    for key in move_source_key:
-                        if key[0] == "p":
-                            moves.append(tuple(sorted((defs[0].id, key[1]))))
+            if (
+                move_source_key
+                and len(defs) == 1
+                and isinstance(defs[0], PseudoReg)
+            ):
+                for key in move_source_key:
+                    if key[0] == "p":
+                        moves.append(tuple(sorted((defs[0].id, key[1]))))
             # step back over the instruction: the live set before it
-            live_after -= killed
-            for reg in uses:
-                live_after.update(entity_keys(reg, registers))
+            live_after.difference_update(def_keys)
+            live_after.update(use_keys)
         graph.move_pairs.update(reversed(moves))
     return graph
-
-
-def _record_conflict(graph, def_keys, live_key, def_reg, registers) -> None:
-    if isinstance(def_reg, PseudoReg):
-        if live_key[0] == "p":
-            other = graph.pseudos.get(live_key[1])
-            if other is not None:
-                graph.add_edge(def_reg, other)
-        else:
-            graph.add_unit_conflict(def_reg, live_key)
-    elif live_key[0] == "p":
-        # a physical definition makes its units hostile to live pseudos
-        other = graph.pseudos.get(live_key[1])
-        if other is not None:
-            for unit in def_keys:
-                graph.add_unit_conflict(other, unit)

@@ -30,28 +30,46 @@ class LivenessInfo:
     live_out: dict[str, set] = field(default_factory=dict)
     #: pseudo ids live across at least one call site
     live_across_call: set[int] = field(default_factory=set)
+    #: block label -> one ``(uses, defs, use_keys, def_keys)`` per
+    #: instruction, in block order: the registers it reads and writes and
+    #: their keys.  They hold while the instructions are unchanged, so
+    #: interference built right after liveness reads them from here.
+    effects: dict[str, list[tuple]] = field(default_factory=dict)
+
+
+def register_keys(regs: list, registers: RegisterModel) -> list:
+    """:func:`entity_keys` of each register in ``regs``, in order, as one
+    list."""
+    keys = []
+    for reg in regs:
+        if isinstance(reg, PseudoReg):
+            keys.append(("p", reg.id))
+        else:
+            keys.extend(registers.unit_keys(reg))
+    return keys
 
 
 def compute_liveness(fn: MFunction, registers: RegisterModel) -> LivenessInfo:
     """Backward dataflow fixpoint over the CFG."""
+    info = LivenessInfo()
     use_sets: dict[str, set] = {}
     def_sets: dict[str, set] = {}
     for block in fn.blocks:
         uses: set = set()
         defs: set = set()
+        effects = info.effects[block.label] = []
         for instr in block.instrs:
-            for reg in instr.uses():
-                for key in entity_keys(reg, registers):
-                    if key not in defs:
-                        uses.add(key)
-            for reg in instr.defs():
-                for key in entity_keys(reg, registers):
-                    defs.add(key)
+            instr_uses = instr.uses()
+            instr_defs = instr.defs()
+            use_keys = register_keys(instr_uses, registers)
+            def_keys = register_keys(instr_defs, registers)
+            effects.append((instr_uses, instr_defs, use_keys, def_keys))
+            for key in use_keys:
+                if key not in defs:
+                    uses.add(key)
+            defs.update(def_keys)
         use_sets[block.label] = uses
         def_sets[block.label] = defs
-
-    info = LivenessInfo()
-    for block in fn.blocks:
         info.live_in[block.label] = set()
         info.live_out[block.label] = set()
 
@@ -75,21 +93,13 @@ def compute_liveness(fn: MFunction, registers: RegisterModel) -> LivenessInfo:
     # set is for spill-cost shaping and diagnostics)
     for block in fn.blocks:
         live = set(info.live_out[block.label])
-        for instr in reversed(block.instrs):
-            def_keys = {
-                key
-                for reg in instr.defs()
-                for key in entity_keys(reg, registers)
-            }
-            use_keys = {
-                key
-                for reg in instr.uses()
-                for key in entity_keys(reg, registers)
-            }
+        for instr, (_, _, use_keys, def_keys) in zip(
+            reversed(block.instrs), reversed(info.effects[block.label])
+        ):
+            live.difference_update(def_keys)  # live through the instruction
             if instr.is_call:
-                after = live - def_keys  # live through the call
-                for key in after:
+                for key in live:
                     if key[0] == "p":
                         info.live_across_call.add(key[1])
-            live = (live - def_keys) | use_keys
+            live.update(use_keys)
     return info

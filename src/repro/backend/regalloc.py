@@ -12,6 +12,7 @@ in schedule-estimate-weighted costs, Postpass/IPS use the classic
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -106,39 +107,14 @@ class GraphColoringAllocator:
     ):
         registers = self.target.registers
         cwvm = self.target.cwvm
-        work = dict(graph.adjacency)  # id -> neighbor set (mutated)
-        degrees = {pid: len(neigh) for pid, neigh in work.items()}
-        stack: list[int] = []
-        remaining = set(work)
         # each pseudo's register set, and its K: the set's allocable count
         wanted = {
             pid: pseudo.set_name or cwvm.general.get(pseudo.type)
             for pid, pseudo in graph.pseudos.items()
         }
         set_sizes = Counter(r.set_name for r in cwvm.allocable)
-        k = {pid: max(1, set_sizes[wanted[pid]]) for pid in work}
-
-        def cost_of(pid: int) -> float:
-            # spill temporaries must not be re-spilled: infinite cost
-            if pid in self._spill_temp_ids:
-                return float("inf")
-            return self.cost_overrides.get(pid, graph.spill_cost[pid])
-
-        while remaining:
-            simplifiable = [pid for pid in remaining if degrees[pid] < k[pid]]
-            if simplifiable:
-                pid = min(simplifiable, key=lambda p: (degrees[p], p))
-            else:
-                # optimistic push of the cheapest spill candidate
-                pid = min(
-                    remaining,
-                    key=lambda p: (cost_of(p) / max(1, degrees[p]), p),
-                )
-            stack.append(pid)
-            remaining.discard(pid)
-            for neighbor in work[pid]:
-                if neighbor in remaining:
-                    degrees[neighbor] -= 1
+        k = {pid: max(1, set_sizes[wanted[pid]]) for pid in graph.adjacency}
+        stack = self._simplify(graph, k)
 
         # move partners in ``move_pairs`` order, so the first legal one wins
         partners: dict[int, list[int]] = {}
@@ -157,9 +133,7 @@ class GraphColoringAllocator:
             for neighbor in graph.adjacency[pid]:
                 reg = assignment.get(neighbor)
                 if reg is not None:
-                    forbidden.update(
-                        ("u",) + unit for unit in registers.units_of(reg)
-                    )
+                    forbidden.update(registers.unit_keys(reg))
             live_across = pid in liveness.live_across_call
             chosen = None
             # prefer the move partner's register when it is legal
@@ -169,8 +143,7 @@ class GraphColoringAllocator:
                     continue
                 if reg not in allocable:
                     continue
-                units = {("u",) + unit for unit in registers.units_of(reg)}
-                if not (units & forbidden):
+                if forbidden.isdisjoint(registers.unit_keys(reg)):
                     chosen = reg
                     break
             if chosen is None:
@@ -178,8 +151,7 @@ class GraphColoringAllocator:
                 if key not in ordered:
                     ordered[key] = self._candidates(pseudo, live_across)
                 for reg in ordered[key]:
-                    units = {("u",) + unit for unit in registers.units_of(reg)}
-                    if not (units & forbidden):
+                    if forbidden.isdisjoint(registers.unit_keys(reg)):
                         chosen = reg
                         break
             if chosen is None:
@@ -199,6 +171,57 @@ class GraphColoringAllocator:
             else:
                 assignment[pid] = chosen
         return assignment, spilled
+
+    def _simplify(self, graph: InterferenceGraph, k: dict[int, int]) -> list[int]:
+        """The simplify stack, bottom first: each step removes the pseudo
+        with the least (degree, id) among those whose degree is below
+        their K, or, when there is none, the optimistic spill candidate
+        with the least (cost / degree, id).
+
+        The candidates sit in a heap with one entry per degree a pseudo
+        has had below its K.  Degrees only fall, so a pseudo's newest
+        entry is its smallest and pops first: the first popped entry of a
+        pseudo still present is its current degree, and the least pair a
+        rescan would find.  Older entries pop after the pseudo is gone
+        and are skipped.
+        """
+        work = graph.adjacency  # id -> neighbor set
+        degrees = {pid: len(neigh) for pid, neigh in work.items()}
+        stack: list[int] = []
+        remaining = set(work)
+
+        def cost_of(pid: int) -> float:
+            # spill temporaries must not be re-spilled: infinite cost
+            if pid in self._spill_temp_ids:
+                return float("inf")
+            return self.cost_overrides.get(pid, graph.spill_cost[pid])
+
+        simplifiable = [
+            (degree, pid) for pid, degree in degrees.items() if degree < k[pid]
+        ]
+        heapq.heapify(simplifiable)
+        while remaining:
+            pid = None
+            while simplifiable:
+                candidate = heapq.heappop(simplifiable)[1]
+                if candidate in remaining:
+                    pid = candidate
+                    break
+            if pid is None:
+                # optimistic push of the cheapest spill candidate
+                pid = min(
+                    remaining,
+                    key=lambda p: (cost_of(p) / max(1, degrees[p]), p),
+                )
+            stack.append(pid)
+            remaining.discard(pid)
+            for neighbor in work[pid]:
+                if neighbor in remaining:
+                    degree = degrees[neighbor] - 1
+                    degrees[neighbor] = degree
+                    if degree < k[neighbor]:
+                        heapq.heappush(simplifiable, (degree, neighbor))
+        return stack
 
     def _evict_neighbor(
         self, graph: InterferenceGraph, pid: int, assignment: dict[int, PhysReg]

@@ -105,6 +105,8 @@ class _BlockScheduler:
         # issue last, in thread order
         self.controls = [n for n in self.nodes if n.instr.is_branch_or_jump]
         self.control_set = set(self.controls)
+        #: the controls not issued yet, in thread order
+        self.pending_controls = list(self.controls)
         self.unscheduled = len(self.nodes)
         self.issue_cycle: dict[DagNode, int] = {}
         self.earliest: dict[DagNode, int] = {}
@@ -137,46 +139,56 @@ class _BlockScheduler:
     def _setup_pressure(self) -> None:
         self.remaining_uses: dict[int, int] = {}
         self.live: set[int] = set()
+        #: node -> ids of the block-local pseudos it reads, and writes
+        self.local_regs: dict[DagNode, tuple[list[int], list[int]]] = {}
         if self.config.register_limit is None:
             return
         for node in self.nodes:
-            for reg in node.instr.uses():
-                if isinstance(reg, PseudoReg) and not reg.is_global:
-                    self.remaining_uses[reg.id] = (
-                        self.remaining_uses.get(reg.id, 0) + 1
-                    )
+            uses = [
+                reg.id
+                for reg in node.instr.uses()
+                if isinstance(reg, PseudoReg) and not reg.is_global
+            ]
+            defs = [
+                reg.id
+                for reg in node.instr.defs()
+                if isinstance(reg, PseudoReg) and not reg.is_global
+            ]
+            self.local_regs[node] = (uses, defs)
+            for reg_id in uses:
+                self.remaining_uses[reg_id] = (
+                    self.remaining_uses.get(reg_id, 0) + 1
+                )
 
     def _pressure_delta(self, node: DagNode) -> int:
+        uses, defs = self.local_regs[node]
         delta = 0
         freed: set[int] = set()
-        for reg in node.instr.uses():
-            if isinstance(reg, PseudoReg) and not reg.is_global:
-                if (
-                    reg.id in self.live
-                    and self.remaining_uses.get(reg.id, 0) <= 1
-                    and reg.id not in freed
-                ):
-                    delta -= 1
-                    freed.add(reg.id)
-        for reg in node.instr.defs():
-            if isinstance(reg, PseudoReg) and not reg.is_global:
-                if reg.id not in self.live or reg.id in freed:
-                    delta += 1
+        for reg_id in uses:
+            if (
+                reg_id in self.live
+                and self.remaining_uses.get(reg_id, 0) <= 1
+                and reg_id not in freed
+            ):
+                delta -= 1
+                freed.add(reg_id)
+        for reg_id in defs:
+            if reg_id not in self.live or reg_id in freed:
+                delta += 1
         return delta
 
     def _apply_pressure(self, node: DagNode) -> None:
         if self.config.register_limit is None:
             return
-        for reg in node.instr.uses():
-            if isinstance(reg, PseudoReg) and not reg.is_global:
-                count = self.remaining_uses.get(reg.id, 0) - 1
-                self.remaining_uses[reg.id] = count
-                if count <= 0:
-                    self.live.discard(reg.id)
-        for reg in node.instr.defs():
-            if isinstance(reg, PseudoReg) and not reg.is_global:
-                if self.remaining_uses.get(reg.id, 0) > 0:
-                    self.live.add(reg.id)
+        uses, defs = self.local_regs[node]
+        for reg_id in uses:
+            count = self.remaining_uses.get(reg_id, 0) - 1
+            self.remaining_uses[reg_id] = count
+            if count <= 0:
+                self.live.discard(reg_id)
+        for reg_id in defs:
+            if self.remaining_uses.get(reg_id, 0) > 0:
+                self.live.add(reg_id)
 
     # -- main loop ----------------------------------------------------------
 
@@ -188,16 +200,29 @@ class _BlockScheduler:
             n.instr.desc.latency + len(n.instr.desc.resource_vector)
             for n in self.nodes
         ) + 4 * len(self.nodes)
+        earliest = self.earliest
         while self.unscheduled > 0:
             self.cycle_classes = None
             before = self.unscheduled
             self._issue_all_possible(cycle)
-            if self.unscheduled == before and classify:
-                # an idle cycle: the hardware (or a nop) will fill it —
-                # classify why before moving the clock
-                self.stall_events.append((cycle, self._classify_stall(cycle)))
-            cycle += 1
-            guard += 1
+            step = 1
+            if self.unscheduled == before:
+                # an idle cycle: the hardware (or a nop) will fill it.  When
+                # every ready node waits on a dependence latency, nothing
+                # can issue, so nothing changes, before the first is due:
+                # the cycles up to then are idle for the same reason.
+                due = min(
+                    (earliest[entry[-1]] for entry in self.ready), default=cycle
+                )
+                step = max(1, due - cycle)
+                if classify:
+                    # classify why before moving the clock
+                    reason = self._classify_stall(cycle)
+                    self.stall_events.extend(
+                        (idle, reason) for idle in range(cycle, cycle + step)
+                    )
+            cycle += step
+            guard += step
             if guard > limit:
                 raise SchedulingError(
                     "scheduler made no progress (possible temporal deadlock); "
@@ -262,9 +287,7 @@ class _BlockScheduler:
         ready = [
             entry[-1] for entry in self.ready if earliest[entry[-1]] <= cycle
         ]
-        pending_controls = [
-            n for n in self.controls if n not in self.issue_cycle
-        ]
+        pending_controls = self.pending_controls
         if pending_controls:
             # control instructions end the block: hold them back until only
             # control remains, then release them one at a time in thread
@@ -318,6 +341,8 @@ class _BlockScheduler:
         if at == len(ready) or ready[at][-1] is not node:
             raise SchedulingError(f"{node} issued while not on the ready list")
         del ready[at]
+        if node in self.control_set:
+            self.pending_controls.remove(node)
         self.issue_cycle[node] = cycle
         self.unscheduled -= 1
         self.order.append(node)
@@ -379,9 +404,7 @@ class _BlockScheduler:
         # rest of the block is not the cause — the instructions it waits
         # on are
         controls = self.control_set
-        pending_controls = [
-            n for n in self.controls if n not in self.issue_cycle
-        ]
+        pending_controls = self.pending_controls
         if pending_controls and self.unscheduled > len(pending_controls):
             runnable = [n for n in runnable if n not in controls]
         elif pending_controls:

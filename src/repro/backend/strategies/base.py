@@ -45,23 +45,14 @@ class Strategy:
 
     A strategy is configured by one :class:`CompileOptions` record
     (``options.heuristic`` and ``options.schedule`` are the fields it
-    reads); the pre-1.1 ``heuristic=``/``schedule=`` keywords remain as
-    thin aliases that build the record for you.
+    reads); without one it takes the defaults.
     """
 
     name = "abstract"
 
-    def __init__(
-        self,
-        options: CompileOptions | None = None,
-        heuristic: str | None = None,
-        schedule: bool | None = None,
-    ):
+    def __init__(self, options: CompileOptions | None = None):
         if options is None:
-            options = CompileOptions(
-                heuristic=heuristic if heuristic is not None else "maxdist",
-                schedule=schedule if schedule is not None else True,
-            )
+            options = CompileOptions()
         self.options = options
         self.heuristic = options.heuristic
         self.schedule_enabled = options.schedule
@@ -180,12 +171,9 @@ class Strategy:
         return cost
 
 
-def get_strategy(
-    name: str,
-    heuristic: str = "maxdist",
-    schedule: bool = True,
-    options: CompileOptions | None = None,
-) -> Strategy:
+def get_strategy(name: str, options: CompileOptions | None = None) -> Strategy:
+    """The strategy called ``name``, configured by ``options`` (by
+    default ``CompileOptions(strategy=name)``)."""
     from repro.backend.strategies.ips import IPSStrategy
     from repro.backend.strategies.postpass import PostpassStrategy
     from repro.backend.strategies.rase import RASEStrategy
@@ -202,7 +190,5 @@ def get_strategy(
             f"unknown strategy {name!r}; known: {', '.join(STRATEGY_NAMES)}"
         ) from None
     if options is None:
-        options = CompileOptions(
-            strategy=name, heuristic=heuristic, schedule=schedule
-        )
+        options = CompileOptions(strategy=name)
     return cls(options)

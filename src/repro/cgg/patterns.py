@@ -102,15 +102,6 @@ class Pattern:
     def __str__(self) -> str:
         return f"{self.desc.mnemonic}: {self.root}"
 
-    @property
-    def result_type(self) -> str | None:
-        """The type a VALUE pattern produces."""
-        if self.kind is not PatternKind.VALUE:
-            return None
-        if self.desc.type is not None:
-            return self.desc.type
-        return None
-
 
 def compile_pattern(desc: InstrDesc, temporal_names: frozenset) -> Pattern | None:
     """Compile ``desc``'s semantics into a pattern, or None if unmatchable."""

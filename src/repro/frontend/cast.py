@@ -20,10 +20,6 @@ class CType:
     def is_array(self) -> bool:
         return bool(self.dims)
 
-    @property
-    def is_scalar(self) -> bool:
-        return not self.dims and self.base != "void"
-
     def element(self) -> "CType":
         return CType(self.base, self.dims[1:])
 

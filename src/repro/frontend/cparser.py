@@ -26,6 +26,11 @@ _BINARY_LEVELS = [
     ("*", "/", "%"),
 ]
 
+#: binary operator -> its index in ``_BINARY_LEVELS``
+_BINARY_LEVEL = {
+    op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops
+}
+
 
 class _Parser:
     def __init__(self, tokens: list[CToken]):
@@ -346,17 +351,20 @@ class _Parser:
         return left
 
     def _parse_binary(self, level: int) -> cast.CExpr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
+        """Precedence climbing over ``_BINARY_LEVELS``: an operand, then
+        every operator of ``level`` or tighter, left-associative, each
+        right operand taking only operators tighter than its own."""
+        left = self._parse_unary()
         while True:
             token = self.peek()
-            if token.kind is CTok.PUNCT and token.value in _BINARY_LEVELS[level]:
-                op = self.advance().value
-                right = self._parse_binary(level + 1)
-                left = cast.Binary(op=op, left=left, right=right, location=token.location)
-            else:
+            if token.kind is not CTok.PUNCT:
                 return left
+            op_level = _BINARY_LEVEL.get(token.value)
+            if op_level is None or op_level < level:
+                return left
+            op = self.advance().value
+            right = self._parse_binary(op_level + 1)
+            left = cast.Binary(op=op, left=left, right=right, location=token.location)
 
     def _parse_unary(self) -> cast.CExpr:
         token = self.peek()

@@ -57,9 +57,6 @@ class RegisterSet:
     def count(self) -> int:
         return self.hi - self.lo + 1
 
-    def holds_type(self, type_name: str) -> bool:
-        return type_name in self.types
-
     def registers(self) -> list[PhysReg]:
         return [PhysReg(self.name, i) for i in range(self.lo, self.hi + 1)]
 
@@ -115,13 +112,6 @@ class RegisterModel:
         units_a = self.units_of(a)
         units_b = set(self.units_of(b))
         return any(u in units_b for u in units_a)
-
-    def sets_for_type(self, type_name: str) -> list[RegisterSet]:
-        return [
-            s
-            for s in self.sets.values()
-            if s.holds_type(type_name) and not s.is_temporal
-        ]
 
     def temporal_sets(self) -> list[RegisterSet]:
         return [s for s in self.sets.values() if s.is_temporal]

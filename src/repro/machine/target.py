@@ -59,9 +59,6 @@ class CallingConvention:
     def result_register(self, type_name: str) -> PhysReg | None:
         return self.results.get(type_name)
 
-    def is_callee_save(self, reg: PhysReg) -> bool:
-        return reg in self.callee_save
-
     def caller_save_allocable(self) -> list[PhysReg]:
         return [r for r in self.allocable if r not in self.callee_save]
 

@@ -104,12 +104,6 @@ class _Checker:
         if any(name in space for space in namespaces):
             self.fail(f"duplicate declaration of {name!r}", node)
 
-    def _reg_size(self, set_name: str) -> int:
-        decl = self.reg_sets[set_name]
-        if not decl.types:
-            return 32
-        return max(TYPE_SIZES[t] for t in decl.types)
-
     # -- cwvm -----------------------------------------------------------------
 
     def _check_cwvm(self) -> None:

@@ -62,3 +62,19 @@ def build(target, mnemonic, *operands) -> MachineInstr:
         if len(desc.operands) == len(shaped):
             return make_instr(desc, shaped)
     return make_instr(desc, list(operands))
+
+
+def compile_paper_programs(targets) -> None:
+    """Compile every suite program and Livermore kernel on each of
+    ``targets`` under all three strategies; tests patch a pass first to
+    watch it on real code."""
+    import repro
+    from repro.workloads import LIVERMORE_KERNELS, PROGRAM_SUITE
+
+    sources = [p.source for p in PROGRAM_SUITE]
+    sources += [k.source for k in LIVERMORE_KERNELS]
+    for target in targets:
+        for strategy in ("postpass", "ips", "rase"):
+            options = repro.CompileOptions(strategy=strategy)
+            for source in sources:
+                repro.compile_c(source, target, options)

@@ -157,12 +157,10 @@ def test_codegen_threads_options_through():
 
 
 def test_get_strategy_builds_options_when_missing():
-    strategy = get_strategy("rase", heuristic="fifo", schedule=False)
-    assert strategy.options == CompileOptions(
-        strategy="rase", heuristic="fifo", schedule=False
-    )
-    assert strategy.heuristic == "fifo"
-    assert strategy.schedule_enabled is False
+    strategy = get_strategy("rase")
+    assert strategy.options == CompileOptions(strategy="rase")
+    assert strategy.heuristic == "maxdist"
+    assert strategy.schedule_enabled is True
 
 
 def test_memory_size_reaches_the_linker():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CSemanticError, CSyntaxError
 from repro.frontend import cast
 from repro.frontend.clexer import CTok, tokenize_c
-from repro.frontend.cparser import parse_c
+from repro.frontend.cparser import _BINARY_LEVELS, _Parser, parse_c
 from repro.frontend.csema import check_unit
 
 
@@ -179,6 +179,79 @@ def test_parse_error_reports_location():
 def test_parse_invalid_assignment_target():
     with pytest.raises(CSyntaxError, match="assignment target"):
         parse_c("void f(void) { 1 = 2; }")
+
+
+# -- precedence climbing against the per-level recursion ---------------------
+
+
+def _per_level_parse_binary(self, level):
+    """The reference: one call per level of ``_BINARY_LEVELS``, loosest
+    first, for every operand."""
+    if level >= len(_BINARY_LEVELS):
+        return self._parse_unary()
+    left = self._parse_binary(level + 1)
+    while True:
+        token = self.peek()
+        if token.kind is CTok.PUNCT and token.value in _BINARY_LEVELS[level]:
+            op = self.advance().value
+            right = self._parse_binary(level + 1)
+            left = cast.Binary(
+                op=op, left=left, right=right, location=token.location
+            )
+        else:
+            return left
+
+
+def _both_parses(source):
+    """The AST (its ``repr``, locations included) or the error, from
+    precedence climbing and from the per-level recursion."""
+
+    def outcome():
+        try:
+            return repr(parse_c(source))
+        except CSyntaxError as error:
+            return f"error: {error}"
+
+    climbed = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Parser, "_parse_binary", _per_level_parse_binary)
+        recursed = outcome()
+    return climbed, recursed
+
+
+def test_precedence_climbing_matches_the_per_level_parse_on_paper_sources():
+    from repro.workloads import LIVERMORE_KERNELS, PROGRAM_SUITE
+
+    sources = [p.source for p in PROGRAM_SUITE]
+    sources += [k.source for k in LIVERMORE_KERNELS]
+    for source in sources:
+        climbed, recursed = _both_parses(source)
+        assert not climbed.startswith("error")
+        assert climbed == recursed
+
+
+_BINARY_OPS = [op for level in _BINARY_LEVELS for op in level] + ["&&", "||"]
+_PREFIXES = ["-", "+", "~", "!", "(int)", "(float)", "(double)"]
+
+#: expressions over every binary operator, prefix and cast, with and
+#: without parentheses; tokens are spaced so ``- -`` never lexes as ``--``
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["a", "b", "c[i]", "c[i][2]", "7", "2.5", "g(a, b)"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(_BINARY_OPS), inner).map(" ".join),
+        st.tuples(st.sampled_from(_PREFIXES), inner).map(" ".join),
+        inner.map(lambda expr: f"( {expr} )"),
+    ),
+    max_leaves=16,
+)
+
+
+@given(_EXPRESSIONS)
+@settings(max_examples=300, deadline=None)
+def test_precedence_climbing_matches_the_per_level_parse(expr):
+    climbed, recursed = _both_parses(f"int f(void) {{ return {expr}; }}")
+    assert not climbed.startswith("error")
+    assert climbed == recursed
 
 
 # -- checker --------------------------------------------------------------

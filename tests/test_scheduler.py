@@ -9,7 +9,7 @@ from repro.il.node import PseudoReg
 from repro.machine.registers import PhysReg
 
 
-from tests.helpers import build as _build
+from tests.helpers import build as _build, compile_paper_programs
 
 
 def instr(target, mnemonic, *operands):
@@ -207,3 +207,95 @@ def test_issuing_a_node_off_the_ready_list_raises(toyp):
     with pytest.raises(SchedulingError, match="not on the ready list"):
         block._issue(block.nodes[1], 0)
     assert [entry[-1].index for entry in block.ready] == ready
+
+
+def test_a_latency_wait_gets_one_event_per_idle_cycle(r2000):
+    """A div (latency 35) feeds the block's only other instruction: the
+    34 cycles between them are idle, each with one ``latency(div)``
+    event, in cycle order, with no gap and no repeat."""
+    from repro.obs import stalls
+
+    a, b, q, s = (PseudoReg("int", n) for n in "abqs")
+    div = instr(r2000, "div", Reg(q), Reg(a), Reg(b))
+    add = instr(r2000, "addu", Reg(s), Reg(q), Reg(a))
+    result = schedule(r2000, [div, add])
+    assert (result.cycle_of(div), result.cycle_of(add)) == (0, 35)
+    assert result.stall_events == [
+        (cycle, stalls.latency("div")) for cycle in range(1, 35)
+    ]
+    assert result.nop_slots == len(result.stall_events) == 34
+
+
+# -- stepped waits against the cycle-by-cycle loop ------------------------------
+
+
+def _cycle_by_cycle_run(self):
+    """The reference main loop: one iteration per cycle, idle or not."""
+    from repro.errors import SchedulingError
+
+    classify = self.config.classify_stalls
+    cycle = 0
+    guard = 0
+    limit = 64 + sum(
+        n.instr.desc.latency + len(n.instr.desc.resource_vector)
+        for n in self.nodes
+    ) + 4 * len(self.nodes)
+    while self.unscheduled > 0:
+        self.cycle_classes = None
+        before = self.unscheduled
+        self._issue_all_possible(cycle)
+        if self.unscheduled == before and classify:
+            self.stall_events.append((cycle, self._classify_stall(cycle)))
+        cycle += 1
+        guard += 1
+        if guard > limit:
+            raise SchedulingError("scheduler made no progress")
+    return self._finish()
+
+
+def _outcome(result, block_ids):
+    """A ScheduleResult's fields, with each delay-slot nop (a new
+    instruction on every run) named by its mnemonic."""
+
+    def name(instr):
+        return instr.id if instr.id in block_ids else instr.desc.mnemonic
+
+    return (
+        [(name(i), result.issue_cycle[i.id]) for i in result.instrs],
+        len(result.issue_cycle),
+        result.stall_events,
+        result.nop_slots,
+        result.cost,
+    )
+
+
+def test_stepped_waits_match_the_cycle_by_cycle_loop(all_targets, monkeypatch):
+    """Every block the paper programs schedule on the four targets,
+    under all three strategies, gets the same instructions, issue
+    cycles, stall events, nop slots and cost as with one loop iteration
+    per cycle."""
+    from repro.backend import scheduler
+    from repro.obs import stalls
+
+    schedule_block = ListScheduler.schedule_block
+    blocks = []
+
+    def both(self, instrs):
+        result = schedule_block(self, instrs)
+        if instrs:
+            dag = scheduler.build_code_dag(instrs, self.target)
+            reference = _cycle_by_cycle_run(scheduler._BlockScheduler(self, dag))
+            ids = {i.id for i in instrs}
+            blocks.append((_outcome(result, ids), _outcome(reference, ids)))
+        return result
+
+    monkeypatch.setattr(ListScheduler, "schedule_block", both)
+    compile_paper_programs(all_targets.values())
+    waits = 0
+    for result, reference in blocks:
+        assert result == reference
+        waits += sum(
+            1 for _, reason in result[2] if reason.startswith(stalls.LATENCY)
+        )
+    assert len(blocks) > 10000
+    assert waits > 10000  # the comparison covers stepped-over waits
