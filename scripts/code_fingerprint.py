@@ -4,11 +4,11 @@
 Compiles the 228 paper units (the five suite programs of Table 3 and the
 fourteen Livermore kernels of Table 4, on every target under every
 strategy) with the artifact cache off, and prints one JSON object that
-maps ``target/strategy/program`` to the sha256 of
+maps ``target/strategy/program`` to two sha256 digests.  ``code`` covers
 ``format_program(explain=True)``: the listing with every issue cycle and
 stall line, so a change in schedule, allocation or selection shows.
 
-Each unit's digest also covers two engine runs of the unit, one under
+``runs`` covers two engine runs of the unit, one under
 ``SimOptions(cache=True, trace=True)`` and then a plain
 ``SimOptions(cache=True)`` run that reuses the first run's timing memo:
 suite programs run at their own entry and arguments, Livermore kernels
@@ -20,9 +20,11 @@ change can show its timing is exact the way a compiler change shows its
 code is byte-identical.
 
 With ``--against FILE`` (an earlier run's output) it lists the units
-whose fingerprint differs, is missing or is new, and exits 1 if there is
-any.  A change meant to keep the emitted code and its simulated results
-identical runs it on both sides::
+whose fingerprint differs, is missing or is new, naming for a differing
+unit which digests differ (``code``, ``runs`` or ``code+runs``), ends
+with the count of differing units per target and strategy, and exits 1
+if there is any.  A change meant to keep the emitted code and its
+simulated results identical runs it on both sides::
 
     PYTHONPATH=src python scripts/code_fingerprint.py > before.json
     PYTHONPATH=src python scripts/code_fingerprint.py --against before.json
@@ -89,7 +91,11 @@ def simulation_record(exe, entry: str, args: tuple) -> str:
     ))
 
 
-def fingerprints() -> dict[str, str]:
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fingerprints() -> dict[str, dict[str, str]]:
     out = {}
     for target in TARGET_NAMES:
         machine = repro.load_target(target)
@@ -98,22 +104,53 @@ def fingerprints() -> dict[str, str]:
             for name, source, entry, args in paper_programs():
                 exe = repro.compile_c(source, machine, options)
                 listing = format_program(exe.machine_program, explain=True)
-                listing += "\n" + simulation_record(exe, entry, args)
-                digest = hashlib.sha256(listing.encode()).hexdigest()
-                out[f"{target}/{strategy}/{name}"] = digest
+                out[f"{target}/{strategy}/{name}"] = {
+                    "code": digest(listing),
+                    "runs": digest(simulation_record(exe, entry, args)),
+                }
     return out
 
 
-def differences(current: dict, reference: dict) -> list[str]:
-    lines = []
+def differences(current: dict, reference: dict) -> list[tuple[str, str]]:
+    """``(what, unit)`` for every unit that is new, missing or differs;
+    a differing unit names the digests that differ."""
+    out = []
     for key in sorted(current.keys() | reference.keys()):
         if key not in reference:
-            lines.append(f"new      {key}")
+            out.append(("new", key))
         elif key not in current:
-            lines.append(f"missing  {key}")
-        elif current[key] != reference[key]:
-            lines.append(f"differs  {key}")
-    return lines
+            out.append(("missing", key))
+        else:
+            parts = [
+                part for part in ("code", "runs")
+                if current[key][part] != reference[key][part]
+            ]
+            if parts:
+                out.append(("+".join(parts), key))
+    return out
+
+
+def summary(units: list[str], lines: list[tuple[str, str]]) -> list[str]:
+    """The differing-unit count per strategy, then per target and
+    strategy (``units`` are ``target/strategy/program`` keys)."""
+    differ = {key for _what, key in lines}
+    counts: dict[tuple[str, str], int] = {}
+    for key in units:
+        target, strategy, _program = key.split("/")
+        cell = (target, strategy)
+        counts[cell] = counts.get(cell, 0) + (key in differ)
+    targets = sorted({target for target, _strategy in counts})
+    per_strategy = ", ".join(
+        f"{strategy} {sum(counts.get((t, strategy), 0) for t in targets)}"
+        for strategy in STRATEGIES
+    )
+    out = [f"{len(lines)} differ: {per_strategy}"]
+    out.append(f"{'':8}" + "".join(f"{s:>10}" for s in STRATEGIES))
+    for target in targets:
+        out.append(f"{target:8}" + "".join(
+            f"{counts.get((target, s), 0):>10}" for s in STRATEGIES
+        ))
+    return out
 
 
 def main(argv=None) -> int:
@@ -131,10 +168,13 @@ def main(argv=None) -> int:
     with open(args.against) as handle:
         reference = json.load(handle)
     lines = differences(current, reference)
-    for line in lines:
-        print(line)
-    print(f"{len(current) - len(lines)} of {len(current)} units identical"
-          if not lines else f"{len(lines)} units differ")
+    for what, key in lines:
+        print(f"{what:10} {key}")
+    if not lines:
+        print(f"{len(current)} of {len(current)} units identical")
+    else:
+        for line in summary(sorted(current.keys() | reference.keys()), lines):
+            print(line)
     return 1 if lines else 0
 
 
