@@ -9,8 +9,8 @@ hazard state behind.  The fast path exploits this.  Functional
 execution (register and memory semantics plus the
 :class:`~repro.sim.cache.DirectMappedCache` model) still runs every
 iteration, but instead of walking :meth:`PipelineModel.issue` per
-instruction the simulator accumulates per-segment events and consults a
-timing cache keyed by::
+instruction the simulator keeps one bit per load in a miss mask and
+consults a timing cache keyed by::
 
     (entry_pc, end_pc, transfer_pc, load-miss bitmask, entry digest)
 
@@ -20,7 +20,7 @@ delay slots, or up to :data:`SEGMENT_CAP` instructions.  Given the key,
 the executed pc sequence is exactly ``entry_pc..end_pc`` (untaken
 conditional branches return no control effect, so they stay inside a
 segment), which is what makes the replay reconstructible without
-recording instruction streams.
+recording instruction streams or memory accesses.
 
 The memo is *chained by exit id*: digests are interned to small integer
 ids, and because a digest fully determines all future
@@ -46,10 +46,14 @@ digests are indistinguishable to every future issue, so a cached
 steady-state loop iterations reduce to one dictionary probe per block.
 
 On a cache miss the segment is *replayed* through a real
-:class:`PipelineModel` materialized from the entry digest; the data
-cache is replaced by a scripted stand-in feeding back the hit/miss
-outcomes the functional side already observed, so the real cache model
-is consulted exactly once per access.  The model attributes every cycle
+:class:`PipelineModel` materialized from the entry digest.  Its memory
+accesses are rebuilt from the key: each instruction's accesses are
+fixed by its semantics (:func:`~repro.sim.executor.memory_accesses`, in
+the order the interpreter logs them), a load's outcome is its bit in
+the miss mask, and a store replays as a hit because stores never stall
+(write-through).  A scripted stand-in for the data cache feeds those
+outcomes back, so the real cache model is consulted exactly once per
+access.  The model attributes every cycle
 it charges to a hazard kind, so every record also memoizes the
 segment's per-hazard-kind stall deltas, which is what lets
 ``SimOptions(trace=True)`` runs ride this fast path: a warm trace run
@@ -60,22 +64,24 @@ reference interleaved model across the whole target × strategy grid.
 The segment JIT (:mod:`repro.sim.jit`) compiles hot segments' functional
 side to flat Python but leaves this timing contract untouched: a
 compiled segment produces the same ``(entry_pc, end_pc, transfer_pc,
-miss mask)`` close key and the same positionally-ordered event list the
-interpreter would, so JIT-executed and interpreted iterations share one
-timing cache and are indistinguishable to the replay.
+miss mask)`` close key the interpreter would, so JIT-executed and
+interpreted iterations share one timing cache and are indistinguishable
+to the replay.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
+from types import SimpleNamespace
 
+from repro.sim.executor import memory_accesses
 from repro.sim.pipeline import _RING_MASK, PipelineModel
 
 #: digest of a pristine pipeline — the state every run starts in
 EMPTY_DIGEST = (0, (), (), (), (), -1, 0)
 
 #: a segment is force-closed after this many instructions, so one-shot
-#: straight-line code cannot grow unbounded keys or event lists
+#: straight-line code cannot grow unbounded keys or miss masks
 SEGMENT_CAP = 2048
 
 #: the table stops admitting new entries past this size (lookups still
@@ -225,29 +231,6 @@ def load_state(model: PipelineModel, digest: tuple, base: int) -> None:
     model.last_load_issue = base + load
 
 
-class _ScriptedCache:
-    """Replay stand-in for the data cache: feeds back the hit/miss
-    outcomes the functional side already observed, in access order, so a
-    replayed segment never touches (or double-counts in) the real cache
-    model."""
-
-    __slots__ = ("miss_penalty", "_script", "_next")
-
-    def __init__(self, miss_penalty: int):
-        self.miss_penalty = miss_penalty
-        self._script: list = []
-        self._next = 0
-
-    def load(self, script: list) -> None:
-        self._script = script
-        self._next = 0
-
-    def access(self, address: int) -> bool:
-        hit = self._script[self._next]
-        self._next += 1
-        return hit
-
-
 class BlockTimingCache:
     """The exit-id-chained ``segment -> {(entry id, miss mask): (cycle
     delta, exit id)}`` memo, plus the replay machinery behind its misses.
@@ -258,10 +241,10 @@ class BlockTimingCache:
     chained: the exit id a lookup returns is the entry id of the next
     lookup, so the (large) digest tuples are hashed only when a
     transition is replayed for the first time.  Callers that close the
-    same static segment repeatedly (the segment JIT's chained loops and
-    trace probes) hold that segment's transition dict directly — see
-    :meth:`transitions` — making a warm boundary one two-int-tuple
-    ``dict.get`` with no call into this class at all."""
+    same static segment repeatedly (the segment JIT's probe sites) hold
+    that segment's transition dict directly — see :meth:`transitions` —
+    making a warm boundary one two-int-tuple ``dict.get`` with no call
+    into this class at all."""
 
     EMPTY_ID = 0
 
@@ -272,17 +255,25 @@ class BlockTimingCache:
         miss_penalty: int | None,
         static: dict | None = None,
     ):
-        self.scripted = (
-            _ScriptedCache(miss_penalty) if miss_penalty is not None else None
+        # the replay's data cache: a rebuilt access carries the outcome
+        # the functional side observed in its address field, and
+        # ``access`` hands it back, so a replay never touches (or
+        # double-counts in) the real cache model
+        scripted = (
+            SimpleNamespace(miss_penalty=miss_penalty, access=bool)
+            if miss_penalty is not None
+            else None
         )
         # every record also carries its per-hazard-kind stall deltas,
         # which makes ``SimOptions(trace=True)`` runs eligible for the
         # fast path (the breakdown is as transition-deterministic as the
         # cycle delta: both are functions of the replayed issue sequence)
-        self.pipeline = PipelineModel(target, self.scripted, static=static)
+        self.pipeline = PipelineModel(target, scripted, static=static)
         self._kind_names = tuple(self.pipeline.kind_cycles)
         self.max_latency = target_max_latency(target)
         self.instrs = instrs
+        #: pc -> :func:`memory_accesses` of its instruction (replay only)
+        self._accesses: dict[int, tuple] = {}
         self.digests: list[tuple] = [EMPTY_DIGEST]
         self._digest_ids: dict[tuple, int] = {EMPTY_DIGEST: 0}
         #: ``(entry, end, transfer) -> {(entry_id, miss_mask): (delta,
@@ -310,10 +301,11 @@ class BlockTimingCache:
 
     def transitions(self, entry: int, end: int, transfer: int) -> dict:
         """The transition dict of one static segment (created empty on
-        first request).  The dict is long-lived and updated in place by
-        :meth:`close`, so generated code binds ``transitions(...).get``
-        once per call and probes ``(entry_id, miss_mask)`` keys with no
-        further attribute or method lookups."""
+        first request).  The dict lives as long as this cache and is
+        updated in place by :meth:`close`, so the dispatch loop binds
+        each generated function's ``transitions(...).get`` getters once
+        per run, and the function probes ``(entry_id, miss_mask)`` keys
+        with no further attribute or method lookups."""
         key = (entry, end, transfer)
         table = self.segments.get(key)
         if table is None:
@@ -326,7 +318,6 @@ class BlockTimingCache:
         end: int,
         transfer: int,
         miss_mask: int,
-        events: list,
         entry_id: int,
         base: int,
     ) -> tuple[int, int, tuple]:
@@ -335,10 +326,10 @@ class BlockTimingCache:
         that only advance the chain index ``[0]`` and ``[1]``; trace
         runs accumulate ``[2]`` (ordered as :meth:`stall_kinds`).
 
-        ``events`` is the segment's memory-access record, one
-        ``(pc, is_write, hit)`` triple per access in execution order; it
-        is only consulted when the lookup misses and the segment must be
-        replayed.  ``base`` is the absolute issue cycle at segment entry.
+        ``miss_mask`` has one bit per load the segment executed, in
+        execution order, set for a data-cache miss; a replay rebuilds
+        the segment's accesses from it.  ``base`` is the absolute issue
+        cycle at segment entry.
         """
         key = (entry, end, transfer)
         table = self.segments.get(key)
@@ -349,7 +340,7 @@ class BlockTimingCache:
             self.hits += 1
             return record
         self.misses += 1
-        record = self._replay(entry, end, transfer, events, entry_id, base)
+        record = self._replay(entry, end, transfer, miss_mask, entry_id, base)
         if self.entries < MAX_ENTRIES:
             table[(entry_id, miss_mask)] = record
             self.entries += 1
@@ -420,27 +411,31 @@ class BlockTimingCache:
         return True
 
     def _replay(
-        self, entry: int, end: int, transfer: int, events, entry_id, base
+        self, entry: int, end: int, transfer: int, miss_mask, entry_id, base
     ) -> tuple[int, int, tuple]:
         model = self.pipeline
         load_state(model, self.digests[entry_id], base)
-        scripted = self.scripted
-        if scripted is not None:
-            scripted.load([hit for _pc, _w, hit in events])
         instrs = self.instrs
+        accesses = self._accesses
         issue = model.issue
         kind_cycles = model.kind_cycles
         kinds = self._kind_names
         before = tuple(kind_cycles[kind] for kind in kinds)
-        position = 0
-        count = len(events)
         transfer_cycle = 0
-        mem_log: list = []
         for pc in range(entry, end + 1):
-            del mem_log[:]
-            while position < count and events[position][0] == pc:
-                mem_log.append((0, events[position][1], 0))
-                position += 1
+            script = accesses.get(pc)
+            if script is None:
+                script = accesses[pc] = memory_accesses(
+                    instrs[pc].desc.semantics
+                )
+            # (outcome, is_write, size): see the scripted cache
+            mem_log = []
+            for is_write in script:
+                if is_write:
+                    mem_log.append((True, True, 0))
+                else:
+                    mem_log.append((not miss_mask & 1, False, 0))
+                    miss_mask >>= 1
             cycle = issue(instrs[pc], mem_log)
             if pc == transfer:
                 transfer_cycle = cycle

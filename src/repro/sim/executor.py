@@ -11,10 +11,9 @@ label)``, ``('ret',)``) or ``None`` and appends ``(address, is_write,
 size)`` records to the memory log the caller provides (the pipeline model
 uses them for cache simulation and memory ordering).  The *order* of
 records within one instruction is part of the contract: the fast timing
-path (:mod:`repro.sim.blockcache`) records per-access cache outcomes
-during functional execution and feeds them back positionally when a
-segment is replayed, so closures must log accesses in the same order the
-semantics perform them.
+path (:mod:`repro.sim.blockcache`) rebuilds a replayed segment's
+accesses from :func:`memory_accesses`, so closures must log accesses in
+exactly the order that function derives from the semantics.
 """
 
 from __future__ import annotations
@@ -57,6 +56,36 @@ def _int_mod(a: int, b: int) -> int:
 def _promote(a: str, b: str) -> str:
     order = {"int": 0, "float": 1, "double": 2}
     return a if order[a] >= order[b] else b
+
+
+def memory_accesses(semantics) -> tuple[bool, ...]:
+    """The ``is_write`` flag of every memory access an instruction with
+    these semantics logs, in the order its closure logs them: statement
+    by statement, operands left to right, a load after its address, a
+    store after its address and before its value."""
+    script: list[bool] = []
+
+    def reads(expr) -> None:
+        if isinstance(expr, ast.MemRef):
+            reads(expr.address)
+            script.append(False)
+        elif isinstance(expr, ast.Unary):
+            reads(expr.operand)
+        elif isinstance(expr, ast.Binary):
+            reads(expr.left)
+            reads(expr.right)
+        elif isinstance(expr, ast.BuiltinCall):
+            reads(expr.args[0])
+
+    for stmt in semantics:
+        if isinstance(stmt, ast.AssignStmt):
+            if isinstance(stmt.target, ast.MemRef):
+                reads(stmt.target.address)
+                script.append(True)
+            reads(stmt.value)
+        elif isinstance(stmt, ast.CondGotoStmt):
+            reads(stmt.condition)
+    return tuple(script)
 
 
 # operator tables hoisted to module level (built once, not per compiled

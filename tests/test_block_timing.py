@@ -20,6 +20,7 @@ from repro.sim.blockcache import (
     target_max_latency,
 )
 from repro.sim.cache import DirectMappedCache
+from repro.sim.executor import memory_accesses
 from repro.sim.pipeline import PipelineModel
 
 from tests.helpers import build as instr, simulate_oracle
@@ -307,8 +308,168 @@ def test_table_backstop_caps_admissions(toyp):
         toyp, "addi", Reg(PhysReg("r", 2)), Reg(PhysReg("r", 6)), Imm(1)
     )
     cache.instrs = [nop_like]
-    cache.close(0, 0, -1, 0, [], cache.EMPTY_ID, cache.begin_run())
+    cache.close(0, 0, -1, 0, cache.EMPTY_ID, cache.begin_run())
     # the miss replayed but admitted nothing new
     assert cache.misses == 1
     assert cache.segments[(0, 0, -1)] == {}
     assert cache.entries == 1 << 16
+
+
+# -- the replay's access script -----------------------------------------------
+
+
+def _paper_programs(scale=0.03):
+    """``(source, entry, args)`` of the suite programs and Livermore
+    kernels, the kernels at one outer pass of a scaled problem size."""
+    from repro.workloads import LIVERMORE_KERNELS, PROGRAM_SUITE
+
+    programs = [(p.source, p.entry, p.args) for p in PROGRAM_SUITE]
+    for spec in LIVERMORE_KERNELS:
+        _loop, n = spec.args
+        programs.append((spec.source, "bench", (1, max(4, int(n * scale)))))
+    return programs
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_access_script_is_the_interpreter_log_order(target):
+    """A replay rebuilds each instruction's memory accesses from its
+    semantics (``memory_accesses``) instead of a per-access log, so for
+    every instruction the paper programs execute the static script must
+    be exactly the ``is_write`` sequence the interpreter logs."""
+    machine = repro.load_target(target)
+    mismatches = []
+    checked = set()
+
+    def checking(closure, instr):
+        script = memory_accesses(instr.desc.semantics)
+
+        def run(state, mem_log):
+            effect = closure(state, mem_log)
+            logged = tuple(is_write for _addr, is_write, _size in mem_log)
+            if logged != script:
+                mismatches.append((str(instr), logged, script))
+            checked.add(logged)
+            return effect
+
+        return run
+
+    for source, entry, args in _paper_programs():
+        executable = repro.compile_c(
+            source, machine, repro.CompileOptions(strategy="postpass")
+        )
+        simulator = repro.Simulator(
+            executable, repro.SimOptions(model_timing=False)
+        )
+        simulator.closures = [
+            checking(closure, instr)
+            for closure, instr in zip(simulator.closures, executable.instrs)
+        ]
+        simulator.run(entry, args, watch=lambda pc, instr, cycle: None)
+    assert mismatches == []
+    assert {(False,), (True,)} <= checked
+
+
+#: a machine with one instruction that loads twice and stores once: the
+#: access script must follow the semantics, not assume one access per
+#: memory instruction
+LOADSTORE_MARIL = r"""
+declare {
+    %reg r[0:15] (int);
+    %resource ALU;
+    %resource MEM;
+    %def c16 [-32768:32767];
+    %def c32 [-2147483648:2147483647] +abs;
+    %label rlab [-32768:32767] +relative;
+    %label flab [-8388608:8388607] +abs;
+    %memory m[0:1048575];
+}
+cwvm {
+    %general (int) r;
+    %allocable r[1:11];
+    %calleesave r[8:11];
+    %sp r[15] +down;
+    %fp r[14] +down;
+    %retaddr r[13];
+    %hard r[0] 0;
+    %arg (int) r[2] 1;
+    %arg (int) r[3] 2;
+    %result r[2] (int);
+}
+instr {
+    %instr li r, r[0], #c16 (int) {$1 = $3;} [ALU] (1,1,0);
+    %instr addi r, r, #c16 (int) {$1 = $2 + $3;} [ALU] (1,1,0);
+    %instr add r, r, r (int) {$1 = $2 + $3;} [ALU] (1,1,0);
+    %instr ld r, r, #c16 (int) {$1 = m[$2 + $3];} [MEM; MEM] (1,2,0);
+    %instr st r, r, #c16 (int) {m[$2 + $3] = $1;} [MEM; MEM] (1,1,0);
+    %instr ldadd r, r, r (int) {$1 = m[$2] + m[$3]; m[$2] = $1;}
+        [MEM; MEM; MEM] (1,2,0);
+    %instr bne0 r, #rlab {if ($1 != 0) goto $2;} [ALU] (1,2,1);
+    %instr jmp #rlab {goto $1;} [ALU] (1,2,1);
+    %instr call #flab {call $1;} [ALU] (1,2,0);
+    %instr ret {ret;} [ALU] (1,2,1);
+    %instr nop {;} [ALU] (1,1,0);
+    %move [ls.movs] add r, r, r[0] {$1 = $2;} [ALU] (1,1,0);
+}
+"""
+
+
+def _loadstore_executable():
+    """``f(n)``: ``n`` iterations of ``ldadd`` over two arrays at
+    different strides (so the two loads miss on different iterations),
+    a use of its result right behind it, and a load that must wait for
+    its store."""
+    from repro.backend.insts import Lab
+    from repro.cgg import build_target
+    from repro.program import Executable
+
+    target = build_target(LOADSTORE_MARIL, name="loadstore")
+
+    def r(index):
+        return Reg(PhysReg("r", index))
+
+    code = [
+        ("li", r(4), r(0), Imm(8192)),
+        ("li", r(5), r(0), Imm(16384)),
+        ("li", r(7), r(0), Imm(0)),
+        ("ldadd", r(6), r(4), r(5)),  # loop:
+        ("add", r(7), r(7), r(6)),
+        ("ld", r(8), r(4), Imm(0)),
+        ("add", r(7), r(7), r(8)),
+        ("addi", r(4), r(4), Imm(4)),
+        ("addi", r(5), r(5), Imm(8)),
+        ("addi", r(2), r(2), Imm(-1)),
+        ("bne0", r(2), Lab("loop")),
+        ("nop",),
+        ("add", r(2), r(7), r(0)),
+        ("ret",),
+        ("nop",),
+    ]
+    instrs = [instr(target, name, *operands) for name, *operands in code]
+    return Executable(
+        target, instrs, labels={"f": 0, "loop": 3}, functions={"f": 0}
+    )
+
+
+def test_load_store_instruction_replays_exactly():
+    """An instruction that both loads and stores: engine runs with a
+    data cache, plain and traced, cold and warm, equal the reference
+    model on cycles, cache hits and misses and the stall breakdown."""
+    executable = _loadstore_executable()
+    assert memory_accesses(executable.instrs[3].desc.semantics) == (
+        False, False, True,
+    )
+    reference = simulate_oracle(
+        executable, "f", (300,), repro.SimOptions(cache=True, trace=True)
+    )
+    assert reference.cache_misses and reference.cycle_breakdown["cache_miss"]
+    fields = ("cycles", "cache_hits", "cache_misses", "return_value")
+    for trace in (False, True, False, True):
+        run = repro.simulate(
+            executable, "f", (300,),
+            options=repro.SimOptions(cache=True, trace=trace),
+        )
+        for field in fields:
+            assert getattr(run, field) == getattr(reference, field), field
+        if trace:
+            assert run.cycle_breakdown == reference.cycle_breakdown
+        assert run.jit_hits > 0

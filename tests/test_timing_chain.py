@@ -10,6 +10,8 @@ target × strategy grid, with and without a data cache, for plain,
 traced, timing-off and ``max_cycles``-budgeted runs.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.backend.insts import Imm, Reg
@@ -212,10 +214,10 @@ def test_digest_counter_counts_first_visits_only(toyp):
         toyp, "addi", Reg(PhysReg("r", 2)), Reg(PhysReg("r", 6)), Imm(1)
     )
     cache = BlockTimingCache(toyp, [nop_like], None)
-    delta, exit_id, _ = cache.close(0, 0, -1, 0, [], cache.EMPTY_ID, 0)
+    delta, exit_id, _ = cache.close(0, 0, -1, 0, cache.EMPTY_ID, 0)
     assert cache.digests_computed == 1
     # the same transition again: a pure table hit, no digest
-    again = cache.close(0, 0, -1, 0, [], cache.EMPTY_ID, delta + 1)
+    again = cache.close(0, 0, -1, 0, cache.EMPTY_ID, delta + 1)
     assert again[:2] == (delta, exit_id)
     assert cache.digests_computed == 1
     assert (cache.hits, cache.misses) == (1, 1)
@@ -283,17 +285,48 @@ def test_trace_and_plain_runs_share_one_memo():
 
 def test_transitions_accessor_is_live(toyp):
     """``transitions()`` hands out the same dict ``close()`` updates in
-    place — the contract generated code relies on when it binds a
-    table's ``.get`` once per call."""
+    place — the contract the dispatch loop relies on when it binds a
+    generated function's table getters once per run."""
     nop_like = instr(
         toyp, "addi", Reg(PhysReg("r", 2)), Reg(PhysReg("r", 6)), Imm(1)
     )
     cache = BlockTimingCache(toyp, [nop_like], None)
     table = cache.transitions(0, 0, -1)
     assert table == {}
-    delta, exit_id, _ = cache.close(0, 0, -1, 0, [], cache.EMPTY_ID, 0)
+    delta, exit_id, _ = cache.close(0, 0, -1, 0, cache.EMPTY_ID, 0)
     assert table[(cache.EMPTY_ID, 0)][:2] == (delta, exit_id)
     assert cache.transitions(0, 0, -1) is table
+
+
+def test_warm_run_binds_each_probe_site_once(monkeypatch):
+    """The dispatch loop binds a generated function's probe-site
+    getters on the function's first dispatch in a run, not on every
+    call: a warm K7 run asks the memo for a transition table at most
+    once per probe site of each compiled function."""
+    spec = kernel_by_id(7)
+    executable = _compile(spec, "r2000", "postpass")
+    loop, n = spec.args
+    args = (loop, max(4, int(n * 0.03)))
+    options = repro.SimOptions(cache=DirectMappedCache())
+    for _ in range(2):
+        repro.simulate(executable, "bench", args, options=options)
+    calls = Counter()
+    transitions = BlockTimingCache.transitions
+
+    def counting(self, entry, end, transfer):
+        calls[(entry, end, transfer)] += 1
+        return transitions(self, entry, end, transfer)
+
+    monkeypatch.setattr(BlockTimingCache, "transitions", counting)
+    warm = repro.simulate(executable, "bench", args, options=options)
+    sites = Counter(
+        site
+        for record in executable._segment_jit.functions(True).values()
+        if record is not None
+        for site in record[0]._jit_sites
+    )
+    assert warm.jit_hits > 100 and calls
+    assert all(count <= sites[site] for site, count in calls.items())
 
 
 def test_chained_exit_id_is_next_entry_id(toyp):
@@ -303,8 +336,8 @@ def test_chained_exit_id_is_next_entry_id(toyp):
         toyp, "addi", Reg(PhysReg("r", 2)), Reg(PhysReg("r", 6)), Imm(1)
     )
     cache = BlockTimingCache(toyp, [nop_like, nop_like], None)
-    delta, mid_id, _ = cache.close(0, 0, -1, 0, [], cache.EMPTY_ID, 0)
-    cache.close(1, 1, -1, 0, [], mid_id, delta)
+    delta, mid_id, _ = cache.close(0, 0, -1, 0, cache.EMPTY_ID, 0)
+    cache.close(1, 1, -1, 0, mid_id, delta)
     # the second segment's record is keyed by the first one's exit id
     assert (mid_id, 0) in cache.transitions(1, 1, -1)
 
@@ -314,8 +347,8 @@ def test_export_preload_round_trip(toyp):
         toyp, "addi", Reg(PhysReg("r", 2)), Reg(PhysReg("r", 6)), Imm(1)
     )
     cache = BlockTimingCache(toyp, [nop_like, nop_like], None)
-    delta, mid_id, _ = cache.close(0, 0, -1, 0, [], cache.EMPTY_ID, 0)
-    cache.close(1, 1, -1, 0, [], mid_id, delta)
+    delta, mid_id, _ = cache.close(0, 0, -1, 0, cache.EMPTY_ID, 0)
+    cache.close(1, 1, -1, 0, mid_id, delta)
     snapshot = cache.export()
 
     fresh = BlockTimingCache(toyp, [nop_like, nop_like], None)
@@ -324,7 +357,7 @@ def test_export_preload_round_trip(toyp):
     assert fresh.segments == cache.segments
     assert fresh.entries == cache.entries
     # a preloaded transition is a pure hit: no replay, no digest
-    again = fresh.close(0, 0, -1, 0, [], fresh.EMPTY_ID, 0)
+    again = fresh.close(0, 0, -1, 0, fresh.EMPTY_ID, 0)
     assert again[:2] == (delta, mid_id)
     assert fresh.digests_computed == 0
     assert (fresh.hits, fresh.misses) == (1, 0)
@@ -335,7 +368,7 @@ def test_preload_rejects_malformed_payloads(toyp):
         toyp, "addi", Reg(PhysReg("r", 2)), Reg(PhysReg("r", 6)), Imm(1)
     )
     good = BlockTimingCache(toyp, [nop_like], None)
-    record = good.close(0, 0, -1, 0, [], good.EMPTY_ID, 0)
+    record = good.close(0, 0, -1, 0, good.EMPTY_ID, 0)
     snapshot = good.export()
 
     # a record pointing past the digest list must be rejected wholesale
