@@ -50,6 +50,9 @@ class ScheduleResult:
     #: stalls are classified — both sides are derived independently and
     #: tested for conservation.
     nop_slots: int = 0
+    #: the block's own instructions in the same order, without the
+    #: delay-slot nops: what an estimate pass adopts
+    order: list[MachineInstr] = field(default_factory=list)
 
     def cycle_of(self, instr: MachineInstr) -> int:
         return self.issue_cycle[instr.id]
@@ -473,15 +476,16 @@ class _BlockScheduler:
         return out
 
     def _finish(self) -> ScheduleResult:
-        instrs: list[MachineInstr] = []
+        order: list[MachineInstr] = []
         issue_map: dict[int, int] = {}
         last_cycle = 0
         for node in self._ordered_for_emission():
-            instrs.append(node.instr)
+            order.append(node.instr)
             cycle = self.issue_cycle[node]
             issue_map[node.instr.id] = cycle
             last_cycle = max(last_cycle, cycle)
         cost = last_cycle + 1
+        instrs = list(order)
         events = list(self.stall_events)
         nops_inserted = 0
         for control in self.controls:
@@ -506,4 +510,5 @@ class _BlockScheduler:
             issue_map,
             stall_events=events if self.config.classify_stalls else [],
             nop_slots=idle + nops_inserted,
+            order=order,
         )

@@ -95,7 +95,10 @@ class Strategy:
         The ``record_costs`` pass is the *final* one — the schedule the
         emitted code actually carries — so it is also the pass whose
         stall attribution lands on the blocks (for
-        ``--explain-schedule``) and in ``stats.stall_reasons``.
+        ``--explain-schedule``) and in ``stats.stall_reasons``, and the
+        only pass that fills delay slots.  An estimate pass adopts its
+        schedule's order of the block's own instructions; its costs
+        still count the slots.
         """
         scheduler = ListScheduler(
             target,
@@ -117,7 +120,9 @@ class Strategy:
                 if self.schedule_enabled:
                     result = scheduler.schedule_block(block.instrs)
                     if rewrite:
-                        block.instrs = result.instrs
+                        block.instrs = (
+                            result.instrs if record_costs else result.order
+                        )
                     costs[block.label] = result.cost
                     if record_costs:
                         block.issue_cycles = dict(result.issue_cycle)
@@ -128,7 +133,7 @@ class Strategy:
                     # no-scheduler baseline: keep program order but still
                     # fill branch delay slots with nops (every MIPS-era
                     # assembler did)
-                    if rewrite:
+                    if rewrite and record_costs:
                         self._fill_delay_slots(block, target)
                     costs[block.label] = self._unscheduled_cost(block, target)
         stats.schedule_passes += 1
