@@ -60,19 +60,17 @@ class GraphColoringAllocator:
         (prologue/epilogue, ``*func`` move expansion)."""
         result = AllocationResult()
         self._spill_temp_ids: set[int] = set()
-        already_spilled: set[int] = set()
         for iteration in range(1, _MAX_ITERATIONS + 1):
             result.iterations = iteration
             liveness = compute_liveness(fn, self.target.registers)
             graph = build_interference(fn, liveness, self.target.registers)
-            assignment, spilled = self._color(graph, liveness, already_spilled)
+            assignment, spilled = self._color(graph, liveness)
             if not spilled:
                 result.assignment = assignment
                 self._rewrite(fn, assignment)
                 result.used_callee_save = self._callee_saves(assignment)
                 return result
             result.spilled_pseudos += len(spilled)
-            already_spilled.update(p.id for p in spilled)
             self._insert_spill_code(fn, spilled)
         raise AllocationError(
             f"register allocation did not converge after {_MAX_ITERATIONS} "
@@ -99,12 +97,7 @@ class GraphColoringAllocator:
             candidates.sort(key=lambda r: (r in callee, r.index))
         return candidates
 
-    def _color(
-        self,
-        graph: InterferenceGraph,
-        liveness,
-        already_spilled: set[int],
-    ):
+    def _color(self, graph: InterferenceGraph, liveness):
         registers = self.target.registers
         cwvm = self.target.cwvm
         # each pseudo's register set, and its K: the set's allocable count

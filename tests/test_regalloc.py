@@ -355,15 +355,15 @@ def test_heap_simplify_matches_the_rescan(toyp, r2000, monkeypatch):
 
     colorings = []
 
-    def both(self, graph, liveness, already_spilled):
+    def both(self, graph, liveness):
         with monkeypatch.context() as patch:
             patch.setattr(
                 GraphColoringAllocator,
                 "_simplify",
                 recording("rescan", _rescan_simplify),
             )
-            reference = color(self, graph, liveness, already_spilled)
-        result = color(self, graph, liveness, already_spilled)
+            reference = color(self, graph, liveness)
+        result = color(self, graph, liveness)
         colorings.append((stacks["heap"], stacks["rescan"], result, reference))
         return result
 
