@@ -64,15 +64,22 @@ def build(target, mnemonic, *operands) -> MachineInstr:
     return make_instr(desc, list(operands))
 
 
+def paper_sources() -> list[str]:
+    """The sources of every suite program and Livermore kernel."""
+    from repro.workloads import LIVERMORE_KERNELS, PROGRAM_SUITE
+
+    return [p.source for p in PROGRAM_SUITE] + [
+        k.source for k in LIVERMORE_KERNELS
+    ]
+
+
 def compile_paper_programs(targets) -> None:
     """Compile every suite program and Livermore kernel on each of
     ``targets`` under all three strategies; tests patch a pass first to
     watch it on real code."""
     import repro
-    from repro.workloads import LIVERMORE_KERNELS, PROGRAM_SUITE
 
-    sources = [p.source for p in PROGRAM_SUITE]
-    sources += [k.source for k in LIVERMORE_KERNELS]
+    sources = paper_sources()
     for target in targets:
         for strategy in ("postpass", "ips", "rase"):
             options = repro.CompileOptions(strategy=strategy)
