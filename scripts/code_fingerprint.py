@@ -4,7 +4,7 @@
 Compiles the 228 paper units (the five suite programs of Table 3 and the
 fourteen Livermore kernels of Table 4, on every target under every
 strategy) with the artifact cache off, and prints one JSON object that
-maps ``target/strategy/program`` to two sha256 digests.  ``code`` covers
+maps ``target/strategy/program`` to three sha256 digests.  ``code`` covers
 ``format_program(explain=True)``: the listing with every issue cycle and
 stall line, so a change in schedule, allocation or selection shows.
 
@@ -17,11 +17,14 @@ run ``bench`` at ``(loop, max(4, int(n * 0.05)))``, the problem size
 value, cycles, instructions, loads, stores, cache hits and misses and
 block counts, and the traced run its stall breakdown, so a simulator
 change can show its timing is exact the way a compiler change shows its
-code is byte-identical.
+code is byte-identical.  ``jit`` covers the same two runs' JIT counters
+(segments compiled, probe hits, deopts, superblocks built, side exits and
+interpreted instructions), so a change in which segments compile or which
+traces form shows even when the results stay exact.
 
 With ``--against FILE`` (an earlier run's output) it lists the units
 whose fingerprint differs, is missing or is new, naming for a differing
-unit which digests differ (``code``, ``runs`` or ``code+runs``), ends
+unit which digests differ (such as ``runs`` or ``code+runs+jit``), ends
 with the count of differing units per target and strategy, and exits 1
 if there is any.  A change meant to keep the emitted code and its
 simulated results identical runs it on both sides::
@@ -44,6 +47,9 @@ from repro.targets import TARGET_NAMES  # noqa: E402
 from repro.workloads import LIVERMORE_KERNELS, PROGRAM_SUITE  # noqa: E402
 
 STRATEGIES = ("postpass", "ips", "rase")
+
+#: the per-unit digests, in the order ``--against`` names them
+DIGESTS = ("code", "runs", "jit")
 
 #: Livermore problem-size scale of the simulated runs
 SIM_SCALE = 0.05
@@ -76,19 +82,33 @@ def run_record(result) -> tuple:
     )
 
 
-def simulation_record(exe, entry: str, args: tuple) -> str:
-    """A traced and then a plain engine run of one unit, as text."""
+def jit_record(result) -> tuple:
+    """The JIT counters of one engine run."""
+    return (
+        result.jit_segments,
+        result.jit_hits,
+        result.jit_deopts,
+        result.jit_superblocks,
+        result.jit_side_exits,
+        result.interpreted,
+    )
+
+
+def simulation_records(exe, entry: str, args: tuple) -> tuple[str, str]:
+    """A traced and then a plain engine run of one unit, as text:
+    ``(results, jit counters)``."""
     traced = repro.simulate(
         exe, entry, args, options=repro.SimOptions(cache=True, trace=True)
     )
     plain = repro.simulate(
         exe, entry, args, options=repro.SimOptions(cache=True)
     )
-    return repr((
+    results = repr((
         run_record(traced),
         sorted(traced.cycle_breakdown.items()),
         run_record(plain),
     ))
+    return results, repr((jit_record(traced), jit_record(plain)))
 
 
 def digest(text: str) -> str:
@@ -104,9 +124,11 @@ def fingerprints() -> dict[str, dict[str, str]]:
             for name, source, entry, args in paper_programs():
                 exe = repro.compile_c(source, machine, options)
                 listing = format_program(exe.machine_program, explain=True)
+                runs, jit = simulation_records(exe, entry, args)
                 out[f"{target}/{strategy}/{name}"] = {
                     "code": digest(listing),
-                    "runs": digest(simulation_record(exe, entry, args)),
+                    "runs": digest(runs),
+                    "jit": digest(jit),
                 }
     return out
 
@@ -122,7 +144,7 @@ def differences(current: dict, reference: dict) -> list[tuple[str, str]]:
             out.append(("missing", key))
         else:
             parts = [
-                part for part in ("code", "runs")
+                part for part in DIGESTS
                 if current[key][part] != reference[key][part]
             ]
             if parts:

@@ -52,9 +52,11 @@ Inside the generated function:
 
 On top of single segments, hot multi-segment *traces* are stitched into
 **superblocks**: the driver profiles taken segment edges, and once an
-edge crosses :data:`SUPERBLOCK_WARMUP` the greedy selector follows
-terminal-goto successors while the profile stays hot, bounded by
-:data:`SUPERBLOCK_MAX_NODES`.  The whole trace becomes one generated
+edge crosses :data:`SUPERBLOCK_WARMUP` the greedy selector follows each
+node's unconditional tail — a goto only while it is the node's hottest
+profiled edge, calls and returns always — bounded by
+:data:`SUPERBLOCK_MAX_NODES`.  Only traces that loop back to their head
+are installed.  The whole trace becomes one generated
 function with the transition probe inlined at every internal segment
 boundary — a warm hit costs one dict lookup inside generated code, and
 only a first visit calls back into :meth:`BlockTimingCache.close`.
@@ -81,8 +83,9 @@ compiled prefix made and re-executes the segment interpreted, which
 then raises the exact interpreter error.  Past the first side effect
 the generated code raises the interpreter's
 :class:`~repro.errors.SimulationError` directly with the same message.
-An entry that deopts :data:`MAX_DEOPTS` times is blacklisted back to
-the interpreter.
+Looping functions (every superblock among them) have side effects from
+their first instruction, so only plain segments deopt.  An entry that
+deopts :data:`MAX_DEOPTS` times is blacklisted back to the interpreter.
 """
 
 from __future__ import annotations
@@ -125,25 +128,6 @@ SUPERBLOCK_MIN_EDGE = max(1, SUPERBLOCK_WARMUP // 4)
 
 #: maximum number of segments stitched into one superblock
 SUPERBLOCK_MAX_NODES = 8
-
-#: trace-call quality window: every WINDOW side exits the trace's
-#: early-exit rate is judged, and a trace whose cold-side exits (side
-#: exits before the first back-edge) exceed RATIO of the window is
-#: demoted back to its plain segment.  Selection is profile-guided; a
-#: data-dependent branch that is not as biased as warmup suggested
-#: leaves a trace that keeps dropping its open tail into the
-#: interpreter, costing more than the dispatches it saves
-SUPERBLOCK_DEMOTE_WINDOW = 16
-SUPERBLOCK_DEMOTE_RATIO = 0.25
-
-#: a mid-segment conditional is only worth truncating a trace node at
-#: when its taken side dominates: the profiled taken count must be at
-#: least this many times the fall-through block's execution count.
-#: Below that, selection keeps the whole segment — both diamond sides
-#: stay inline, exactly as the plain segment ran them — because every
-#: fall-through at a cut drops the trace's open tail into the
-#: interpreter
-SUPERBLOCK_CUT_BIAS = 8
 
 _INT_MAX = 2**31 - 1
 
@@ -253,26 +237,13 @@ class SegmentTranslator:
         )
         return codegen.build()
 
-    def translate_trace(
-        self, entries: list[int], cached: bool, cuts: dict | None = None
-    ):
+    def translate_trace(self, entries: list[int], cached: bool):
         """Compile the multi-segment trace headed at ``entries[0]``;
         ``(function, max_executed)`` with the superblock call contract
-        (see :class:`_TraceCodegen`).  ``cuts`` maps an entry to the pc
-        of a mid-segment conditional whose *taken* side continues the
-        trace: the node is truncated there, the not-taken side becomes
-        an open side exit.  Raises :class:`Uncompilable`."""
-        nodes = []
-        for entry in entries:
-            trace, tail = self._trace(entry)
-            cut = cuts.get(entry) if cuts else None
-            if cut is not None:
-                index = trace.index(cut)
-                trace = trace[: index + 1]
-                tail = _control_of(_stmts_of(self.instrs[cut]))
-                if not isinstance(tail, ast.CondGotoStmt):
-                    raise Uncompilable("trace cut is not a conditional")
-            nodes.append((entry, trace, tail))
+        (see :class:`_TraceCodegen`).  Every node is a whole segment,
+        joined to the next through its unconditional tail.  Raises
+        :class:`Uncompilable`."""
+        nodes = [(entry, *self._trace(entry)) for entry in entries]
         codegen = _TraceCodegen(self, entries, nodes, cached)
         # reject non-loop shapes before paying for scan/emit/compile
         codegen._find_trace_shape()
@@ -313,67 +284,6 @@ class SegmentTranslator:
         if isinstance(tail, ast.RetStmt) and returns:
             return returns.pop(), "ret"
         return None, None
-
-    def hot_cut(self, entry: int, target: int, site: int | None = None):
-        """How the profiled taken edge ``entry -> target`` leaves the
-        segment: ``("tail", None)`` through the terminal goto, or
-        ``("cond", pc)`` at the branching conditional (a truncation
-        point for trace selection), or ``None``.  ``site`` is the
-        branch pc the dispatch profiler observed taking the edge; when
-        several conditionals in the segment share the target label it
-        disambiguates which one is hot (a label-only scan would cut at
-        the first match and leave the actually-hot branch outside the
-        trace)."""
-        try:
-            trace, tail = self._trace(entry)
-        except Uncompilable:
-            return None
-        if site is not None and site in trace:
-            try:
-                control = _control_of(_stmts_of(self.instrs[site]))
-            except Uncompilable:
-                return None
-            if isinstance(control, ast.CondGotoStmt):
-                if self._resolve_target(site, control) == target:
-                    return ("cond", site)
-            if site == trace[-1] and isinstance(tail, ast.GotoStmt):
-                if self._resolve_target(site, tail) == target:
-                    return ("tail", None)
-            # a recorded site that does not check out falls back to the
-            # label scan below
-        for pc in trace[:-1]:
-            try:
-                control = _control_of(_stmts_of(self.instrs[pc]))
-            except Uncompilable:
-                return None
-            if isinstance(control, ast.CondGotoStmt):
-                if self._resolve_target(pc, control) == target:
-                    return ("cond", pc)
-        last = trace[-1]
-        try:
-            control = _control_of(_stmts_of(self.instrs[last]))
-        except Uncompilable:
-            return None
-        if isinstance(control, ast.CondGotoStmt):
-            if self._resolve_target(last, control) == target:
-                return ("cond", last)
-        if isinstance(tail, ast.GotoStmt):
-            if self._resolve_target(last, tail) == target:
-                return ("tail", None)
-        return None
-
-    def fallthrough_count(self, pc: int, block_counts) -> int | None:
-        """How often the fall-through side of the conditional at ``pc``
-        ran, read from the profiled block counts — the not-taken
-        counterpart of the taken-edge profile.  ``None`` when the
-        fall-through point is not a block start (no counter exists)."""
-        if block_counts is None:
-            return None
-        instr = self.instrs[pc]
-        fall = pc + 1 + abs(instr.desc.slots)
-        if fall not in self.block_starts:
-            return None
-        return block_counts.get(self.block_of[fall], 0)
 
     def _trace(self, entry: int):
         """Static straight-line walk: pcs up to (and including) the first
@@ -1178,7 +1088,7 @@ class _TraceCodegen(_SegmentCodegen):
 
     Call contract::
 
-        fn(state, dcache, bc, tg, close, eid, b0, fz, mm, lb)
+        fn(state, dcache, bc, tg, close, eid, b0, fz)
 
     ``dcache`` is the data-cache model (its tag array and shift/mask
     geometry are read into locals once; accesses are inlined
@@ -1189,7 +1099,10 @@ class _TraceCodegen(_SegmentCodegen):
     accessor, so a warm boundary is one two-int-tuple lookup — and
     ``close`` the miss path.  ``eid`` is the entry digest id, ``b0``
     the absolute base cycle at entry, and ``fz`` the
-    executed-instruction budget for back-edges.  Returns a 15-tuple
+    executed-instruction budget for back-edges.  The segment's miss
+    mask ``mm`` and next load bit ``lb`` start at ``0``/``1`` in the
+    prologue: the function is only called at a fresh segment boundary.
+    Returns a 15-tuple
     ``(kind, end, transfer, label, node_entry, open_len, ex, ld, st,
     mm, lb, ci, eid, bch, sbh)``: ``kind`` 1/2/3 are
     taken-branch/return/call exits with every segment (including the
@@ -1205,12 +1118,12 @@ class _TraceCodegen(_SegmentCodegen):
     totals entirely and returns static literals.
 
     Inlined probes count as non-undoable side effects (a miss mutates
-    the shared memo), so a division guard can deopt only in the head
-    node before the first probe — exactly the window where no cache
-    access and no register flush happened, making the undo
-    argument identical across function shapes.  Looping functions force
-    ``effects`` (and all-load-all-flush) upfront: iteration state lives
-    only in locals.
+    the shared memo), and looping functions force ``effects`` (and
+    all-load-all-flush) upfront: iteration state lives only in locals.
+    Every superblock loops (:meth:`_find_trace_shape` refuses the
+    rest), so only a non-looping plain segment can deopt, and only
+    before its first cache access, memory write or probe; every other
+    division guard raises the interpreter's error inline.
     """
 
     def __init__(self, translator, entries, nodes, cached, plain=False):
@@ -1271,10 +1184,9 @@ class _TraceCodegen(_SegmentCodegen):
     def _find_trace_shape(self) -> None:
         """Validate internal edges and detect back-edges to the head
         (any of which makes the whole trace a loop).  Node successors
-        follow unconditional gotos, truncated-node taken conditionals,
-        calls (pushing the static return pc) and returns (popping it —
-        the pc a run-time guard then enforces, via
-        :attr:`ret_targets`)."""
+        follow unconditional gotos, calls (pushing the static return
+        pc) and returns (popping it — the pc a run-time guard then
+        enforces, via :attr:`ret_targets`)."""
         labels = self.tr.executable.labels
         instrs = self.tr.instrs
         head = self.entry
@@ -1291,9 +1203,7 @@ class _TraceCodegen(_SegmentCodegen):
                     if labels.get(label) == head:
                         self.looping = True
             succ = None
-            if isinstance(
-                tail, (ast.GotoStmt, ast.CondGotoStmt, ast.CallStmt)
-            ):
+            if isinstance(tail, (ast.GotoStmt, ast.CallStmt)):
                 instr = instrs[trace[-1]]
                 succ = labels.get(self._label_of(tail.target, instr))
                 if isinstance(tail, ast.CallStmt):
@@ -1504,8 +1414,7 @@ class _TraceCodegen(_SegmentCodegen):
     def _emit(self) -> str:
         name = self._name()
         self.lines = [
-            f"def {name}(state, dcache, bc, tg, close,"
-            " eid, b0, fz, mm, lb):"
+            f"def {name}(state, dcache, bc, tg, close, eid, b0, fz):"
         ]
         # the whole prologue is assembled after the body, once the body
         # says which bindings it actually needs (memory, block counts,
@@ -1540,7 +1449,9 @@ class _TraceCodegen(_SegmentCodegen):
         last = len(self.nodes) - 1
         for position, (entry, trace, tail) in enumerate(self.nodes):
             self._emit_node(position, entry, trace, tail, position == last)
-        prologue = ["    u = state.units"]
+        # generated code is only called at a fresh segment boundary,
+        # where the miss mask is empty
+        prologue = ["    u = state.units", "    mm = 0; lb = 1"]
         if self.uses_temporal:
             prologue.append("    tp = state.temporal")
         if self.has_mem:
@@ -1586,31 +1497,6 @@ class _TraceCodegen(_SegmentCodegen):
                 self._line(f"{cond} = {cond_code}")
                 self._emit_bc(pc)
                 label = self._label_of(control.target, instr)
-                if control is tail and pc == trace[-1]:
-                    # truncated node: the taken side continues the
-                    # trace; not-taken leaves with the segment open
-                    self._line(f"if {cond} == 0:")
-                    self.indent += 1
-                    snapshot = self._snapshot()
-                    self._emit_side_exit(
-                        entry, pc, -1, 0, None, index + 1,
-                        open_len=index + 1,
-                    )
-                    self._restore(snapshot)
-                    self.indent -= 1
-                    executed = index + 1 + abs(instr.desc.slots)
-                    if labels.get(label) == head:
-                        self._emit_back_edge(entry, pc, instr, index)
-                    elif not is_last:
-                        end = self._emit_slots(pc, instr)
-                        self._emit_probe(entry, end, pc, executed)
-                        self.node_exec_base += executed
-                    else:
-                        end = self._emit_slots(pc, instr)
-                        self._emit_side_exit(
-                            entry, end, pc, 1, label, executed
-                        )
-                    continue
                 self._line(f"if {cond} != 0:")
                 self.indent += 1
                 snapshot = self._snapshot()
@@ -1717,23 +1603,8 @@ class SegmentJIT:
         #: taken-edge profile feeding trace selection:
         #: ``(from_entry, to_entry) -> count``, shared across runs
         self.edges: dict[tuple[int, int], int] = {}
-        #: the branch pc last observed taking each profiled edge —
-        #: disambiguates which of several same-label conditionals in a
-        #: segment is the hot one when placing a trace cut
-        self.edge_sites: dict[tuple[int, int], int] = {}
         #: trace heads already decided (built or refused), per table
         self._sb_decided: tuple[set, set] = (set(), set())
-        #: ``(flag, head) ->`` the plain segment record a superblock
-        #: replaced — live ``(fn, max_exec, False)`` tuple or exported
-        #: ``("seg", ...)`` payload — restored when the trace blacklists
-        self._sb_fallback: dict = {}
-        #: ``(flag, head) ->`` node count of the installed trace, the
-        #: yardstick for the quality gate: a call whose probe-close
-        #: count stays at or below it never reached the back-edge
-        self.sb_nodes: dict = {}
-        #: ``(flag, head) -> (side exits, early exits)`` in the current
-        #: quality window
-        self._sb_bad: dict = {}
         self.compiled = 0
         self.uncompilable = 0
         self.preloaded = 0
@@ -1773,7 +1644,7 @@ class SegmentJIT:
         flag = 1 if cached else 0
         pending = self._pending[flag]
         if entry in pending:
-            record = self._materialize((flag, entry), pending.pop(entry))
+            record = self._materialize(pending.pop(entry))
             self.preloaded += 1
             if record is not None and record[2]:
                 self.sb_preloaded += 1
@@ -1796,14 +1667,12 @@ class SegmentJIT:
         self.dirty = True
         return record
 
-    def build_superblock(
-        self, head: int, cached: bool, block_counts=None
-    ) -> bool:
+    def build_superblock(self, head: int, cached: bool) -> bool:
         """Attempt to promote ``head``'s compiled segment into a trace
         superblock (greedy hot-path selection over :attr:`edges`).  One
         attempt per head; returns whether a superblock was installed.
-        The plain record is stashed so blacklisting a trace falls back
-        to the segment, and so promotion of a *preloaded* segment never
+        The trace replaces the plain record outright: it loops, so it
+        never deopts, and promoting a *preloaded* segment never
         perturbs the ``preloaded``/``compiled`` split."""
         flag = 1 if cached else 0
         decided = self._sb_decided[flag]
@@ -1814,150 +1683,58 @@ class SegmentJIT:
         if current is None or current[2]:
             # refused/blacklisted head, or already a superblock
             return False
-        selected = self._select_trace(head, block_counts)
-        if selected is None:
+        entries = self._select_trace(head)
+        if entries is None:
             return False
-        entries, cuts = selected
         try:
-            fn, max_exec = self.translator.translate_trace(
-                entries, cached, cuts
-            )
+            fn, max_exec = self.translator.translate_trace(entries, cached)
         except Uncompilable:
             return False
-        self._sb_fallback[(flag, head)] = current
         self._tables[flag][head] = (fn, max_exec, True)
-        self.sb_nodes[(flag, head)] = len(entries)
         self.superblocks += 1
         self.dirty = True
         return True
 
-    def note_trace_exit(
-        self, head: int, cached: bool, closes: int, kind: int
-    ) -> None:
-        """Trace-quality gate, fed by the dispatch loop on every trace
-        side exit.  The harmful pattern is an *open* exit (kind 0)
-        before the first back-edge: the call did no better than the
-        plain segments it replaced, and its open tail resumes
-        mid-segment in the interpreter.  Taken/call/return side exits
-        land on block starts and re-enter compiled code, so they stay
-        cheap however often they fire — a trace that alternates arms
-        of a diamond is doing its job.  ``closes`` is the number of
-        probe closes the call performed: at most the trace's node
-        count means it never reached the back-edge.  Every
-        :data:`SUPERBLOCK_DEMOTE_WINDOW` side exits the early-open
-        rate is judged; at or above :data:`SUPERBLOCK_DEMOTE_RATIO`
-        the head is demoted back to its stashed segment record.  Fuse
-        stops (kind 4) never reach here, so a trace that mostly runs
-        to the fuse is never demoted."""
-        item = (1 if cached else 0, head)
-        nodes = self.sb_nodes.get(item)
-        if nodes is None:
-            return
-        exits, early = self._sb_bad.get(item, (0, 0))
-        exits += 1
-        if kind == 0 and closes <= nodes:
-            early += 1
-        if exits < SUPERBLOCK_DEMOTE_WINDOW:
-            self._sb_bad[item] = (exits, early)
-            return
-        if early >= exits * SUPERBLOCK_DEMOTE_RATIO:
-            self._sb_bad.pop(item, None)
-            self._demote(item)
-        else:
-            # window passed: start a fresh one so a later phase change
-            # can still demote
-            self._sb_bad[item] = (0, 0)
-
-    def _demote(self, item) -> None:
-        """Replace the trace at ``item`` with the plain segment record
-        it was promoted from.  The head stays in ``_sb_decided``, so it
-        is never re-promoted in this process."""
-        flag, head = item
-        fallback = self._sb_fallback.pop(item, None)
-        if fallback is None:
-            return
-        if not callable(fallback[0]):
-            fallback = self._materialize(item, fallback)
-        self._tables[flag][head] = fallback
-        self.sb_nodes.pop(item, None)
-        self.dirty = True
-
-    def _select_trace(self, head: int, block_counts=None):
+    def _select_trace(self, head: int):
         """Greedy hot-path selection from ``head``: at each node follow
-        the hottest profiled taken edge (truncating the node at a
-        mid-segment conditional when that is the hot exit), or the
-        static flow through an unconditional tail — calls enter their
-        callee and returns follow the pc an earlier in-trace call
-        pinned.  Stops at the head itself (the codegen turns
-        head-targeting exits into back-edges), a repeated node, a cold
-        edge, or the node cap.  ``(entries, cuts)`` or ``None``."""
+        the unconditional tail — a goto only while it is the node's
+        hottest profiled taken edge and at least
+        :data:`SUPERBLOCK_MIN_EDGE`, a call into its callee, a return
+        to the pc an earlier in-trace call pinned.  Stops at the head
+        itself (the codegen turns head-targeting exits into
+        back-edges), a repeated node, a cold edge, or the node cap.
+        The entry list, or ``None``."""
         entries = [head]
-        seen = {head}
-        current = head
         returns: list[int] = []
-        cuts: dict[int, int] = {}
         while len(entries) < SUPERBLOCK_MAX_NODES:
-            succ, cut = self._next_node(current, returns, block_counts)
-            if succ is None or succ in seen:
+            succ = self._next_node(entries[-1], returns)
+            if succ is None or succ in entries:
                 break
-            if cut is not None:
-                cuts[current] = cut
             entries.append(succ)
-            seen.add(succ)
-            current = succ
-        return (entries, cuts) if len(entries) >= 2 else None
+        return entries if len(entries) >= 2 else None
 
-    def _next_node(self, current: int, returns: list, block_counts=None):
-        """The trace successor of ``current`` and an optional
-        truncation pc: the hottest profiled taken edge when it is hot
-        enough (resolved to the terminal goto or a mid-segment
-        conditional), else the deterministic call/return flow.  A
-        conditional cut is only used when its taken side dominates the
-        fall-through by :data:`SUPERBLOCK_CUT_BIAS`; a weakly biased
-        branch keeps the whole segment in the trace and follows the
-        static flow instead."""
+    def _next_node(self, current: int, returns: list) -> int | None:
+        """The trace successor of ``current`` through its unconditional
+        tail, or ``None`` (see :meth:`_select_trace`)."""
+        succ, via = self.translator.trace_successor(current, returns)
+        if via != "goto":
+            return succ
         best, best_count = None, 0
         for (frm, to), count in self.edges.items():
             if frm == current and count > best_count:
                 best, best_count = to, count
-        if best is not None and best_count >= SUPERBLOCK_MIN_EDGE:
-            cut = self.translator.hot_cut(
-                current, best, self.edge_sites.get((current, best))
-            )
-            if cut is not None:
-                kind, pc = cut
-                if kind != "cond":
-                    return best, None
-                fall = self.translator.fallthrough_count(pc, block_counts)
-                if fall is not None and (
-                    best_count >= fall * SUPERBLOCK_CUT_BIAS
-                ):
-                    return best, pc
-        succ, via = self.translator.trace_successor(current, returns)
-        if via in ("call", "ret"):
-            return succ, None
-        return None, None
-
-    def segment_fallback(self, entry: int, cached: bool):
-        """The plain segment record behind a superblock at ``entry``
-        (materialized on demand), restored when the trace blacklists."""
-        item = (1 if cached else 0, entry)
-        fallback = self._sb_fallback.get(item)
-        if fallback is None:
+        if succ != best or best_count < SUPERBLOCK_MIN_EDGE:
             return None
-        if not callable(fallback[0]):
-            fallback = self._materialize(item, fallback)
-            self._sb_fallback[item] = fallback
-        return fallback
+        return succ
 
     def note_deopt(
         self, entry: int, cached: bool, fault: JitDeopt, block_counts: dict
     ) -> None:
         """Undo the compiled prefix's block-count increments; blacklist
-        the entry after :data:`MAX_DEOPTS` guard failures.  A
-        blacklisted *superblock* falls back to the plain segment record
-        it replaced (with a fresh deopt budget) rather than all the way
-        to the interpreter."""
+        the entry after :data:`MAX_DEOPTS` guard failures.  Only plain
+        segments deopt in a run (every trace loops and raises inline);
+        a blacklisted entry, trace head or not, goes to the
+        interpreter."""
         self.deopts += 1
         for label in fault.bc_undo:
             remaining = block_counts.get(label, 0) - 1
@@ -1968,16 +1745,7 @@ class SegmentJIT:
         count = self._deopt_counts.get(entry, 0) + 1
         self._deopt_counts[entry] = count
         if count >= MAX_DEOPTS:
-            restored = None
-            current = self.functions(cached).get(entry)
-            if current is not None and current[2]:
-                restored = self.segment_fallback(entry, cached)
-                item = (1 if cached else 0, entry)
-                self._sb_fallback.pop(item, None)
-                self.sb_nodes.pop(item, None)
-                self._sb_bad.pop(item, None)
-                self._deopt_counts[entry] = 0
-            self.functions(cached)[entry] = restored
+            self.functions(cached)[entry] = None
             self.dirty = True
 
     # -- artifact-cache serialization ------------------------------------
@@ -2006,21 +1774,13 @@ class SegmentJIT:
         fn._jit_sites = tuple(sites)
         return fn, max_exec
 
-    def _materialize(self, item, record):
+    def _materialize(self, record):
         """Rebuild a table record from its exported form — the inverse
-        of what :meth:`export` captures.  ``item`` is ``(flag, entry)``;
-        a superblock payload also stashes its segment fallback."""
+        of what :meth:`export` captures."""
         if record is None:
             return None
-        if record[0] == "sb":
-            fn, max_exec = self._compile_payload(record[1])
-            if record[2] is not None:
-                self._sb_fallback.setdefault(item, record[2])
-            if len(record) > 3 and record[3]:
-                self.sb_nodes[item] = record[3]
-            return (fn, max_exec, True)
         fn, max_exec = self._compile_payload(record[1:])
-        return (fn, max_exec, False)
+        return (fn, max_exec, record[0] == "sb")
 
     @staticmethod
     def _export_payload(fn, max_exec):
@@ -2035,13 +1795,12 @@ class SegmentJIT:
 
     def export(self) -> dict:
         """A picklable snapshot of every decided entry: ``(cached,
-        entry) -> None`` (refused/blacklisted), ``("seg", name, source,
-        consts, max_executed, magic, code_blob, sites)``, or ``("sb", payload,
-        fallback, nodes)`` for a superblock (``fallback`` is the segment record
-        it replaced, in ``("seg", ...)`` form, so a warm process can
-        blacklist or demote back to it; ``nodes`` feeds the quality
-        gate).  Pending preloads the process never dispatched are passed
-        through so a partial warm run does not shrink the artifact."""
+        entry) -> None`` (refused/blacklisted), or ``(shape, name,
+        source, consts, max_executed, magic, code_blob, sites)`` with
+        ``shape`` ``"seg"`` for a plain segment and ``"sb"`` for a
+        superblock.  Pending preloads the process never dispatched are
+        passed through so a partial warm run does not shrink the
+        artifact."""
         out: dict = {}
         for flag in (0, 1):
             for entry, record in self._tables[flag].items():
@@ -2049,19 +1808,9 @@ class SegmentJIT:
                     out[(flag, entry)] = None
                     continue
                 fn, max_exec, is_sb = record
-                body = self._export_payload(fn, max_exec)
-                if is_sb:
-                    fallback = self._sb_fallback.get((flag, entry))
-                    if fallback is not None and callable(fallback[0]):
-                        fallback = ("seg",) + self._export_payload(
-                            fallback[0], fallback[1]
-                        )
-                    out[(flag, entry)] = (
-                        "sb", body, fallback,
-                        self.sb_nodes.get((flag, entry), 0),
-                    )
-                else:
-                    out[(flag, entry)] = ("seg",) + body
+                out[(flag, entry)] = (
+                    "sb" if is_sb else "seg",
+                ) + self._export_payload(fn, max_exec)
             for entry, record in self._pending[flag].items():
                 out.setdefault((flag, entry), record)
         return out

@@ -639,8 +639,8 @@ class Simulator:
         load_bit = 1
 
         # segment-JIT dispatch state: compiled functions only ever run at
-        # a fresh segment boundary (seg_len == 0 and pc == seg_entry), so
-        # the miss mask they receive is zero
+        # a fresh segment boundary (seg_len == 0 and pc == seg_entry),
+        # where the miss mask is zero
         jit = self._segment_jit()
         jit_cached = cache is not None
         jit_table = jit.functions(jit_cached)
@@ -656,7 +656,6 @@ class Simulator:
         # trace-superblock dispatch state: the edge profile feeds trace
         # selection
         sb_edges = jit.edges
-        sb_sites = jit.edge_sites
         sb_exits_run = 0
         jit_superblocks_before = jit.superblocks
         # an armed watchdog caps generated code's back-edge fuse, so a
@@ -720,7 +719,6 @@ class Simulator:
                         ) = fn(
                             state, cache, block_counts, getters, close,
                             entry_id, base_offset + virtual_issue, fuse,
-                            miss_mask, load_bit,
                         )
                     except JitDeopt as guard:
                         # the guard fired before any cache access,
@@ -746,13 +744,6 @@ class Simulator:
                             continue
                         if is_sb:
                             sb_exits_run += 1
-                            # quality gate: demote a trace whose calls
-                            # keep dropping an open tail into the
-                            # interpreter before the first back-edge
-                            jit.note_trace_exit(
-                                seg_entry, jit_cached, probe_closes,
-                                jit_kind,
-                            )
                         if jit_kind == 0:
                             # fallthrough end: the final segment stays
                             # open at node_entry
@@ -809,16 +800,13 @@ class Simulator:
                                 if hot < SUPERBLOCK_WARMUP:
                                     hot += 1
                                     sb_edges[edge] = hot
-                                    sb_sites[edge] = transfer
                                     if hot == SUPERBLOCK_WARMUP and not (
                                         jit.build_superblock(
-                                            node_entry, jit_cached,
-                                            block_counts,
+                                            node_entry, jit_cached
                                         )
                                     ):
                                         jit.build_superblock(
-                                            new_pc, jit_cached,
-                                            block_counts,
+                                            new_pc, jit_cached
                                         )
                             pc = new_pc
                         seg_entry = pc

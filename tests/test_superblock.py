@@ -222,32 +222,51 @@ def _promote(executable, args=(3, HOT)):
     result = _run(executable, args)
     assert result.jit_superblocks > 0
     jit = executable._segment_jit
-    for (flag, entry), fallback in jit._sb_fallback.items():
-        if flag == 1:
+    for entry, record in jit.functions(True).items():
+        if record is not None and record[2]:
             return jit, entry
     raise AssertionError("no promoted trace head found")
 
 
-def test_promotion_stashes_the_plain_segment():
-    executable = _compile(DIAMOND)
-    jit, head = _promote(executable)
-    record = jit.functions(True)[head]
-    assert record is not None and record[2]  # installed trace
-    fallback = jit.segment_fallback(head, True)
-    assert fallback is not None and not fallback[2]  # plain segment
+def test_superblocks_never_deopt():
+    # every installed trace loops, and a looping function has side
+    # effects from its first instruction: its division guards raise the
+    # interpreter's error inline, so no trace can deopt, and a
+    # blacklisted trace head needs no plain segment to fall back to
+    sources = []
+    for source, args in (
+        (DIAMOND, (3, HOT)),
+        (DIAMOND_MEM, (3, HOT)),
+        # m - i never reaches zero: the guard is emitted, never fired
+        (DIV_DIAMOND, (HOT * 2, HOT * 4 + 1)),
+    ):
+        executable = _compile(source)
+        _fresh(executable)
+        assert _run(executable, args).jit_superblocks > 0
+        traces = [
+            record[0]
+            for record in executable._segment_jit.functions(True).values()
+            if record is not None and record[2]
+        ]
+        assert traces
+        for fn in traces:
+            assert fn._jit_consts == {}
+            assert "raise _D" not in fn._jit_source
+            sources.append(fn._jit_source)
+    # the division guard sits inside a trace
+    division = "raise _SE('integer division by zero')"
+    assert any(division in text for text in sources)
 
 
-def test_blacklisted_trace_falls_back_to_the_segment():
-    # MAX_DEOPTS strikes against a trace head restore the stashed plain
-    # segment instead of interpreting the entry forever
+def test_blacklisted_trace_head_goes_to_the_interpreter():
+    # MAX_DEOPTS strikes against a trace head blacklist it like any
+    # other entry: the interpreter runs it from then on
     executable = _compile(DIAMOND)
     jit, head = _promote(executable)
     for _ in range(MAX_DEOPTS):
         jit.note_deopt(head, True, JitDeopt(()), {})
-    record = jit.functions(True)[head]
-    assert record is not None and not record[2]  # plain segment again
-    assert (1, head) not in jit._sb_fallback
-    # and the run still produces correct results on the fallback
+    assert jit.functions(True)[head] is None
+    # and the run still produces correct results
     _cold_memo(executable)
     after = _run(executable, (3, HOT))
     reference = _interpreted(_compile(DIAMOND), (3, HOT))
@@ -265,8 +284,8 @@ def test_promotion_is_attempted_once_per_head():
 
 
 def test_trace_functions_survive_export_and_preload():
-    # export() round-trips installed traces (and their stashed plain
-    # fallbacks) through the artifact-cache payload form
+    # export() round-trips installed traces through the artifact-cache
+    # payload form
     executable = _compile(DIAMOND)
     jit, _ = _promote(executable)
     _cold_memo(executable)
@@ -281,18 +300,6 @@ def test_trace_functions_survive_export_and_preload():
     assert warm.jit_superblocks == 0  # nothing rebuilt
     assert clone._segment_jit.sb_preloaded > 0
     assert clone._segment_jit.compiled == 0
-    # blacklisting a dispatched preloaded trace restores its exported
-    # fallback, materialized on demand
-    warm_jit = clone._segment_jit
-    head = next(entry for flag, entry in warm_jit._sb_fallback if flag)
-    assert not callable(warm_jit._sb_fallback[(1, head)][0])
-    for _ in range(MAX_DEOPTS):
-        warm_jit.note_deopt(head, True, JitDeopt(()), {})
-    assert not warm_jit.functions(True)[head][2]
-    _cold_memo(clone)
-    plain = _run(clone, (3, HOT))
-    for field in COMPARED_FIELDS:
-        assert getattr(plain, field) == getattr(reference, field), field
 
 
 # -- artifact-cache round trip ------------------------------------------------
