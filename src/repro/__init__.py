@@ -29,7 +29,6 @@ from repro.backend.codegen import CodeGenerator, MachineProgram
 from repro.cgg import build_target
 from repro.errors import (
     GridTimeout,
-    JournalError,
     MarionError,
     RequestError,
     SimulationError,
@@ -53,7 +52,6 @@ __all__ = [
     "DirectMappedCache",
     "Executable",
     "GridTimeout",
-    "JournalError",
     "MachineProgram",
     "MarionError",
     "RequestError",

@@ -27,10 +27,8 @@ from repro.eval.grid import (
     GridTask,
     run_grid,
 )
-from repro.eval.journal import Journal
 from repro.errors import (
     GridTimeout,
-    JournalError,
     MarionError,
     RequestError,
     SimulationError,
@@ -77,8 +75,6 @@ __all__ = [
     "GridTask",
     "GridTimeout",
     "InprocessAsyncExecutor",
-    "Journal",
-    "JournalError",
     "LocalPoolExecutor",
     "MachineProgram",
     "MarionError",

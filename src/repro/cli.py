@@ -410,8 +410,8 @@ def main(argv=None) -> int:
     report_parser = commands.add_parser(
         "report",
         help="regenerate the paper's tables and figures (fault-tolerant: "
-        "--timeout bounds each unit, --resume checkpoints into a journal; "
-        "exits nonzero when any unit fails)",
+        "--timeout bounds each unit, a failed unit renders as a FAILED "
+        "cell; exits nonzero when any unit fails)",
     )
     from repro.eval.report import add_report_arguments
 

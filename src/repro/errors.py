@@ -137,10 +137,6 @@ class GridTimeout(MarionError):
         super().__init__(message)
 
 
-class JournalError(MarionError):
-    """A run journal could not be read, written, or safely resumed."""
-
-
 class RequestError(MarionError):
     """A malformed request to the compile-and-simulate service.
 

@@ -11,7 +11,6 @@ paper's section 5 (see DESIGN.md's experiment index).
 * :mod:`repro.eval.ablation` — design-choice ablations (temporal
   scheduling; the max-distance heuristic)
 * :mod:`repro.eval.grid` — the fault-tolerant parallel work-unit grid
-* :mod:`repro.eval.journal` — checkpoint/resume journal for the grid
 * :mod:`repro.eval.report` — runs everything and renders EXPERIMENTS.md
 """
 
@@ -32,7 +31,6 @@ from repro.eval.grid import (
     resolve_timeout,
     run_grid,
 )
-from repro.eval.journal import Journal
 
 __all__ = [
     "Executor",
@@ -40,7 +38,6 @@ __all__ = [
     "GridFailure",
     "GridOptions",
     "GridTask",
-    "Journal",
     "table1",
     "table2",
     "table3",

@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import repro
 from repro.eval.common import compile_kernel
-from repro.eval.grid import (
-    GridFailure,
-    GridOptions,
-    GridTask,
-    run_grid,
-    with_jobs,
-)
+from repro.eval.grid import GridFailure, GridOptions, GridTask, run_grid
 from repro.options import CompileOptions
 from repro.targets import load_cached_variant
 from repro.targets.i860 import I860_MARIL, build_i860
@@ -140,14 +134,13 @@ def ablation_temporal(
     kernel_ids=_FP_KERNELS,
     strategy: str = "postpass",
     scale: float = 0.25,
-    jobs: int | None = None,
     options: GridOptions | None = None,
 ) -> list[AblationRow]:
     """EAP sub-operation scheduling vs. ordinary-pipeline operations."""
     ids = [spec.id for spec in LIVERMORE_KERNELS if spec.id in kernel_ids]
-    if jobs is None or jobs == 1:
-        # warm the variant memo so the serial path builds each target once
-        load_variants()
+    # build both variants here, before a pool forks, so every worker
+    # inherits them instead of building each one again
+    load_variants()
     return run_grid(
         [
             GridTask(
@@ -157,7 +150,7 @@ def ablation_temporal(
             )
             for kid in ids
         ],
-        with_jobs(options, jobs),
+        options,
         label="ablation_temporal",
     )
 
@@ -198,7 +191,6 @@ def ablation_heuristic(
     target: str = "r2000",
     strategy: str = "postpass",
     scale: float = 0.25,
-    jobs: int | None = None,
     options: GridOptions | None = None,
 ) -> list[AblationRow]:
     """Maximum-distance priority vs. FIFO ready-list order."""
@@ -212,7 +204,7 @@ def ablation_heuristic(
             )
             for kid in ids
         ],
-        with_jobs(options, jobs),
+        options,
         label="ablation_heuristic",
     )
 
@@ -242,7 +234,6 @@ def ablation_delay_fill(
     target: str = "r2000",
     strategy: str = "postpass",
     scale: float = 0.25,
-    jobs: int | None = None,
     options: GridOptions | None = None,
 ) -> list[AblationRow]:
     """Delay slots filled with useful work (baseline) vs. nops (variant)."""
@@ -256,7 +247,7 @@ def ablation_delay_fill(
             )
             for kid in ids
         ],
-        with_jobs(options, jobs),
+        options,
         label="ablation_delay_fill",
     )
 

@@ -33,13 +33,7 @@ from dataclasses import dataclass, field
 
 import repro
 from repro.eval.common import compile_kernel
-from repro.eval.grid import (
-    GridFailure,
-    GridOptions,
-    GridTask,
-    run_grid,
-    with_jobs,
-)
+from repro.eval.grid import GridFailure, GridOptions, GridTask, run_grid
 from repro.eval.table3 import measure as measure_table3
 from repro.workloads import LIVERMORE_KERNELS, kernel_by_id
 
@@ -120,7 +114,6 @@ def claim_strategy_speedup(
     target: str = "r2000",
     kernel_ids=FP_KERNELS,
     scale: float = 0.25,
-    jobs: int | None = None,
     options: GridOptions | None = None,
 ) -> SpeedupClaim:
     ids = [spec.id for spec in LIVERMORE_KERNELS if spec.id in kernel_ids]
@@ -134,7 +127,7 @@ def claim_strategy_speedup(
             )
             for kid in ids
         ],
-        with_jobs(options, jobs),
+        options,
         label="claim_c1",
     )
     per_kernel: dict[int, tuple[float, float]] = {}
@@ -187,7 +180,6 @@ def _baseline_unit(kernel_id: int, target: str, scale: float) -> tuple[int, floa
 def claim_rase_vs_unscheduled(
     target: str = "r2000",
     scale: float = 0.25,
-    jobs: int | None = None,
     options: GridOptions | None = None,
 ) -> BaselineClaim:
     results = run_grid(
@@ -199,7 +191,7 @@ def claim_rase_vs_unscheduled(
             )
             for spec in LIVERMORE_KERNELS
         ],
-        with_jobs(options, jobs),
+        options,
         label="claim_c3",
     )
     failures = [r for r in results if isinstance(r, GridFailure)]

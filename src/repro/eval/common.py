@@ -144,7 +144,7 @@ def estimated_cycles_detailed(
 def kernel_key(
     section: str, target: str, strategy: str, kernel_id: int
 ) -> str:
-    """The stable grid/journal key for one (target, strategy, kernel) unit."""
+    """The stable grid key for one (target, strategy, kernel) unit."""
     return f"{section}/{target}/{strategy}/K{kernel_id}"
 
 

@@ -1,32 +1,30 @@
 """The executor contract: what every grid backend must provide.
 
 The evaluation grid (:mod:`repro.eval.grid`) is a thin façade over this
-interface.  A backend accepts keyed work units, runs them *somewhere*
-(in-process or on a local process pool) and streams completion events
-back; the façade owns ordering, journaling, failure collection and
-work-stealing, so both backends get those for free and stay
-behaviourally interchangeable — the conformance suite
-(``tests/test_executors.py``) runs one battery against each.
+interface, and so is the compile-and-simulate service
+(:mod:`repro.serve`).  A backend accepts keyed work units, runs them
+*somewhere* (in-process or on a local process pool) and streams
+completion events back; the grid owns ordering and failure collection,
+so both backends get those for free and stay behaviourally
+interchangeable — the conformance suite (``tests/test_executors.py``)
+runs one battery against each.
 
 The contract, in full:
 
 * :meth:`Executor.submit` — accept one :class:`~repro.eval.grid.GridTask`
   (duck-typed: ``key``/``fn``/``args``/``kwargs``) with an optional
   per-unit wall-clock budget and return its key.  Submitting the *same*
-  key again is legal and means "run another copy" — the façade uses this
-  for speculative work-stealing; one completion event arrives per copy
-  and the façade keeps the first.
+  key again is legal and means "run another copy" — the service
+  resubmits a key whose request timed out while its unit still runs;
+  one completion event arrives per copy.
 * :meth:`Executor.next_event` — block up to ``timeout`` seconds for the
   next :class:`UnitEvent` (``None`` on timeout).  Events may arrive in
-  any order; the façade re-orders by key.
+  any order; the grid re-orders by key.
 * :meth:`Executor.cancel` — best-effort: drop every *queued* copy of a
-  key.  Copies already running cannot be recalled (their events are
-  simply discarded by the façade).
+  key.  Copies already running cannot be recalled (their events still
+  arrive).
 * :meth:`Executor.probe` — a capability/health snapshot
   (:class:`ExecutorProbe`): live workers, idle workers, queue depth.
-  The façade steals only when ``idle > 0``.
-* :meth:`Executor.running` — ``{key: seconds since dispatch}`` for
-  units currently on a worker, feeding the straggler estimate.
 * :meth:`Executor.close` — release workers/pools.  An executor is
   reusable across many ``run_grid`` calls until closed (the report runs
   every section against one executor, so pool workers stay warm).
@@ -46,7 +44,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import GridTimeout, error_payload
@@ -179,8 +177,8 @@ class ExecutorProbe:
     """A point-in-time capability/health snapshot of a backend.
 
     ``workers`` counts live workers, ``idle`` those with nothing
-    assigned (the work-stealing budget), ``queued`` units waiting for a
-    worker and ``in_flight`` units dispatched but unreported.
+    assigned, ``queued`` units waiting for a worker and ``in_flight``
+    units dispatched but unreported.
     ``healthy`` is the backend's own verdict — a closed pool reports
     ``False``.
     """
@@ -191,7 +189,6 @@ class ExecutorProbe:
     queued: int
     in_flight: int
     healthy: bool = True
-    details: dict = field(default_factory=dict)
 
 
 class Executor(ABC):
@@ -219,10 +216,6 @@ class Executor(ABC):
     @abstractmethod
     def probe(self) -> ExecutorProbe:
         """Capability/health snapshot."""
-
-    def running(self) -> dict[str, float]:
-        """``{key: seconds since dispatch}`` for units on a worker."""
-        return {}
 
     def close(self) -> None:
         """Release workers and transports; the executor is dead after."""

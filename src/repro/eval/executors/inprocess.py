@@ -63,7 +63,6 @@ class InprocessAsyncExecutor(Executor):
         return dropped > 0
 
     def probe(self) -> ExecutorProbe:
-        # idle=0 always: there is never a spare worker to steal onto
         return ExecutorProbe(
             backend=self.backend,
             workers=1,

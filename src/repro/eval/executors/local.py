@@ -77,7 +77,6 @@ class LocalPoolExecutor(Executor):
         self._backoff = backoff
         self._pool: ProcessPoolExecutor | None = None
         self._futures: dict = {}  # Future -> key
-        self._started: dict = {}  # Future -> first-seen-running timestamp
         self._attempts: dict[str, int] = {}  # key -> dispatch count
         self._tasks: dict = {}  # key -> (task, timeout), for resubmission
         self._copies: dict[str, int] = {}  # key -> live future count
@@ -120,12 +119,6 @@ class LocalPoolExecutor(Executor):
 
     # -- events ------------------------------------------------------------
 
-    def _stamp_running(self) -> None:
-        now = time.monotonic()
-        for future in self._futures:
-            if future not in self._started and future.running():
-                self._started[future] = now
-
     def next_event(self, timeout: float | None = None) -> UnitEvent | None:
         while True:
             if self._events:
@@ -137,14 +130,12 @@ class LocalPoolExecutor(Executor):
                 timeout=timeout,
                 return_when=FIRST_COMPLETED,
             )
-            self._stamp_running()
             if not done:
                 return None
             broken = False
             orphans: list[str] = []
             for future in done:
                 key = self._futures.pop(future)
-                self._started.pop(future, None)
                 attempts = self._attempts.get(key, 1)
                 try:
                     status, payload, wall_s, metrics = future.result()
@@ -177,7 +168,6 @@ class LocalPoolExecutor(Executor):
         orphans.extend(self._futures.values())
         pool, self._pool = self._pool, None
         self._futures.clear()
-        self._started.clear()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
         time.sleep(self._backoff)
@@ -203,34 +193,23 @@ class LocalPoolExecutor(Executor):
         for future, owner in list(self._futures.items()):
             if owner == key and future.cancel():
                 self._futures.pop(future, None)
-                self._started.pop(future, None)
                 self._finish_copy(key)
                 cancelled = True
         return cancelled
 
-    def running(self) -> dict[str, float]:
-        self._stamp_running()
-        now = time.monotonic()
-        elapsed: dict[str, float] = {}
-        for future, started in self._started.items():
-            key = self._futures.get(future)
-            if key is not None:
-                seconds = now - started
-                elapsed[key] = max(seconds, elapsed.get(key, 0.0))
-        return elapsed
-
     def probe(self) -> ExecutorProbe:
-        self._stamp_running()
-        in_flight = len(self._started)
-        queued = len(self._futures) - in_flight
+        # a finished future stays in flight until next_event reports it
+        queued = sum(
+            1 for future in self._futures
+            if not (future.running() or future.done())
+        )
         return ExecutorProbe(
             backend=self.backend,
             workers=self.workers,
             idle=max(0, self.workers - len(self._futures)),
             queued=queued,
-            in_flight=in_flight,
+            in_flight=len(self._futures) - queued,
             healthy=not self._closed,
-            details={"retries": self.retries},
         )
 
     def close(self) -> None:
@@ -239,5 +218,4 @@ class LocalPoolExecutor(Executor):
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
         self._futures.clear()
-        self._started.clear()
         self._events.clear()

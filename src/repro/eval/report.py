@@ -1,8 +1,8 @@
 """Run the whole evaluation and render a report.
 
 ``python -m repro.eval.report [--scale S] [--jobs N] [--timeout T]
-[--resume JOURNAL]`` regenerates every table and figure (the content of
-EXPERIMENTS.md) in one run.  Scaled-down problem sizes keep the full
+[--format text|json]`` regenerates every table and figure (the content
+of EXPERIMENTS.md) in one run.  Scaled-down problem sizes keep the full
 sweep fast; pass ``--scale 1.0`` for the classic Livermore sizes.
 
 The harness is performance-instrumented and fault-tolerant: independent
@@ -12,11 +12,10 @@ in-process — table values and checksums are identical at any job count),
 each unit runs under an optional wall-clock budget
 (``--timeout``/``REPRO_UNIT_TIMEOUT``), crashed workers are retried with
 a rebuilt pool, and failed units render as FAILED cells instead of
-aborting the run (the process still exits nonzero so CI notices).  With
-``--resume JOURNAL`` (or ``REPRO_JOURNAL``) completed units checkpoint
-into a JSONL journal and a re-run after an interruption re-executes only
-the missing or failed units — the resumed tables are byte-identical to a
-single-shot run.  The whole run records into one
+aborting the run (the process still exits nonzero so CI notices).  An
+interrupted report is run again from the start; with the artifact
+cache on, the units that finished load what they built from disk.  The
+whole run records into one
 :class:`~repro.obs.Trace` (every grid unit's own trace summary is
 merged into it), and ``--format json`` prints the run as one JSON
 document: the rendered text, the failures, and that trace's counters
@@ -30,6 +29,7 @@ import json
 import re
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.eval.attribution import measure_stalls, render_stalls
@@ -56,7 +56,6 @@ from repro.eval.grid import (
     resolve_jobs,
     resolve_timeout,
 )
-from repro.eval.journal import Journal
 from repro.eval.table1 import table1
 from repro.eval.table2 import table2
 from repro.eval.table3 import table3
@@ -67,8 +66,8 @@ from repro.targets import load_target
 
 #: report sections whose body is wall-clock measurement (compile-time
 #: tables) — legitimately different between otherwise identical runs,
-#: so determinism comparisons (resume smoke, cold/warm cache smoke)
-#: exclude them
+#: so determinism comparisons (``--jobs 1`` against ``--jobs 2``,
+#: cold against warm cache) exclude them
 NONDETERMINISTIC_SECTIONS = ("Table 3", "Claim C2")
 
 _SECTION_SPLIT = re.compile(r"={72}\n(.+)\n={72}\n")
@@ -114,23 +113,16 @@ def generate_report(
     scale: float = 0.3,
     jobs: int | None = None,
     timeout: float | None = None,
-    resume: str | None = None,
 ) -> ReportResult:
     """Run every experiment; never raises for a failed work unit.
 
-    ``resume`` names a journal file: completed units are checkpointed
-    there and reused by the next run.  ``timeout`` bounds each unit's
-    wall clock.  With ``jobs > 1`` one local pool serves every section,
-    so its workers stay warm from table to table.  Inspect
+    ``timeout`` bounds each unit's wall clock.  With ``jobs > 1`` one
+    local pool serves every section, so its workers stay warm from
+    table to table; it is closed however the run ends.  Inspect
     ``.failures`` (and exit nonzero) on a degraded run.
     """
     jobs = resolve_jobs(jobs)
     timeout = resolve_timeout(timeout)
-    journal = (
-        Journal(resume, config={"scale": scale, "kind": "report"})
-        if resume
-        else None
-    )
     # one pool for the whole report: workers persist across sections
     pool = LocalPoolExecutor(workers=jobs) if jobs > 1 else None
     collector = FailureCollector()
@@ -138,7 +130,6 @@ def generate_report(
         jobs=jobs,
         timeout=timeout,
         failures="collect",
-        journal=journal,
         executor=pool,
         collector=collector,
     )
@@ -147,8 +138,9 @@ def generate_report(
     # in-process or in a worker forked after this point — compiles
     # through the executable memo, so sections that revisit the same
     # (kernel, target, strategy) share one warmed executable instead of
-    # unpickling and re-warming it per section
-    with tracing(trace), shared_executables():
+    # unpickling and re-warming it per section; leaving the block closes
+    # the pool, also when a section raises
+    with tracing(trace), shared_executables(), pool or nullcontext():
         # build every target before the pool forks its workers (at the
         # first pooled section), so they inherit the built targets
         # instead of each running the CGG again
@@ -280,10 +272,6 @@ def generate_report(
         sections.append(
             f"total evaluation time: {total_seconds:.1f}s (jobs={jobs})\n"
         )
-        if pool is not None:
-            pool.close()
-        if journal is not None:
-            journal.close()
     return ReportResult(
         text="\n".join(sections), failures=failures, metrics=trace.summary()
     )
@@ -307,13 +295,6 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
         "(default: REPRO_UNIT_TIMEOUT or unlimited)",
     )
     parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="JOURNAL",
-        help="checkpoint completed units into this JSONL journal and "
-        "reuse any units it already holds (default: REPRO_JOURNAL)",
-    )
-    parser.add_argument(
         "--format",
         default="text",
         choices=("text", "json"),
@@ -325,14 +306,10 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_report_command(arguments) -> int:
     """Shared driver: run the report, print it, exit nonzero on failures."""
-    import os
-
-    resume = arguments.resume or os.environ.get("REPRO_JOURNAL") or None
     result = generate_report(
         scale=arguments.scale,
         jobs=arguments.jobs,
         timeout=arguments.timeout,
-        resume=resume,
     )
     if arguments.format == "json":
         print(

@@ -89,18 +89,17 @@ def description_stats(target_name: str) -> DescriptionStats:
 
 def table1(
     targets=("m88000", "r2000", "i860"),
-    jobs: int | None = None,
     options=None,
 ) -> str:
     """Render the reproduced Table 1."""
-    from repro.eval.grid import GridFailure, GridTask, run_grid, with_jobs
+    from repro.eval.grid import GridFailure, GridTask, run_grid
 
     results = run_grid(
         [
             GridTask(f"table1/{name}", description_stats, (name,))
             for name in targets
         ],
-        with_jobs(options, jobs),
+        options,
         label="table1",
     )
     stats = [s for s in results if not isinstance(s, GridFailure)]

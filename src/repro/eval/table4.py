@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.eval.common import STRATEGIES, KernelRun, grid_run_kernel, kernel_key
-from repro.eval.grid import (
-    GridFailure,
-    GridOptions,
-    GridTask,
-    run_grid,
-    with_jobs,
-)
+from repro.eval.grid import GridFailure, GridOptions, GridTask, run_grid
 from repro.utils.stats import arithmetic_mean, harmonic_mean
 from repro.utils.tables import TextTable
 from repro.workloads import LIVERMORE_KERNELS
@@ -73,7 +67,6 @@ def measure(
     kernels=None,
     scale: float = 1.0,
     cache: bool = True,
-    jobs: int | None = None,
     options: GridOptions | None = None,
 ) -> Table4Data:
     specs = kernels or LIVERMORE_KERNELS
@@ -90,7 +83,7 @@ def measure(
         for spec in specs
         for strategy in STRATEGIES
     ]
-    results = run_grid(units, with_jobs(options, jobs), label="table4")
+    results = run_grid(units, options, label="table4")
     data = Table4Data()
     for (kernel_id, strategy), outcome in zip(labels, results):
         if isinstance(outcome, GridFailure):
@@ -105,7 +98,6 @@ def table4(
     kernels=None,
     scale: float = 1.0,
     cache: bool = True,
-    jobs: int | None = None,
     options: GridOptions | None = None,
 ) -> str:
     data = measure(
@@ -113,7 +105,6 @@ def table4(
         kernels=kernels,
         scale=scale,
         cache=cache,
-        jobs=jobs,
         options=options,
     )
     return render(data, target=target)

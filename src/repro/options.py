@@ -4,7 +4,7 @@
 :class:`~repro.backend.codegen.CodeGenerator` had been accreting
 (``strategy``, ``heuristic``, ``schedule``, ``fill_delay_slots``,
 ``memory_size``, ...).  It is frozen — an options value can be shared
-between threads, used as a dict key, and journalled — and every layer of
+between threads, used as a dict key, and pickled — and every layer of
 the back end threads the *same* object through instead of re-plumbing
 individual keywords.
 

@@ -36,7 +36,7 @@ Inside the generated function:
 * conditional branches become early returns; the tail control transfer
   (and its delay slots) is compiled into the exit itself.  Every
   generated function — plain segment or superblock — shares the
-  15-tuple exit contract documented on :class:`_TraceCodegen`, which
+  14-tuple exit contract documented on :class:`_TraceCodegen`, which
   threads the timing digest id through the call so the driver never
   re-derives it;
 * a segment whose taken transfer targets its *own entry* (an innermost
@@ -233,7 +233,7 @@ class SegmentTranslator:
         construct the translator does not cover."""
         trace, tail = self._trace(entry)
         codegen = _TraceCodegen(
-            self, [entry], [(entry, trace, tail)], cached, plain=True
+            self, [(entry, trace, tail)], cached, plain=True
         )
         return codegen.build()
 
@@ -244,7 +244,7 @@ class SegmentTranslator:
         joined to the next through its unconditional tail.  Raises
         :class:`Uncompilable`."""
         nodes = [(entry, *self._trace(entry)) for entry in entries]
-        codegen = _TraceCodegen(self, entries, nodes, cached)
+        codegen = _TraceCodegen(self, nodes, cached)
         # reject non-loop shapes before paying for scan/emit/compile
         codegen._find_trace_shape()
         return codegen.build()
@@ -1102,9 +1102,9 @@ class _TraceCodegen(_SegmentCodegen):
     executed-instruction budget for back-edges.  The segment's miss
     mask ``mm`` and next load bit ``lb`` start at ``0``/``1`` in the
     prologue: the function is only called at a fresh segment boundary.
-    Returns a 15-tuple
-    ``(kind, end, transfer, label, node_entry, open_len, ex, ld, st,
-    mm, lb, ci, eid, bch, sbh)``: ``kind`` 1/2/3 are
+    Returns a 14-tuple
+    ``(kind, end, label, node_entry, open_len, ex, ld, st, mm, lb, ci,
+    eid, bch, sbh)``: ``kind`` 1/2/3 are
     taken-branch/return/call exits with every segment (including the
     final one) already closed and mm/lb reset, ``kind`` 0 is a
     not-taken or fallthrough exit whose final segment at ``node_entry``
@@ -1126,10 +1126,9 @@ class _TraceCodegen(_SegmentCodegen):
     division guard raises the interpreter's error inline.
     """
 
-    def __init__(self, translator, entries, nodes, cached, plain=False):
+    def __init__(self, translator, nodes, cached, plain=False):
         head_entry, head_trace, head_tail = nodes[0]
         super().__init__(translator, head_entry, head_trace, head_tail, cached)
-        self.entries = entries
         self.nodes = nodes
         #: single-node "trace" standing in for a plain segment: named
         #: ``_jit_*`` and allowed to have no back-edge
@@ -1325,7 +1324,7 @@ class _TraceCodegen(_SegmentCodegen):
                 self._emit_probe(nentry, end, transfer, node_exec)
                 self._emit_dflush()
                 self._line(
-                    f"return ({kind}, {end}, {transfer}, {label!r},"
+                    f"return ({kind}, {end}, {label!r},"
                     f" {nentry}, 0, ex, ld, st, 0, 1, ci, eid, bch, sbh)"
                 )
             else:
@@ -1354,7 +1353,7 @@ class _TraceCodegen(_SegmentCodegen):
                 " mm, lb, 0, eid, 0, 0"
             )
         self._line(
-            f"return ({kind}, {end}, {transfer}, {label!r}, {nentry},"
+            f"return ({kind}, {end}, {label!r}, {nentry},"
             f" {open_len}, {tail})"
         )
 
@@ -1375,7 +1374,7 @@ class _TraceCodegen(_SegmentCodegen):
         getter = self._probe_getter(nentry, end, transfer)
         probe = self._tmp()
         head = (
-            f"({kind}, {end}, {transfer}, {label!r}, {nentry}, 0,"
+            f"({kind}, {end}, {label!r}, {nentry}, 0,"
             f" {ex_delta}, {ld_delta}, {st_delta}, 0, 1,"
             f" {probe}[0], {probe}[1]"
         )
@@ -1405,7 +1404,7 @@ class _TraceCodegen(_SegmentCodegen):
         self._flush()
         self._emit_dflush()
         self._line(
-            f"return (4, 0, -1, None, {self.entry}, 0, ex, ld, st,"
+            f"return (4, 0, None, {self.entry}, 0, ex, ld, st,"
             " 0, 1, ci, eid, bch, sbh)"
         )
 
@@ -1550,7 +1549,7 @@ class _TraceCodegen(_SegmentCodegen):
                         self._flush()
                         self._emit_dflush()
                         self._line(
-                            f"return (4, 0, -1, None, {self.entry}, 0,"
+                            f"return (4, 0, None, {self.entry}, 0,"
                             " ex, ld, st, 0, 1, ci, eid, bch, sbh)"
                         )
                     else:

@@ -711,7 +711,7 @@ class Simulator:
                         fuse = fuse_cap
                     try:
                         (
-                            jit_kind, seg_end, transfer, jit_label,
+                            jit_kind, seg_end, jit_label,
                             node_entry, open_len, exec_delta,
                             load_delta, store_delta, miss_mask,
                             load_bit, cycle_delta, eid, probe_hits,

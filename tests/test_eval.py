@@ -197,3 +197,26 @@ def test_report_json_prints_run_and_its_counters(monkeypatch, capsys, failed):
     assert document["failures"] == (
         ["table4/r2000/rase/K7: Timeout: budget exceeded"] if failed else []
     )
+
+
+def test_report_closes_its_pool_when_a_section_raises(monkeypatch):
+    """A section that raises must not leave the report's pool workers
+    running: the pool is closed on the way out."""
+    from repro.eval import report
+    from repro.eval.executors import LocalPoolExecutor
+
+    closed = []
+    real_close = LocalPoolExecutor.close
+
+    def spy_close(self):
+        closed.append(self)
+        real_close(self)
+
+    def broken_section():
+        raise RuntimeError("injected section failure")
+
+    monkeypatch.setattr(LocalPoolExecutor, "close", spy_close)
+    monkeypatch.setattr(report, "table2", broken_section)
+    with pytest.raises(RuntimeError, match="injected section failure"):
+        report.generate_report(scale=0.05, jobs=2)
+    assert len(closed) == 1

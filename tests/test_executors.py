@@ -3,9 +3,9 @@
 Both backends — in-process and local pool — are held to the same
 :class:`~repro.eval.executors.base.Executor` contract: submission-order
 results through ``run_grid``, per-unit timeouts, crash containment,
-failure collection, journal resume, queued-copy cancellation, and the
-same per-unit trace counters.  Pool workers must not outlive a killed
-parent.
+failure collection, queued-copy cancellation, a probe that sees running
+work, and the same per-unit trace counters.  Pool workers must not
+outlive a killed parent.
 
 Unit functions live at module level so the local pool can pickle them.
 """
@@ -34,7 +34,6 @@ from repro.eval.grid import (
     GridTask,
     run_grid,
 )
-from repro.eval.journal import Journal
 from repro.workloads import kernel_by_id
 
 BACKENDS = ("inprocess", "local")
@@ -69,12 +68,6 @@ def _compile_and_run(kernel_id):
         executable, "bench", (spec.args[0], 8),
         options=repro.SimOptions(cache=True),
     ).cycles
-
-
-def _mark(x, marker_dir):
-    with open(os.path.join(marker_dir, f"ran_{x}"), "a") as handle:
-        handle.write("x\n")
-    return x * x
 
 
 @contextlib.contextmanager
@@ -123,14 +116,14 @@ def test_event_stream_covers_every_submission(name):
         assert probe.backend == name
         assert probe.healthy
         assert probe.queued == 0 and probe.in_flight == 0
-        assert isinstance(backend.running(), dict)
     # close() is idempotent
     backend.close()
 
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_resubmitting_a_key_runs_another_copy(name):
-    """The work-stealing primitive: same key, two dispatches, two events."""
+    """The service's resubmit: a key whose request timed out while its
+    unit still runs is submitted again; each copy reports its own event."""
     with make_backend(name) as backend:
         task = GridTask("dup", _square, (7,))
         backend.submit(task)
@@ -209,25 +202,19 @@ def test_crash_containment_and_sibling_survival(name):
     assert failure.attempts == 2  # first run + one retry
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-def test_journal_resume_skips_done_units(name, tmp_path):
-    marker_dir = str(tmp_path)
-    units = [GridTask(f"mark/{x}", _mark, (x, marker_dir)) for x in range(4)]
-    journal_path = str(tmp_path / "journal.jsonl")
-    with make_backend(name) as backend:
-        with Journal(journal_path) as journal:
-            first = run_grid(
-                units[:2], GridOptions(executor=backend, journal=journal)
-            )
-        with Journal(journal_path) as journal:
-            second = run_grid(
-                units, GridOptions(executor=backend, journal=journal)
-            )
-    assert first == [0, 1]
-    assert second == [0, 1, 4, 9]
-    for x in range(4):
-        runs = open(os.path.join(marker_dir, f"ran_{x}")).read().count("x")
-        assert runs == 1  # resume reused the journalled results
+def test_probe_counts_a_running_unit():
+    with make_backend("local", workers=1) as backend:
+        backend.submit(GridTask("nap", _sleep, (1.0,)))
+        deadline = time.monotonic() + 30.0
+        probe = backend.probe()
+        while probe.in_flight == 0 and time.monotonic() < deadline:
+            time.sleep(0.02)
+            probe = backend.probe()
+        assert (probe.in_flight, probe.idle, probe.queued) == (1, 0, 0)
+        event = backend.next_event(timeout=30.0)
+        assert event is not None and event.key == "nap" and event.ok
+        probe = backend.probe()
+        assert (probe.in_flight, probe.idle, probe.queued) == (0, 1, 0)
 
 
 def test_a_unit_ships_the_same_counters_on_every_backend():
@@ -347,6 +334,5 @@ def test_grid_names_are_exported_from_the_package_root():
         "GridFailure",
         "FailureCollector",
         "Executor",
-        "Journal",
     ):
         assert name in api.__all__ and hasattr(api, name)

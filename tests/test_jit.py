@@ -337,7 +337,7 @@ def test_mistyped_latch_write_is_refused():
     executable = _compile_source(LATCH_DIV, "i860")
     entry = executable.entry("divide")
     codegen = _TraceCodegen(
-        executable._segment_jit.translator, [entry],
+        executable._segment_jit.translator,
         [(entry, [entry], None)], cached=False, plain=True,
     )
     instr = executable.instrs[entry]

@@ -108,8 +108,12 @@ def test_jobs_parity_on_livermore_subset():
     """jobs=1 and jobs=4 produce identical Table 4 rows — cycles,
     checksums, and row ordering — on a scaled-down kernel subset."""
     kernels = [kernel_by_id(k) for k in (1, 12)]
-    serial = table4_measure(kernels=kernels, scale=0.05, jobs=1)
-    parallel = table4_measure(kernels=kernels, scale=0.05, jobs=4)
+    serial = table4_measure(
+        kernels=kernels, scale=0.05, options=GridOptions(jobs=1)
+    )
+    parallel = table4_measure(
+        kernels=kernels, scale=0.05, options=GridOptions(jobs=4)
+    )
     assert list(serial.runs) == list(parallel.runs)
     for kernel_id, by_strategy in serial.runs.items():
         assert list(by_strategy) == list(parallel.runs[kernel_id])
