@@ -18,7 +18,7 @@ value, cycles, instructions, loads, stores, cache hits and misses and
 block counts, and the traced run its stall breakdown, so a simulator
 change can show its timing is exact the way a compiler change shows its
 code is byte-identical.  ``jit`` covers the same two runs' JIT counters
-(segments compiled, probe hits, deopts, superblocks built, side exits and
+(segments compiled, probe hits, superblocks built, side exits and
 interpreted instructions), so a change in which segments compile or which
 traces form shows even when the results stay exact.
 
@@ -87,7 +87,6 @@ def jit_record(result) -> tuple:
     return (
         result.jit_segments,
         result.jit_hits,
-        result.jit_deopts,
         result.jit_superblocks,
         result.jit_side_exits,
         result.interpreted,

@@ -28,10 +28,9 @@ the same store read-mostly.
 
 Configuration is ambient: the default root is ``~/.cache/repro``,
 overridden by ``REPRO_CACHE_DIR``; ``REPRO_CACHE=0`` disables the cache
-entirely (every get misses, every put is dropped); ``REPRO_CACHE_SALT``
-overrides the code salt.  :func:`configure` replaces the
-process-wide instance programmatically — the evaluation harness points
-it at a fresh tmpdir for cold/warm comparisons.
+entirely (every get misses, every put is dropped).  :func:`configure`
+replaces the process-wide instance programmatically — the evaluation
+harness points it at a fresh tmpdir for cold/warm comparisons.
 
 Gets, misses and writes are counted on the ambient
 :class:`~repro.obs.Trace` (``cache.hit``, ``cache.<layer>.miss``, ...).
@@ -109,9 +108,7 @@ class ArtifactCache:
             )
         self.enabled = bool(enabled)
         if salt is None:
-            salt = os.environ.get("REPRO_CACHE_SALT") or (
-                code_salt() if self.enabled else ""
-            )
+            salt = code_salt() if self.enabled else ""
         self.salt = salt
         self.store = FileStore(self.root)
 

@@ -166,13 +166,13 @@ def cmd_run(arguments) -> int:
     print(f"loads/stores: {result.loads}/{result.stores}")
     if options.cache:
         print(f"cache:        {result.cache_hits} hits, {result.cache_misses} misses")
-    if result.jit_active_segments or result.jit_hits or result.jit_deopts:
+    if result.jit_active_segments or result.jit_hits:
         # active = compiled this run + preloaded from the artifact cache,
         # so a fully warm run does not read as "JIT off"
         print(
             f"jit:          {result.jit_active_segments} segments active "
             f"({result.jit_segments} compiled this run), "
-            f"{result.jit_hits} dispatch hits, {result.jit_deopts} deopts, "
+            f"{result.jit_hits} dispatch hits, "
             f"{result.interpreted} instructions interpreted"
         )
     if result.block_cache_hits or result.block_cache_misses:

@@ -32,6 +32,9 @@ class InprocessAsyncExecutor(Executor):
     def __init__(self):
         self._queue: deque = deque()
         self._attempts: dict[str, int] = {}  # key -> queued-copy dispatches
+        #: 1 while next_event runs a unit: the caller's thread runs it,
+        #: and a probe from another thread counts it as in flight
+        self._running = 0
 
     def submit(self, task, timeout: float | None = None) -> str:
         self._queue.append((task, timeout))
@@ -47,11 +50,17 @@ class InprocessAsyncExecutor(Executor):
     def next_event(self, timeout: float | None = None) -> UnitEvent | None:
         if not self._queue:
             return None
-        task, deadline = self._queue.popleft()
-        attempts = self._take_attempts(task.key)
-        status, value, wall_s, metrics = run_unit(
-            task.fn, task.args, task.kwargs, deadline
-        )
+        # running before it leaves the queue, so a probe that reads the
+        # queue first always sees the unit in one place or the other
+        self._running = 1
+        try:
+            task, deadline = self._queue.popleft()
+            attempts = self._take_attempts(task.key)
+            status, value, wall_s, metrics = run_unit(
+                task.fn, task.args, task.kwargs, deadline
+            )
+        finally:
+            self._running = 0
         return UnitEvent(task.key, status, value, wall_s, metrics, attempts)
 
     def cancel(self, key: str) -> bool:
@@ -63,12 +72,15 @@ class InprocessAsyncExecutor(Executor):
         return dropped > 0
 
     def probe(self) -> ExecutorProbe:
+        # the one worker is idle only with nothing queued or running
+        queued = len(self._queue)
+        running = self._running
         return ExecutorProbe(
             backend=self.backend,
             workers=1,
-            idle=0,
-            queued=len(self._queue),
-            in_flight=0,
+            idle=0 if queued or running else 1,
+            queued=queued,
+            in_flight=running,
         )
 
     def close(self) -> None:

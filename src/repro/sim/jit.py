@@ -23,10 +23,9 @@ Inside the generated function:
 * temporal registers (the i860's pipeline latches ``m1..m3`` and
   ``a1..a3``) are read and written in machine state through a prologue
   local ``tp = state.temporal``, exactly as the interpreter does
-  (``tp.get(name, 0.0)`` before the first write).  A latch write
-  mutates state in place, so it counts as a non-undoable side effect;
-  a write whose value's static type differs from the latch's is
-  refused, because the interpreter would store that value as it is;
+  (``tp.get(name, 0.0)`` before the first write); a write whose
+  value's static type differs from the latch's is refused, because the
+  interpreter would store that value as it is;
 * memory accesses perform the data-cache tag check (pure shift/mask
   over the cache's preallocated tag array — the same arithmetic
   :meth:`DirectMappedCache.access` runs, inlined) and set the miss-mask
@@ -45,9 +44,7 @@ Inside the generated function:
   through an inlined transition-table probe and jumps back to the top —
   registers stay in Python locals and a warm iteration boundary costs
   one integer-tuple dict lookup, with no call out of generated code.
-  Such functions raise division errors inline rather than deopting (a
-  mid-loop deopt would discard committed register state that only
-  lives in locals), and every exit flushes the union of all views the
+  Every exit of such a function flushes the union of all views the
   body can write (a previous iteration may have taken any path).
 
 On top of single segments, hot multi-segment *traces* are stitched into
@@ -55,8 +52,9 @@ On top of single segments, hot multi-segment *traces* are stitched into
 edge crosses :data:`SUPERBLOCK_WARMUP` the greedy selector follows each
 node's unconditional tail — a goto only while it is the node's hottest
 profiled edge, calls and returns always — bounded by
-:data:`SUPERBLOCK_MAX_NODES`.  Only traces that loop back to their head
-are installed.  The whole trace becomes one generated
+:data:`SUPERBLOCK_MAX_NODES`, and stopping before an inner loop's head,
+whose own chained function runs it.  Only traces that loop back to
+their head are installed.  The whole trace becomes one generated
 function with the transition probe inlined at every internal segment
 boundary — a warm hit costs one dict lookup inside generated code, and
 only a first visit calls back into :meth:`BlockTimingCache.close`.
@@ -76,16 +74,10 @@ Anything the translator does not cover — mistyped latch writes, invalid
 double pairings, control in a delay slot, unallocated operands — is
 refused statically (:class:`Uncompilable`) and that entry permanently
 stays on the interpreter; ``SimResult.interpreted`` counts what a run
-left there.  Division guards that trip *before* the first non-undoable
-side effect (a real cache access, a memory write or a latch write) raise
-:class:`JitDeopt`: the caller undoes the block-count increments the
-compiled prefix made and re-executes the segment interpreted, which
-then raises the exact interpreter error.  Past the first side effect
-the generated code raises the interpreter's
-:class:`~repro.errors.SimulationError` directly with the same message.
-Looping functions (every superblock among them) have side effects from
-their first instruction, so only plain segments deopt.  An entry that
-deopts :data:`MAX_DEOPTS` times is blacklisted back to the interpreter.
+left there.  A division guard raises the interpreter's
+:class:`~repro.errors.SimulationError` inline with the same message, in
+plain segments and loops alike: a run that divides by zero has failed,
+and that error is all it reports.
 """
 
 from __future__ import annotations
@@ -115,9 +107,6 @@ from repro.sim.executor import (
 #: dispatches of one segment entry before it is compiled
 JIT_WARMUP = 16
 
-#: guard failures before a compiled entry is blacklisted
-MAX_DEOPTS = 8
-
 #: taken-edge traversals of one (from, to) segment edge before a trace
 #: superblock is attempted at the edge's source entry
 SUPERBLOCK_WARMUP = 64
@@ -138,18 +127,6 @@ _REL_OPS = frozenset("== != < <= > >=".split())
 
 class Uncompilable(Exception):
     """Static refusal: this segment stays on the closure interpreter."""
-
-
-class JitDeopt(Exception):
-    """A runtime guard failed before any non-undoable side effect.
-
-    ``bc_undo`` lists the block labels whose dynamic counts the compiled
-    prefix already incremented; the caller decrements them and re-runs
-    the segment interpreted."""
-
-    def __init__(self, bc_undo: tuple[str, ...] = ()):
-        super().__init__("jit guard failed")
-        self.bc_undo = bc_undo
 
 
 # names prebound into every generated function's globals; the generated
@@ -338,8 +315,6 @@ class _SegmentCodegen:
         self.tmp_count = 0
         self.written: dict[tuple, None] = {}
         self.entry_reads: set[tuple] = set()
-        self.effects = False
-        self.bc_trail: list[str] = []
         self.uses_bc = False
         #: block label -> prologue local batching its execution count in
         #: looping functions (committed to ``bc`` at every return site)
@@ -347,7 +322,6 @@ class _SegmentCodegen:
         self.loads = 0
         self.stores = 0
         self.max_exec = 0
-        self.consts: dict[str, object] = {}
         self.looping = False
         #: any temporal-register (latch) access: binds ``tp`` in the
         #: prologue
@@ -361,21 +335,16 @@ class _SegmentCodegen:
         source = self._emit()
         name = self._name()
         env = dict(_BASE_ENV)
-        env.update(self.consts)
         code = compile(source, f"<jit:{name}>", "exec")
         exec(code, env)
         fn = env[name]
         fn._jit_source = source
         # everything a fresh process needs to re-materialize this
-        # function without re-translating: the consts are all JitDeopt
-        # instances, recorded by their undo lists (see _materialize);
-        # the code object rides along so export can marshal it, and the
-        # probe sites tell the dispatch loop which getters to bind
+        # function without re-translating (see _materialize): the code
+        # object rides along so export can marshal it, and the probe
+        # sites tell the dispatch loop which getters to bind
         fn._jit_name = name
         fn._jit_sites = tuple(self.probe_sites)
-        fn._jit_consts = {
-            cname: value.bc_undo for cname, value in self.consts.items()
-        }
         fn._jit_code = code
         return fn, self.max_exec
 
@@ -612,18 +581,9 @@ class _SegmentCodegen:
         ``executor._wrap32`` computes, without the per-op call."""
         return f"((({code}) + 2147483648 & 4294967295) - 2147483648)"
 
-    def _deopt_name(self) -> str:
-        name = f"_D{len(self.consts)}"
-        self.consts[name] = JitDeopt(tuple(self.bc_trail))
-        return name
-
     def _guard_zero(self, var: str, message: str) -> None:
-        """Division guard: deopt while still undoable, else raise the
-        interpreter's exact error inline."""
-        if self.effects:
-            self._line(f"if {var} == 0: raise _SE({message!r})")
-        else:
-            self._line(f"if {var} == 0: raise {self._deopt_name()}")
+        """Division guard: raise the interpreter's exact error inline."""
+        self._line(f"if {var} == 0: raise _SE({message!r})")
 
     def _emit_bc(self, pc: int) -> None:
         if pc not in self.tr.block_starts:
@@ -633,16 +593,13 @@ class _SegmentCodegen:
         if self.looping:
             # a looping function executes each block once per iteration:
             # batch the count in an int local (committed by every return
-            # site) instead of a dict get + set per block per iteration.
-            # Deopt undo is unaffected — looping functions raise inline,
-            # never JitDeopt, so the bc trail stays a plain-segment tool
+            # site) instead of a dict get + set per block per iteration
             local = self.bc_locals.get(label)
             if local is None:
                 local = self.bc_locals[label] = f"bn{len(self.bc_locals)}"
             self._line(f"{local} += 1")
         else:
             self._line(f"bc[{label!r}] = bcg({label!r}, 0) + 1")
-            self.bc_trail.append(label)
 
     def _bounds_check(self, addr: str, size: int) -> None:
         self._line(
@@ -743,7 +700,6 @@ class _SegmentCodegen:
             self._line("    dm += 1")
             self._line("    mm |= lb")
             self._line("lb <<= 1")
-            self.effects = True
         if not slot:
             self.loads += 1
         value = self._tmp()
@@ -873,9 +829,6 @@ class _SegmentCodegen:
                     stmt.value, instr, type_name, pc, slot
                 )
                 self._line(f"tp[{target.name!r}] = {vcode}")
-                # latches live in machine state, not in locals: a deopt
-                # past this point would re-execute the write
-                self.effects = True
                 return
         raise Uncompilable(f"cannot compile statement {stmt}")
 
@@ -1000,7 +953,6 @@ class _SegmentCodegen:
             self._line("else:")
             self._line(f"    dtg[{idx}] = {tag}")
             self._line("    dm += 1")
-            self.effects = True
         if not slot:
             self.stores += 1
         vcode, vtype, vwrapped = self._expr(stmt.value, instr, None, pc, slot)
@@ -1017,7 +969,6 @@ class _SegmentCodegen:
                     vcode if vtype == "int" else f"int({vcode})"
                 )
             self._line(f"_pkm_i(mem, {addr}, {signed})")
-        self.effects = True
 
     # -- emit: exits -----------------------------------------------------------
 
@@ -1116,14 +1067,6 @@ class _TraceCodegen(_SegmentCodegen):
     hits and ``sbh`` segments closed in-function.  A function with no
     probe on any path (a non-looping plain segment) elides the running
     totals entirely and returns static literals.
-
-    Inlined probes count as non-undoable side effects (a miss mutates
-    the shared memo), and looping functions force ``effects`` (and
-    all-load-all-flush) upfront: iteration state lives only in locals.
-    Every superblock loops (:meth:`_find_trace_shape` refuses the
-    rest), so only a non-looping plain segment can deopt, and only
-    before its first cache access, memory write or probe; every other
-    division guard raises the interpreter's error inline.
     """
 
     def __init__(self, translator, nodes, cached, plain=False):
@@ -1232,17 +1175,14 @@ class _TraceCodegen(_SegmentCodegen):
 
     def _snapshot(self):
         return (
-            dict(self.written), self.effects, list(self.bc_trail),
+            dict(self.written),
             self.sb_ex_base, self.sb_ld_base, self.sb_st_base,
             self.loads, self.stores,
         )
 
     def _restore(self, snapshot) -> None:
-        (written, effects, bc_trail,
-         ex_base, ld_base, st_base, loads, stores) = snapshot
+        written, ex_base, ld_base, st_base, loads, stores = snapshot
         self.written = dict(written)
-        self.effects = effects
-        self.bc_trail = list(bc_trail)
         self.sb_ex_base = ex_base
         self.sb_ld_base = ld_base
         self.sb_st_base = st_base
@@ -1295,7 +1235,6 @@ class _TraceCodegen(_SegmentCodegen):
         self.sb_ex_base = total
         self.sb_ld_base = self.loads
         self.sb_st_base = self.stores
-        self.effects = True
 
     def _emit_dflush(self) -> None:
         """Commit the batched block counts and inline data-cache tallies
@@ -1422,10 +1361,8 @@ class _TraceCodegen(_SegmentCodegen):
         prologue_at = len(self.lines)
         self._find_trace_shape()
         if self.looping:
-            # same argument as chained self-loops: iterations past the
-            # first run on register state that only lives in locals, so
-            # guards raise inline and every exit flushes every view
-            self.effects = True
+            # iterations past the first run on register state that only
+            # lives in locals, so every exit flushes every view
             for key, type_name in self.typed.items():
                 self._mark_written(type_name, key)
                 self.entry_reads.add((type_name, key))
@@ -1585,7 +1522,7 @@ class _TraceCodegen(_SegmentCodegen):
 class SegmentJIT:
     """Per-executable JIT manager: warmup counting, the compiled-function
     tables (one per data-cache presence, since the bookkeeping differs),
-    deopt blacklisting, and lifetime counters.  Shared by every
+    trace promotion, and lifetime counters.  Shared by every
     :class:`~repro.sim.simulator.Simulator` over one executable, so
     warmup and translation amortize across runs."""
 
@@ -1598,7 +1535,6 @@ class SegmentJIT:
         #: preload never eagerly ``compile()``s thousands of segments
         self._pending: tuple[dict, dict] = ({}, {})
         self._dispatches: dict[int, int] = {}
-        self._deopt_counts: dict[int, int] = {}
         #: taken-edge profile feeding trace selection:
         #: ``(from_entry, to_entry) -> count``, shared across runs
         self.edges: dict[tuple[int, int], int] = {}
@@ -1607,16 +1543,15 @@ class SegmentJIT:
         self.compiled = 0
         self.uncompilable = 0
         self.preloaded = 0
-        self.deopts = 0
         self.superblocks = 0
         self.sb_preloaded = 0
         #: something export() would return changed since the last
-        #: persist — a fresh translation, refusal or blacklisting
+        #: persist — a fresh translation, refusal or trace
         self.dirty = False
 
     def functions(self, cached: bool) -> dict:
         """entry pc -> ``(function, max_executed, is_superblock)`` |
-        ``None`` (refused or blacklisted — permanently interpreted)."""
+        ``None`` (refused by the translator — permanently interpreted)."""
         return self._tables[1 if cached else 0]
 
     def active_segments(self) -> int:
@@ -1670,9 +1605,9 @@ class SegmentJIT:
         """Attempt to promote ``head``'s compiled segment into a trace
         superblock (greedy hot-path selection over :attr:`edges`).  One
         attempt per head; returns whether a superblock was installed.
-        The trace replaces the plain record outright: it loops, so it
-        never deopts, and promoting a *preloaded* segment never
-        perturbs the ``preloaded``/``compiled`` split."""
+        The trace replaces the plain record outright, and promoting a
+        *preloaded* segment never perturbs the
+        ``preloaded``/``compiled`` split."""
         flag = 1 if cached else 0
         decided = self._sb_decided[flag]
         if head in decided:
@@ -1680,7 +1615,7 @@ class SegmentJIT:
         decided.add(head)
         current = self._tables[flag].get(head)
         if current is None or current[2]:
-            # refused/blacklisted head, or already a superblock
+            # refused head, or already a superblock
             return False
         entries = self._select_trace(head)
         if entries is None:
@@ -1701,13 +1636,19 @@ class SegmentJIT:
         :data:`SUPERBLOCK_MIN_EDGE`, a call into its callee, a return
         to the pc an earlier in-trace call pinned.  Stops at the head
         itself (the codegen turns head-targeting exits into
-        back-edges), a repeated node, a cold edge, or the node cap.
-        The entry list, or ``None``."""
+        back-edges), a repeated node, a cold edge, the node cap, or
+        before an inner loop (a node whose tail jumps back to its own
+        entry): its own chained function runs every iteration, while in
+        the trace its back-edge would side-exit after the first, so the
+        trace would only carry a copy of its body.  The entry list, or
+        ``None``."""
         entries = [head]
         returns: list[int] = []
         while len(entries) < SUPERBLOCK_MAX_NODES:
             succ = self._next_node(entries[-1], returns)
-            if succ is None or succ in entries:
+            if succ is None or succ in entries or (
+                self.translator.trace_successor(succ, []) == (succ, "goto")
+            ):
                 break
             entries.append(succ)
         return entries if len(entries) >= 2 else None
@@ -1726,40 +1667,17 @@ class SegmentJIT:
             return None
         return succ
 
-    def note_deopt(
-        self, entry: int, cached: bool, fault: JitDeopt, block_counts: dict
-    ) -> None:
-        """Undo the compiled prefix's block-count increments; blacklist
-        the entry after :data:`MAX_DEOPTS` guard failures.  Only plain
-        segments deopt in a run (every trace loops and raises inline);
-        a blacklisted entry, trace head or not, goes to the
-        interpreter."""
-        self.deopts += 1
-        for label in fault.bc_undo:
-            remaining = block_counts.get(label, 0) - 1
-            if remaining > 0:
-                block_counts[label] = remaining
-            else:
-                block_counts.pop(label, None)
-        count = self._deopt_counts.get(entry, 0) + 1
-        self._deopt_counts[entry] = count
-        if count >= MAX_DEOPTS:
-            self.functions(cached)[entry] = None
-            self.dirty = True
-
     # -- artifact-cache serialization ------------------------------------
 
     @staticmethod
     def _compile_payload(payload):
-        """``(name, source, consts, max_exec, magic, code_blob, sites)``
-        -> ``(fn, max_exec)``.  ``code_blob`` is the marshalled code
+        """``(name, source, max_exec, magic, code_blob, sites)`` ->
+        ``(fn, max_exec)``.  ``code_blob`` is the marshalled code
         object; it is only trusted when ``magic`` matches this
         interpreter's bytecode magic (the payload may have been written
         by a different Python), otherwise the source is recompiled."""
-        name, source, consts, max_exec, magic, blob, sites = payload
+        name, source, max_exec, magic, blob, sites = payload
         env = dict(_BASE_ENV)
-        for cname, bc_undo in consts.items():
-            env[cname] = JitDeopt(tuple(bc_undo))
         if magic == MAGIC_NUMBER and blob is not None:
             code = marshal.loads(blob)
         else:
@@ -1768,7 +1686,6 @@ class SegmentJIT:
         fn = env[name]
         fn._jit_source = source
         fn._jit_name = name
-        fn._jit_consts = dict(consts)
         fn._jit_code = code
         fn._jit_sites = tuple(sites)
         return fn, max_exec
@@ -1788,18 +1705,17 @@ class SegmentJIT:
         except ValueError:
             blob = None
         return (
-            fn._jit_name, fn._jit_source, dict(fn._jit_consts), max_exec,
-            MAGIC_NUMBER, blob, fn._jit_sites,
+            fn._jit_name, fn._jit_source, max_exec, MAGIC_NUMBER, blob,
+            fn._jit_sites,
         )
 
     def export(self) -> dict:
         """A picklable snapshot of every decided entry: ``(cached,
-        entry) -> None`` (refused/blacklisted), or ``(shape, name,
-        source, consts, max_executed, magic, code_blob, sites)`` with
-        ``shape`` ``"seg"`` for a plain segment and ``"sb"`` for a
-        superblock.  Pending preloads the process never dispatched are
-        passed through so a partial warm run does not shrink the
-        artifact."""
+        entry) -> None`` (refused), or ``(shape, name, source,
+        max_executed, magic, code_blob, sites)`` with ``shape``
+        ``"seg"`` for a plain segment and ``"sb"`` for a superblock.
+        Pending preloads the process never dispatched are passed
+        through so a partial warm run does not shrink the artifact."""
         out: dict = {}
         for flag in (0, 1):
             for entry, record in self._tables[flag].items():

@@ -19,14 +19,14 @@ from repro.program import Executable
 from repro.sim.blockcache import SEGMENT_CAP, BlockTimingCache, decode_blocks
 from repro.sim.cache import DirectMappedCache
 from repro.sim.executor import SemanticsCompiler
-from repro.sim.jit import SUPERBLOCK_WARMUP, JitDeopt, SegmentJIT
+from repro.sim.jit import SUPERBLOCK_WARMUP, SegmentJIT
 from repro.sim.pipeline import PipelineModel
 from repro.sim.state import MachineState
 
 _HALT = -1
 
 #: sentinel distinguishing "entry not yet considered" from a stored
-#: ``None`` (refused/blacklisted) in the JIT dispatch table
+#: ``None`` (refused by the translator) in the JIT dispatch table
 _MISS = object()
 
 #: executed instructions between ``max_cycles`` checks (a power of
@@ -129,11 +129,9 @@ class SimResult:
     block_cache_hits: int = 0
     block_cache_misses: int = 0
     #: segment-JIT activity this run (all zero on a ``watch=`` run):
-    #: segments newly compiled, compiled-segment dispatches, and guard
-    #: deopts
+    #: segments newly compiled and compiled-segment dispatches
     jit_segments: int = 0
     jit_hits: int = 0
-    jit_deopts: int = 0
     #: trace-superblock activity this run (zero on a ``watch=`` run):
     #: traces newly compiled and side exits taken out of compiled traces
     jit_superblocks: int = 0
@@ -169,7 +167,6 @@ SIM_COUNTERS = (
     ("timing_digests", "sim.timing.digests_computed"),
     ("jit_segments", "sim.jit.segments"),
     ("jit_hits", "sim.jit.hit"),
-    ("jit_deopts", "sim.jit.deopt"),
     ("jit_superblocks", "sim.jit.superblocks"),
     ("jit_side_exits", "sim.jit.side_exits"),
     ("interpreted", "sim.interpreted"),
@@ -652,7 +649,6 @@ class Simulator:
         # instructions generated code executed; the rest were interpreted
         jit_executed = 0
         jit_compiled_before = jit.compiled
-        jit_deopts_before = jit.deopts
         # trace-superblock dispatch state: the edge profile feeds trace
         # selection
         sb_edges = jit.edges
@@ -709,108 +705,93 @@ class Simulator:
                     fuse = max_instructions - executed - max_exec
                     if fuse > fuse_cap:
                         fuse = fuse_cap
-                    try:
-                        (
-                            jit_kind, seg_end, jit_label,
-                            node_entry, open_len, exec_delta,
-                            load_delta, store_delta, miss_mask,
-                            load_bit, cycle_delta, eid, probe_hits,
-                            probe_closes,
-                        ) = fn(
-                            state, cache, block_counts, getters, close,
-                            entry_id, base_offset + virtual_issue, fuse,
-                        )
-                    except JitDeopt as guard:
-                        # the guard fired before any cache access,
-                        # memory write or probe: undo the block counts
-                        # and fall through to the interpreter, which
-                        # re-executes the segment (from the same zero
-                        # miss mask) and raises the real error
-                        jit.note_deopt(pc, jit_cached, guard, block_counts)
-                    else:
-                        executed += exec_delta
-                        jit_executed += exec_delta
-                        loads += load_delta
-                        stores += store_delta
-                        virtual_issue += cycle_delta
-                        entry_id = eid
-                        jit_hits_run += probe_closes
-                        if probe_hits and block_cache is not None:
-                            # inline probe hits bypass close(), so the
-                            # memo's hit counter is credited here
-                            block_cache.hits += probe_hits
-                        if jit_kind == 4:
-                            pc = seg_entry = node_entry
-                            continue
-                        if is_sb:
-                            sb_exits_run += 1
-                        if jit_kind == 0:
-                            # fallthrough end: the final segment stays
-                            # open at node_entry
-                            jit_hits_run += 1
-                            pc = seg_end + 1
-                            seg_entry = node_entry
-                            seg_len = open_len
-                            if seg_len >= SEGMENT_CAP:
-                                delta, entry_id, _ = close(
-                                    node_entry, seg_end, -1, miss_mask,
-                                    entry_id, base_offset + virtual_issue,
-                                )
-                                virtual_issue += delta
-                                seg_entry = pc
-                                seg_len = 0
-                                miss_mask = 0
-                                load_bit = 1
-                            continue
-                        # kinds 1-3 return with the final segment
-                        # already closed inside generated code (its
-                        # close is in probe_closes and cycle_delta, and
-                        # mm/lb came back reset): only routing remains
-                        seg_len = 0
-                        if jit_kind == 2:
-                            if ret_unit is not None:
-                                word = units_get(ret_unit, 0)
-                                pc = (
-                                    word - 4294967296
-                                    if word > 2147483647
-                                    else word
-                                )
-                            else:
-                                pc = state.read_reg(cwvm.retaddr, "int")
-                        else:
-                            new_pc = exe.labels.get(jit_label)
-                            if new_pc is None:
-                                noun = (
-                                    "label"
-                                    if jit_kind == 1
-                                    else "function"
-                                )
-                                raise SimulationError(
-                                    f"undefined {noun} {jit_label!r}",
-                                    function=function,
-                                    cycle=virtual_issue + 1,
-                                )
-                            if jit_kind == 1:
-                                # profile the taken edge until its
-                                # promotion decision; a hot edge
-                                # triggers one trace-selection attempt
-                                # at its source (or target)
-                                edge = (node_entry, new_pc)
-                                hot = sb_edges.get(edge, 0)
-                                if hot < SUPERBLOCK_WARMUP:
-                                    hot += 1
-                                    sb_edges[edge] = hot
-                                    if hot == SUPERBLOCK_WARMUP and not (
-                                        jit.build_superblock(
-                                            node_entry, jit_cached
-                                        )
-                                    ):
-                                        jit.build_superblock(
-                                            new_pc, jit_cached
-                                        )
-                            pc = new_pc
-                        seg_entry = pc
+                    (
+                        jit_kind, seg_end, jit_label,
+                        node_entry, open_len, exec_delta,
+                        load_delta, store_delta, miss_mask,
+                        load_bit, cycle_delta, eid, probe_hits,
+                        probe_closes,
+                    ) = fn(
+                        state, cache, block_counts, getters, close,
+                        entry_id, base_offset + virtual_issue, fuse,
+                    )
+                    executed += exec_delta
+                    jit_executed += exec_delta
+                    loads += load_delta
+                    stores += store_delta
+                    virtual_issue += cycle_delta
+                    entry_id = eid
+                    jit_hits_run += probe_closes
+                    if probe_hits and block_cache is not None:
+                        # inline probe hits bypass close(), so the memo's
+                        # hit counter is credited here
+                        block_cache.hits += probe_hits
+                    if jit_kind == 4:
+                        pc = seg_entry = node_entry
                         continue
+                    if is_sb:
+                        sb_exits_run += 1
+                    if jit_kind == 0:
+                        # fallthrough end: the final segment stays open
+                        # at node_entry
+                        jit_hits_run += 1
+                        pc = seg_end + 1
+                        seg_entry = node_entry
+                        seg_len = open_len
+                        if seg_len >= SEGMENT_CAP:
+                            delta, entry_id, _ = close(
+                                node_entry, seg_end, -1, miss_mask,
+                                entry_id, base_offset + virtual_issue,
+                            )
+                            virtual_issue += delta
+                            seg_entry = pc
+                            seg_len = 0
+                            miss_mask = 0
+                            load_bit = 1
+                        continue
+                    # kinds 1-3 return with the final segment already
+                    # closed inside generated code (its close is in
+                    # probe_closes and cycle_delta, and mm/lb came back
+                    # reset): only routing remains
+                    seg_len = 0
+                    if jit_kind == 2:
+                        if ret_unit is not None:
+                            word = units_get(ret_unit, 0)
+                            pc = (
+                                word - 4294967296
+                                if word > 2147483647
+                                else word
+                            )
+                        else:
+                            pc = state.read_reg(cwvm.retaddr, "int")
+                    else:
+                        new_pc = exe.labels.get(jit_label)
+                        if new_pc is None:
+                            noun = "label" if jit_kind == 1 else "function"
+                            raise SimulationError(
+                                f"undefined {noun} {jit_label!r}",
+                                function=function,
+                                cycle=virtual_issue + 1,
+                            )
+                        if jit_kind == 1:
+                            # profile the taken edge until its promotion
+                            # decision; a hot edge triggers one
+                            # trace-selection attempt at its source (or
+                            # target)
+                            edge = (node_entry, new_pc)
+                            hot = sb_edges.get(edge, 0)
+                            if hot < SUPERBLOCK_WARMUP:
+                                hot += 1
+                                sb_edges[edge] = hot
+                                if hot == SUPERBLOCK_WARMUP and not (
+                                    jit.build_superblock(
+                                        node_entry, jit_cached
+                                    )
+                                ):
+                                    jit.build_superblock(new_pc, jit_cached)
+                        pc = new_pc
+                    seg_entry = pc
+                    continue
             effect = closures[pc](state, mem_log)
             executed += 1
             seg_len += 1
@@ -931,15 +912,6 @@ class Simulator:
                     cycle=virtual_issue + 1,
                 )
 
-        if seg_len:
-            # defensive: a run normally ends via ret (which closes its
-            # segment), but flush anything outstanding
-            delta, entry_id, _ = close(
-                seg_entry, seg_entry + seg_len - 1, -1, miss_mask,
-                entry_id, base_offset + virtual_issue,
-            )
-            virtual_issue += delta
-
         if block_cache is not None:
             cycles = virtual_issue + 1
             hits = block_cache.hits - start_hits
@@ -957,7 +929,6 @@ class Simulator:
             else 0
         )
         jit_segments = jit.compiled - jit_compiled_before
-        jit_deopts = jit.deopts - jit_deopts_before
         jit_superblocks = jit.superblocks - jit_superblocks_before
         jit_active = jit.active_segments()
         result = SimResult(
@@ -979,7 +950,6 @@ class Simulator:
             block_cache_misses=misses,
             jit_segments=jit_segments,
             jit_hits=jit_hits_run,
-            jit_deopts=jit_deopts,
             jit_superblocks=jit_superblocks,
             jit_side_exits=sb_exits_run,
             jit_active_segments=jit_active,

@@ -323,12 +323,14 @@ def test_store_survives_unpicklable_values(tmp_path):
     assert store.get("target", key) is None
 
 
-def test_salt_is_derived_from_the_package_sources(tmp_path):
+def test_salt_is_derived_from_the_package_sources(tmp_path, monkeypatch):
     copy = tmp_path / "repro"
     shutil.copytree(
         PACKAGE_ROOT, copy, ignore=shutil.ignore_patterns("__pycache__")
     )
     assert code_salt(copy) == code_salt(PACKAGE_ROOT)
+    # no environment variable overrides the code salt
+    monkeypatch.setenv("REPRO_CACHE_SALT", "stale")
     assert ArtifactCache(root=tmp_path, enabled=True).salt == code_salt()
     # one changed byte in one source file changes the salt
     edited = tmp_path / "edited"

@@ -96,6 +96,8 @@ def test_event_stream_covers_every_submission(name):
         for x in range(5):
             keys.append(backend.submit(GridTask(f"sq/{x}", _square, (x,))))
         backend.submit(GridTask("boom", _boom, ("kaput",)))
+        # submissions still queued: no worker is idle
+        assert backend.probe().idle == 0
         seen = {}
         while len(seen) < 6:
             event = backend.next_event(timeout=30.0)
@@ -116,6 +118,7 @@ def test_event_stream_covers_every_submission(name):
         assert probe.backend == name
         assert probe.healthy
         assert probe.queued == 0 and probe.in_flight == 0
+        assert probe.idle == probe.workers
     # close() is idempotent
     backend.close()
 
@@ -213,6 +216,17 @@ def test_probe_counts_a_running_unit():
         assert (probe.in_flight, probe.idle, probe.queued) == (1, 0, 0)
         event = backend.next_event(timeout=30.0)
         assert event is not None and event.key == "nap" and event.ok
+        probe = backend.probe()
+        assert (probe.in_flight, probe.idle, probe.queued) == (0, 1, 0)
+
+
+def test_inprocess_probe_counts_the_running_unit():
+    # the serial backend runs a unit inside next_event, on the caller's
+    # thread: a probe taken meanwhile (here, by the unit) counts it
+    with InprocessAsyncExecutor() as backend:
+        backend.submit(GridTask("peek", backend.probe))
+        running = backend.next_event().value
+        assert (running.in_flight, running.idle, running.queued) == (1, 0, 0)
         probe = backend.probe()
         assert (probe.in_flight, probe.idle, probe.queued) == (0, 1, 0)
 

@@ -13,7 +13,7 @@ import repro
 from repro.errors import MarionError, SimulationError
 from repro.sim.cache import DirectMappedCache
 from repro.maril import ast
-from repro.sim.jit import MAX_DEOPTS, SegmentJIT, Uncompilable, _TraceCodegen
+from repro.sim.jit import SegmentJIT, Uncompilable, _TraceCodegen
 from repro.workloads import kernel_by_id
 
 from tests.helpers import simulate_oracle
@@ -111,7 +111,6 @@ def test_jit_bit_identical_k7(target):
         assert getattr(jitted, field) == getattr(reference, field), field
     assert jitted.jit_hits > 0
     assert jitted.jit_segments > 0
-    assert jitted.jit_deopts == 0
     # ...and the compiled run matches the reference interleaved model
     oracle = _simulate(executable, spec, oracle=True)
     for field in COMPARED_FIELDS:
@@ -226,7 +225,7 @@ def test_i860_engine_matches_the_oracle(strategy):
             assert getattr(traced, field) == expected, (kernel_id, field)
 
 
-# -- deopt paths --------------------------------------------------------------
+# -- division guards ----------------------------------------------------------
 
 DIV_TRAP = """
 int divloop(int n, int m) {
@@ -239,12 +238,12 @@ int divloop(int n, int m) {
 }
 """
 
-#: the division lives in a hot *callee*: a non-looping segment (entry
-#: to ret) whose guard can still deopt.  The self-loop in DIV_TRAP is
-#: chained in-function, so its guard raises the interpreter's error
-#: inline instead (see test_chained_loop_raises_inline).
+#: the division lives in a hot *callee*: a non-looping plain segment
+#: (entry to ret), where the guard is the first thing that can fail.
+#: The self-loop in DIV_TRAP is chained in-function instead (see
+#: test_chained_loop_raises_inline).  ``OP`` is ``/`` or ``%``.
 DIV_TRAP_CALL = """
-int divide(int a, int b) { return a / b; }
+int divide(int a, int b) { return a OP b; }
 int divcall(int n, int m) {
   int s; int i;
   s = 0;
@@ -252,6 +251,9 @@ int divcall(int n, int m) {
   return s;
 }
 """
+
+#: the line every integer division guard compiles to
+INT_DIV_GUARD = "raise _SE('integer division by zero')"
 
 
 def _compile_source(source, target="r2000", warmup=WARMUP):
@@ -266,27 +268,73 @@ def _run_divloop(executable, n, m):
     return repro.simulate(executable, "divloop", args=(n, m))
 
 
-def test_div_by_zero_deopts_with_identical_error():
+def _run_divcall(executable, n, m):
+    return repro.simulate(executable, "divcall", args=(n, m))
+
+
+def _callee_record(executable):
+    """The JIT table record of ``divide`` (runs without a data cache)."""
+    jit = executable._segment_jit
+    return jit.functions(False).get(executable.entry("divide"))
+
+
+@pytest.mark.parametrize("op", ("/", "%"), ids=("div", "mod"))
+@pytest.mark.parametrize("target", TARGETS)
+def test_div_by_zero_raises_inline_with_identical_error(target, op):
     # the divisor hits zero long after warmup: the compiled callee's
-    # guard trips before any side effect, the deopt re-executes the
-    # segment interpreted, and the error the caller sees is exactly the
+    # guard raises inline, and the error the caller sees is exactly the
     # interpreter's
-    executable = _compile_source(DIV_TRAP_CALL)
-    with pytest.raises(SimulationError, match="integer division by zero"):
-        repro.simulate(executable, "divcall", args=(50, 30))
-    assert executable._segment_jit.deopts >= 1
-    reference = _compile_source(DIV_TRAP_CALL, warmup=NEVER)
-    with pytest.raises(SimulationError, match="integer division by zero"):
-        repro.simulate(reference, "divcall", args=(50, 30))
+    source = DIV_TRAP_CALL.replace("OP", op)
+    errors = []
+    for warmup in (NEVER, WARMUP):
+        executable = _compile_source(source, target, warmup=warmup)
+        with pytest.raises(SimulationError) as raised:
+            _run_divcall(executable, 50, 30)
+        errors.append(raised.value)
+    record = _callee_record(executable)
+    assert record is not None
+    assert INT_DIV_GUARD in record[0]._jit_source
+    interpreted, jitted = errors
+    assert str(jitted) == str(interpreted)
+    assert "integer division by zero" in str(jitted)
+
+
+def test_division_errors_leave_the_entry_compiled(monkeypatch):
+    # a division error fails the run and nothing else: the callee keeps
+    # its compiled function however often it raises.  Traces stay off,
+    # so the callee stays a plain segment with a record of its own
+    monkeypatch.setattr("repro.sim.simulator.SUPERBLOCK_WARMUP", NEVER)
+    source = DIV_TRAP_CALL.replace("OP", "/")
+    runs = []
+    for warmup in (NEVER, 1):
+        executable = _compile_source(source, warmup=warmup)
+        # repeated failures must not send the callee to the interpreter
+        for _ in range(9):
+            with pytest.raises(
+                SimulationError, match="integer division by zero"
+            ):
+                _run_divcall(executable, 30, 10)
+        runs.append(_run_divcall(executable, 30, 100))
+    record = _callee_record(executable)
+    assert record is not None and callable(record[0])
+    interpreted, jitted = runs
+    assert jitted.jit_hits > 0
+    assert interpreted.jit_hits == 0
+    for field in COMPARED_FIELDS:
+        assert getattr(jitted, field) == getattr(interpreted, field), field
 
 
 def test_chained_loop_raises_inline():
     # a self-loop segment is chained in-function, so its division guard
-    # raises the interpreter's exact error inline, without deopting
+    # raises the interpreter's exact error inline
     executable = _compile_source(DIV_TRAP)
     with pytest.raises(SimulationError, match="integer division by zero"):
         _run_divloop(executable, 50, 30)
-    assert executable._segment_jit.deopts == 0
+    assert INT_DIV_GUARD in "".join(
+        record[0]._jit_source
+        for record in executable._segment_jit.functions(False).values()
+        if record is not None
+    )
     reference = _compile_source(DIV_TRAP, warmup=NEVER)
     with pytest.raises(SimulationError, match="integer division by zero"):
         _run_divloop(reference, 50, 30)
@@ -311,10 +359,10 @@ int divcall(int n, int m) {
 
 
 def test_latch_write_then_division_raises_inline(monkeypatch):
-    # a latch lives in machine state, not in a generated-code local, so
-    # a deopt after the write would re-execute it: the guard raises the
-    # interpreter's error inline instead.  Traces stay off (a looping
-    # trace raises inline whatever it wrote)
+    # the division guard of a plain segment that has already written a
+    # latch (machine state, not a generated-code local) raises the
+    # interpreter's error inline.  Traces stay off, so the callee stays
+    # a plain segment
     monkeypatch.setattr("repro.sim.simulator.SUPERBLOCK_WARMUP", NEVER)
     messages = []
     for warmup in (NEVER, WARMUP):
@@ -325,7 +373,6 @@ def test_latch_write_then_division_raises_inline(monkeypatch):
     jit = executable._segment_jit
     callee = jit.functions(False)[executable.entry("divide")]
     assert "tp['m1'] = " in callee[0]._jit_source
-    assert jit.deopts == 0
     assert messages[1] == messages[0]
     assert "integer division by zero" in messages[0]
 
@@ -348,7 +395,7 @@ def test_mistyped_latch_write_is_refused():
         codegen._scan_stmt(ast.AssignStmt(latch, ast.IntLit(2)), instr)
 
 
-def test_deopt_undoes_partial_block_counts():
+def test_quiet_division_guard_matches_the_interpreter():
     # a divisor that never hits zero: the guard stays quiet and the JIT
     # agrees with the interpreter on dynamic block counts and the result
     executable = _compile_source(DIV_TRAP, warmup=NEVER)
@@ -358,28 +405,6 @@ def test_deopt_undoes_partial_block_counts():
     assert jitted.jit_hits > 0
     assert jitted.block_counts == reference.block_counts
     assert jitted.return_value == reference.return_value
-
-
-def test_repeated_deopts_blacklist_the_entry(monkeypatch):
-    # an unreachable edge warmup keeps the loop un-traced: a promoted
-    # trace would raise inline instead of deopting, and this test is
-    # specifically about the plain-segment deopt/blacklist path
-    monkeypatch.setattr("repro.sim.simulator.SUPERBLOCK_WARMUP", NEVER)
-    executable = _compile_source(DIV_TRAP_CALL, warmup=1)
-    jit = executable._segment_jit
-
-    def run():
-        return repro.simulate(executable, "divcall", args=(30, 10))
-
-    for _ in range(MAX_DEOPTS):
-        with pytest.raises(SimulationError):
-            run()
-    assert jit.deopts == MAX_DEOPTS
-    assert None in jit.functions(False).values()
-    # blacklisted: further runs stay interpreted, same error, no growth
-    with pytest.raises(SimulationError, match="integer division by zero"):
-        run()
-    assert jit.deopts == MAX_DEOPTS
 
 
 # -- warmup threshold ---------------------------------------------------------
@@ -469,6 +494,6 @@ def test_jit_active_under_trace():
 def test_jit_off_reports_zero_counters():
     executable = _compile_source(HOT_LOOP, warmup=NEVER)
     result = _run_hot(executable, 100)
-    assert result.jit_segments == result.jit_hits == result.jit_deopts == 0
+    assert result.jit_segments == result.jit_hits == 0
     assert result.jit_active_segments == 0
     assert result.interpreted == result.instructions

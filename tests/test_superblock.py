@@ -17,12 +17,7 @@ import repro
 from repro.cache import configure
 from repro.errors import SimulationError
 from repro.sim.cache import DirectMappedCache
-from repro.sim.jit import (
-    MAX_DEOPTS,
-    SUPERBLOCK_WARMUP,
-    JitDeopt,
-    SegmentJIT,
-)
+from repro.sim.jit import SUPERBLOCK_WARMUP, SegmentJIT
 from repro.targets import clear_target_cache
 
 TARGETS = ("toyp", "r2000", "m88000", "i860")
@@ -91,9 +86,8 @@ int bench(int loop, int n) {
 """
 
 #: a division inside the hot arm: the trap fires long after the trace
-#: is promoted, and the trace must surface the interpreter's exact
-#: error (looping traces commit effects up front, so guards raise the
-#: real error inline rather than deopting)
+#: is promoted, and the trace must raise the interpreter's exact error
+#: inline
 DIV_DIAMOND = """
 int bench(int n, int m) {
   int i; int s;
@@ -101,6 +95,21 @@ int bench(int n, int m) {
   for (i = 0; i < n; i++) {
     if (i & 1) s = s + 100 / (m - i);
     else s = s - 1;
+  }
+  return s;
+}
+"""
+
+#: a loop nest whose inner loop is one segment that jumps back to its own
+#: entry: that segment runs as its own looping function, and a trace
+#: through the outer loop that took it in would run one inner iteration
+#: and side-exit at its back-edge on every outer iteration
+NEST = """
+int bench(int loop, int n) {
+  int l; int i; int s;
+  s = 0;
+  for (l = 0; l < loop; l++) {
+    for (i = 0; i < n; i++) s = s + i * l;
   }
   return s;
 }
@@ -163,7 +172,6 @@ def test_superblock_bit_identical_diamond(target, strategy, monkeypatch):
     for field in COMPARED_FIELDS:
         assert getattr(segments, field) == getattr(reference, field), field
         assert getattr(traced, field) == getattr(reference, field), field
-    assert traced.jit_deopts == 0
     assert traced.jit_superblocks > 0
     assert traced.jit_side_exits > 0
     assert segments.jit_superblocks == 0
@@ -193,6 +201,29 @@ def test_side_exits_reenter_the_dispatch_loop():
     assert traced.jit_superblocks > 0
     assert traced.jit_side_exits > 0
     reference = _interpreted(_compile(DIAMOND), (2, HOT))
+    for field in COMPARED_FIELDS:
+        assert getattr(traced, field) == getattr(reference, field), field
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_traces_stop_before_an_inner_loop(target):
+    executable = _compile(NEST, target)
+    _fresh(executable)
+    traced = _run(executable, (HOT, 4))
+    jit = executable._segment_jit
+    translator = jit.translator
+    inner = {
+        entry
+        for entry in range(len(translator.instrs))
+        if translator.trace_successor(entry, []) == (entry, "goto")
+    }
+    assert inner
+    for head, _ in jit.edges:
+        assert not set((jit._select_trace(head) or [])[1:]) & inner
+    # the outer loop's trace had nothing but the inner loop to close
+    # its back-edge through, so none forms and nothing side-exits
+    assert traced.jit_side_exits == 0
+    reference = _interpreted(_compile(NEST, target), (HOT, 4))
     for field in COMPARED_FIELDS:
         assert getattr(traced, field) == getattr(reference, field), field
 
@@ -228,11 +259,9 @@ def _promote(executable, args=(3, HOT)):
     raise AssertionError("no promoted trace head found")
 
 
-def test_superblocks_never_deopt():
-    # every installed trace loops, and a looping function has side
-    # effects from its first instruction: its division guards raise the
-    # interpreter's error inline, so no trace can deopt, and a
-    # blacklisted trace head needs no plain segment to fall back to
+def test_traces_carry_inline_division_guards():
+    # traces form on every loop shape here, and a division inside one
+    # compiles to a guard that raises the interpreter's error inline
     sources = []
     for source, args in (
         (DIAMOND, (3, HOT)),
@@ -249,26 +278,24 @@ def test_superblocks_never_deopt():
             if record is not None and record[2]
         ]
         assert traces
-        for fn in traces:
-            assert fn._jit_consts == {}
-            assert "raise _D" not in fn._jit_source
-            sources.append(fn._jit_source)
+        sources.extend(fn._jit_source for fn in traces)
     # the division guard sits inside a trace
     division = "raise _SE('integer division by zero')"
     assert any(division in text for text in sources)
 
 
-def test_blacklisted_trace_head_goes_to_the_interpreter():
-    # MAX_DEOPTS strikes against a trace head blacklist it like any
-    # other entry: the interpreter runs it from then on
+def test_refused_trace_head_goes_to_the_interpreter():
+    # a trace replaces its head's plain record outright, so a head whose
+    # record is ``None`` (what a refused entry gets) has nothing compiled
+    # to fall back to: the interpreter runs it from then on
     executable = _compile(DIAMOND)
     jit, head = _promote(executable)
-    for _ in range(MAX_DEOPTS):
-        jit.note_deopt(head, True, JitDeopt(()), {})
-    assert jit.functions(True)[head] is None
-    # and the run still produces correct results
+    jit.functions(True)[head] = None
+    # and the run still produces correct results, with the head left
+    # to the interpreter
     _cold_memo(executable)
     after = _run(executable, (3, HOT))
+    assert jit.functions(True)[head] is None
     reference = _interpreted(_compile(DIAMOND), (3, HOT))
     for field in COMPARED_FIELDS:
         assert getattr(after, field) == getattr(reference, field), field
