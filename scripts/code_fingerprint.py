@@ -20,11 +20,16 @@ change can show its timing is exact the way a compiler change shows its
 code is byte-identical.  ``jit`` covers the same two runs' JIT counters
 (segments compiled, probe hits, superblocks built, side exits and
 interpreted instructions), so a change in which segments compile or which
-traces form shows even when the results stay exact.
+traces form shows even when the results stay exact.  ``gen`` covers
+every live generated function after those two runs: per JIT table and
+entry, its superblock flag, ``max_exec``, probe sites and its code
+object's ``co_code``, ``co_consts``, ``co_names`` and ``co_varnames``,
+so a JIT refactor shows that the code it generates is unchanged, not
+only its counters.
 
 With ``--against FILE`` (an earlier run's output) it lists the units
 whose fingerprint differs, is missing or is new, naming for a differing
-unit which digests differ (such as ``runs`` or ``code+runs+jit``), ends
+unit which digests differ (such as ``runs`` or ``code+runs+gen``), ends
 with the count of differing units per target and strategy, and exits 1
 if there is any.  A change meant to keep the emitted code and its
 simulated results identical runs it on both sides::
@@ -49,7 +54,7 @@ from repro.workloads import LIVERMORE_KERNELS, PROGRAM_SUITE  # noqa: E402
 STRATEGIES = ("postpass", "ips", "rase")
 
 #: the per-unit digests, in the order ``--against`` names them
-DIGESTS = ("code", "runs", "jit")
+DIGESTS = ("code", "runs", "jit", "gen")
 
 #: Livermore problem-size scale of the simulated runs
 SIM_SCALE = 0.05
@@ -110,6 +115,26 @@ def simulation_records(exe, entry: str, args: tuple) -> tuple[str, str]:
     return results, repr((jit_record(traced), jit_record(plain)))
 
 
+def generated_record(exe) -> str:
+    """Every live generated function of the unit's JIT, as text."""
+    jit = exe._segment_jit
+    out = []
+    for cached in (False, True):
+        table = jit.functions(cached)
+        for entry in sorted(table):
+            record = table[entry]
+            if record is None:
+                continue
+            fn, max_exec, superblock = record
+            code = fn.__code__
+            out.append((
+                cached, entry, superblock, max_exec, fn._jit_sites,
+                code.co_code, code.co_consts, code.co_names,
+                code.co_varnames,
+            ))
+    return repr(out)
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -128,6 +153,7 @@ def fingerprints() -> dict[str, dict[str, str]]:
                     "code": digest(listing),
                     "runs": digest(runs),
                     "jit": digest(jit),
+                    "gen": digest(generated_record(exe)),
                 }
     return out
 

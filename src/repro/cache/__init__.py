@@ -11,8 +11,9 @@ mostly reads pickles:
   :func:`repro.targets.load_target`;
 * ``exe`` — linked executables per (target, C source, compile options),
   consulted by :func:`repro.compile_c`;
-* ``jit`` — generated segment-JIT *source* (:mod:`repro.sim.jit`), so a
-  new process re-``compile()``\\ s Python text instead of re-translating
+* ``jit`` — the segment JIT's generated functions as marshalled code
+  objects (:mod:`repro.sim.jit`), keyed on the interpreter's bytecode
+  magic too, so a new process loads bytecode instead of re-translating
   semantics trees through warmup;
 * ``timing`` — block-timing memo digests (:mod:`repro.sim.blockcache`).
 

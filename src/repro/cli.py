@@ -14,6 +14,10 @@ or as ``--options-json`` / ``--sim-json`` documents — the *same*
 documents ``POST /v1/compile`` and ``POST /v1/run`` take, parsed by the
 same :mod:`repro.serve.schema` validators, so the CLI and the service
 cannot drift apart.  Explicit flags overlay the document.
+
+Errors print one ``repro: error: <message>`` line: a bad request (a
+malformed document or flag) exits 2, and a program that fails to compile
+or to run (any other :class:`~repro.errors.MarionError`) exits 1.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import sys
 
 import repro
 from repro.backend.asmprinter import format_program
-from repro.errors import RequestError
+from repro.errors import MarionError, RequestError
 from repro.targets import TARGET_NAMES
 
 
@@ -439,9 +443,9 @@ def main(argv=None) -> int:
     arguments = parser.parse_args(argv)
     try:
         return arguments.handler(arguments)
-    except RequestError as exc:
+    except MarionError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, RequestError) else 1
 
 
 if __name__ == "__main__":

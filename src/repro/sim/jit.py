@@ -8,7 +8,10 @@ once a segment entry (the same ``(entry_pc, ...)`` unit the block-timing
 memo keys on in :meth:`Simulator._run_fast`) has been dispatched
 :data:`JIT_WARMUP` times, :class:`SegmentTranslator` walks the segment's
 Maril semantics trees and emits one flat Python function for the whole
-straight-line region via source generation + ``compile()``/``exec``.
+straight-line region: the generated source goes through ``compile()``
+and the function is built from its code object over one shared,
+read-only globals dict.  Only the code object and the probe sites live
+on; the source is dropped once compiled.
 
 Inside the generated function:
 
@@ -68,7 +71,8 @@ left open for the driver to close — timing keys, close order and miss
 masks are exactly the ones interpreted segments produce, which is
 what keeps compiled code bit-identical to the interpreter.  Both shapes
 share one codegen (:class:`_TraceCodegen`; a plain segment is a
-one-node trace) and therefore one branch in the dispatch loop.
+one-node trace), one :meth:`SegmentTranslator.translate` and therefore
+one branch in the dispatch loop.
 
 Anything the translator does not cover — mistyped latch writes, invalid
 double pairings, control in a delay slot, unallocated operands — is
@@ -84,7 +88,7 @@ from __future__ import annotations
 
 import marshal
 import struct
-from importlib.util import MAGIC_NUMBER
+import types
 
 from repro.backend.insts import Imm, Lab, MachineInstr, Reg
 from repro.backend.values import fold_halves
@@ -129,8 +133,9 @@ class Uncompilable(Exception):
     """Static refusal: this segment stays on the closure interpreter."""
 
 
-# names prebound into every generated function's globals; the generated
-# code never does a dotted or module-global lookup on its hot path
+# the globals dict every generated function shares (nothing writes it):
+# its names are prebound, so the generated code never does a dotted or
+# module-global lookup on its hot path
 _BASE_ENV = {
     "_w32": _wrap32,
     "_idiv": _int_div,
@@ -199,32 +204,19 @@ class SegmentTranslator:
         self.compiler = SemanticsCompiler(executable.target)
         self.block_of, self.block_starts = decode_blocks(executable)
 
-    def translate(self, entry: int, cached: bool):
-        """Compile the segment at ``entry``; ``(function, max_executed)``.
+    def translate(self, entries: list[int], cached: bool):
+        """Compile the trace headed at ``entries[0]``; ``(function,
+        max_executed)`` with the call contract of :class:`_TraceCodegen`.
 
-        A plain segment is emitted as a one-node trace, so segment and
-        superblock functions share one call contract and one codegen
-        (self-loop back-edges chain in-function with the timing probe
-        inlined, exactly like trace back-edges).  Raises
-        :class:`Uncompilable` when any instruction on the trace uses a
+        Every node is a whole segment, joined to the next through its
+        unconditional tail.  One entry is a plain segment (self-loop
+        back-edges chain in-function with the timing probe inlined,
+        exactly like trace back-edges); more are a superblock, which
+        must loop back to its head.  Raises :class:`Uncompilable` when
+        the trace has another shape or any instruction on it uses a
         construct the translator does not cover."""
-        trace, tail = self._trace(entry)
-        codegen = _TraceCodegen(
-            self, [(entry, trace, tail)], cached, plain=True
-        )
-        return codegen.build()
-
-    def translate_trace(self, entries: list[int], cached: bool):
-        """Compile the multi-segment trace headed at ``entries[0]``;
-        ``(function, max_executed)`` with the superblock call contract
-        (see :class:`_TraceCodegen`).  Every node is a whole segment,
-        joined to the next through its unconditional tail.  Raises
-        :class:`Uncompilable`."""
         nodes = [(entry, *self._trace(entry)) for entry in entries]
-        codegen = _TraceCodegen(self, nodes, cached)
-        # reject non-loop shapes before paying for scan/emit/compile
-        codegen._find_trace_shape()
-        return codegen.build()
+        return _TraceCodegen(self, nodes, cached).build()
 
     def _resolve_target(self, pc: int, control) -> int | None:
         """The pc a goto/call/conditional at ``pc`` statically targets."""
@@ -285,19 +277,68 @@ class SegmentTranslator:
         ]
 
 
-class _SegmentCodegen:
-    """Shared scan/decide/emit machinery (one trace node at a time).
+def _function(code, sites: tuple):
+    """A generated function, built from its code object over the shared
+    :data:`_BASE_ENV`; ``_jit_sites`` lists the probe sites whose
+    getters the dispatch loop binds (see :class:`_TraceCodegen`)."""
+    fn = types.FunctionType(code, _BASE_ENV)
+    fn._jit_sites = sites
+    return fn
 
-    All emission goes through :class:`_TraceCodegen` — a plain segment
-    is a one-node trace — so this base only holds the per-node walkers:
-    view scanning, local-representation decisions, expression/statement
-    emission, and the flush/entry-load bookkeeping."""
 
-    def __init__(self, translator, entry, trace, tail, cached):
+class _TraceCodegen:
+    """One trace (a chain of segments) -> one generated function.
+
+    Every generated function — plain segment (a one-node trace) or
+    superblock — comes from here and shares one call contract.
+    Structure: single entry at the trace head.  Internal
+    transitions (a node's terminal goto targeting the next node) run
+    the block-timing transition probe inline and fall through into the
+    next node's code; any taken exit targeting the *head* becomes a
+    back-edge of one outer ``while 1`` (probe + fuse check +
+    ``continue``); every other exit is a side exit returning to the
+    dispatch loop — exits at a segment boundary (kinds 1-3) close their
+    final segment inline through the same probe machinery, so the
+    dispatch loop only routes the pc; only a not-taken/fallthrough exit
+    (kind 0) leaves a segment open for the interpreter to continue.
+
+    Call contract::
+
+        fn(state, dcache, bc, tg, close, eid, b0, fz)
+
+    ``dcache`` is the data-cache model (its tag array and shift/mask
+    geometry are read into locals once; accesses are inlined
+    arithmetic), ``tg`` the tuple of bound ``get`` methods of each
+    probe site's ``{(eid, mm): (cycle_delta, exit_id, stall_deltas)}``
+    transition dict, in :attr:`probe_sites` order (``fn._jit_sites``):
+    the dispatch loop binds them once per run through that run's
+    accessor, so a warm boundary is one two-int-tuple lookup — and
+    ``close`` the miss path.  ``eid`` is the entry digest id, ``b0``
+    the absolute base cycle at entry, and ``fz`` the
+    executed-instruction budget for back-edges.  The segment's miss
+    mask ``mm`` and next load bit ``lb`` start at ``0``/``1`` in the
+    prologue: the function is only called at a fresh segment boundary.
+    Returns a 14-tuple
+    ``(kind, end, label, node_entry, open_len, ex, ld, st, mm, lb, ci,
+    eid, bch, sbh)``: ``kind`` 1/2/3 are
+    taken-branch/return/call exits with every segment (including the
+    final one) already closed and mm/lb reset, ``kind`` 0 is a
+    not-taken or fallthrough exit whose final segment at ``node_entry``
+    stays *open* (mm/lb live, ``open_len`` instructions already
+    executed) for the interpreter to continue, and ``kind`` 4 is a fuse
+    stop at the head with everything closed.  ``ex``/``ld``/``st`` are
+    whole-call instruction/load/store totals, ``ci`` the accumulated
+    cycle delta, ``eid`` the current digest id, ``bch`` inline probe
+    hits and ``sbh`` segments closed in-function.  A function with no
+    probe on any path (a non-looping plain segment) elides the running
+    totals entirely and returns static literals.
+    """
+
+    def __init__(self, translator, nodes, cached):
         self.tr = translator
-        self.entry = entry
-        self.trace = trace
-        self.tail = tail
+        #: ``(entry, pcs, tail control)`` per segment, head first
+        self.nodes = nodes
+        self.entry = nodes[0][0]
         self.cached = cached
         # scan results
         self.touched: set[tuple[int, int]] = set()
@@ -322,55 +363,83 @@ class _SegmentCodegen:
         self.loads = 0
         self.stores = 0
         self.max_exec = 0
+        #: any taken exit targets the head (filled by
+        #: :meth:`_find_trace_shape`)
         self.looping = False
         #: any temporal-register (latch) access: binds ``tp`` in the
         #: prologue
         self.uses_temporal = False
+        #: ``(entry, end, transfer) -> prologue local`` holding that
+        #: probe site's transition table ``.get`` (unpacked from ``tg``)
+        self.probe_sites: dict[tuple, str] = {}
+        #: a probe has been emitted (monotonic: emission follows
+        #: execution order in non-looping functions, so exits emitted
+        #: before the first probe can return static literal totals)
+        self._totals_live = False
+        #: node position -> statically pinned return pc for in-trace
+        #: returns (filled by :meth:`_find_trace_shape`); the pc a
+        #: run-time guard on the %retaddr register enforces
+        self.ret_targets: dict[int, int] = {}
+        #: the %retaddr register's first unit, tracked as a view when
+        #: the trace contains any call
+        self.ret_unit = None
+        # cumulative executed/loads/stores already committed at the most
+        # recent probe on the current emission path (static bookkeeping)
+        self.sb_ex_base = 0
+        self.sb_ld_base = 0
+        self.sb_st_base = 0
+        #: instructions executed from the head up to the current node
+        self.node_exec_base = 0
+
+    def _name(self) -> str:
+        prefix = "_jit" if len(self.nodes) == 1 else "_sbjit"
+        return f"{prefix}_{self.entry}_{'c' if self.cached else 'n'}"
 
     # -- driver ---------------------------------------------------------------
 
     def build(self):
+        # a trace of the wrong shape is refused before any scan, emit or
+        # compile work
+        self._find_trace_shape()
         self._scan()
         self._decide()
-        source = self._emit()
         name = self._name()
-        env = dict(_BASE_ENV)
-        code = compile(source, f"<jit:{name}>", "exec")
-        exec(code, env)
-        fn = env[name]
-        fn._jit_source = source
-        # everything a fresh process needs to re-materialize this
-        # function without re-translating (see _materialize): the code
-        # object rides along so export can marshal it, and the probe
-        # sites tell the dispatch loop which getters to bind
-        fn._jit_name = name
-        fn._jit_sites = tuple(self.probe_sites)
-        fn._jit_code = code
-        return fn, self.max_exec
+        module = compile(self._emit(), f"<jit:{name}>", "exec")
+        # the function is built from its code object, the module's one
+        # code constant: nothing is exec'd, the shared globals are never
+        # written, and the source is not kept
+        code = next(
+            const for const in module.co_consts
+            if isinstance(const, types.CodeType)
+        )
+        return _function(code, tuple(self.probe_sites)), self.max_exec
 
     # -- scan: collect register views and refuse what we don't cover ----------
 
     def _scan(self) -> None:
+        """Branch targets are checked by :meth:`_find_trace_shape`, and
+        every call is a node's tail, covered by the %retaddr check."""
         instrs = self.tr.instrs
-        for pc in self.trace:
-            instr = instrs[pc]
-            stmts = _stmts_of(instr)
-            control = _control_of(stmts)
-            for stmt in stmts[:-1] if control is not None else stmts:
-                self._scan_stmt(stmt, instr)
-            if isinstance(control, ast.CondGotoStmt):
-                self._scan_expr(control.condition, instr, "int")
-                self._label_of(control.target, instr)
-                self._scan_slots(pc, instr)
-            elif isinstance(control, (ast.GotoStmt, ast.CallStmt)):
-                self._label_of(control.target, instr)
-                if isinstance(control, ast.CallStmt):
-                    if self.tr.target.cwvm.retaddr is None:
-                        raise Uncompilable("call without a %retaddr register")
-                else:
+        for _entry, trace, _tail in self.nodes:
+            for pc in trace:
+                instr = instrs[pc]
+                stmts = _stmts_of(instr)
+                control = _control_of(stmts)
+                for stmt in stmts[:-1] if control is not None else stmts:
+                    self._scan_stmt(stmt, instr)
+                if isinstance(control, ast.CondGotoStmt):
+                    self._scan_expr(control.condition, instr, "int")
                     self._scan_slots(pc, instr)
-            elif isinstance(control, ast.RetStmt):
-                self._scan_slots(pc, instr)
+                elif isinstance(control, (ast.GotoStmt, ast.RetStmt)):
+                    self._scan_slots(pc, instr)
+        # in-trace calls write the %retaddr register and guarded
+        # returns read it, so it must live as a tracked view
+        if any(isinstance(tail, ast.CallStmt) for _e, _t, tail in self.nodes):
+            retaddr = self.tr.target.cwvm.retaddr
+            if retaddr is None:
+                raise Uncompilable("call without a %retaddr register")
+            self.ret_unit = self.tr.target.registers.units_of(retaddr)[0]
+            self.touched.add(self.ret_unit)
 
     def _scan_slots(self, pc: int, instr: MachineInstr) -> None:
         for slot_pc in self.tr.slot_pcs(pc, instr):
@@ -614,7 +683,6 @@ class _SegmentCodegen:
         expr: ast.Expr,
         instr: MachineInstr,
         expected: str | None,
-        pc: int,
         slot: bool,
     ):
         """Returns ``(code, static_type, wrapped)``; ``wrapped`` promises
@@ -638,13 +706,13 @@ class _SegmentCodegen:
         if isinstance(expr, ast.FloatLit):
             return f"({expr.value!r})", "double", False
         if isinstance(expr, ast.MemRef):
-            return self._emit_mem_read(expr, instr, expected, pc, slot)
+            return self._emit_mem_read(expr, instr, expected, slot)
         if isinstance(expr, ast.Unary):
-            return self._emit_unary(expr, instr, expected, pc, slot)
+            return self._emit_unary(expr, instr, expected, slot)
         if isinstance(expr, ast.Binary):
-            return self._emit_binary(expr, instr, expected, pc, slot)
+            return self._emit_binary(expr, instr, expected, slot)
         if isinstance(expr, ast.BuiltinCall):
-            return self._emit_builtin(expr, instr, pc, slot)
+            return self._emit_builtin(expr, instr, slot)
         if isinstance(expr, ast.NameRef):
             # the interpreter's read: the latch's value, or its type's
             # zero before the first write
@@ -678,28 +746,34 @@ class _SegmentCodegen:
             True,
         )
 
-    def _emit_mem_read(self, expr, instr, expected, pc, slot):
+    def _emit_dcache(self, addr: str, load: bool) -> None:
+        """The data-cache access at ``addr``: pure shift/mask over the
+        preallocated tag array (see sim/cache.py), inlined so the hot
+        path never leaves generated code.  A load takes the next
+        miss-mask bit, set on a miss.  Without a data cache nothing is
+        emitted: no load misses, so the miss mask needs no bit."""
+        if not self.cached:
+            return
+        idx, tag = self._tmp(), self._tmp()
+        self._line(f"{idx} = ({addr} >> dls) & dsm")
+        self._line(f"{tag} = {addr} >> dts")
+        self._line(f"if dtg[{idx}] == {tag}:")
+        self._line("    dh += 1")
+        self._line("else:")
+        self._line(f"    dtg[{idx}] = {tag}")
+        self._line("    dm += 1")
+        if load:
+            self._line("    mm |= lb")
+            self._line("lb <<= 1")
+
+    def _emit_mem_read(self, expr, instr, expected, slot):
         if expected is None:
             raise Uncompilable("memory read with unknown width")
-        addr_code, _, _ = self._expr(expr.address, instr, "int", pc, slot)
+        addr_code, _, _ = self._expr(expr.address, instr, "int", slot)
         addr = self._tmp()
         self._line(f"{addr} = {addr_code}")
         self._bounds_check(addr, 8 if expected == "double" else 4)
-        if self.cached:
-            # the data-cache access is pure shift/mask over the
-            # preallocated tag array (see sim/cache.py), inlined here so
-            # the hot path never leaves generated code; without a data
-            # cache no load misses, so the miss mask needs no bit
-            idx, tag = self._tmp(), self._tmp()
-            self._line(f"{idx} = ({addr} >> dls) & dsm")
-            self._line(f"{tag} = {addr} >> dts")
-            self._line(f"if dtg[{idx}] == {tag}:")
-            self._line("    dh += 1")
-            self._line("else:")
-            self._line(f"    dtg[{idx}] = {tag}")
-            self._line("    dm += 1")
-            self._line("    mm |= lb")
-            self._line("lb <<= 1")
+        self._emit_dcache(addr, load=True)
         if not slot:
             self.loads += 1
         value = self._tmp()
@@ -709,9 +783,9 @@ class _SegmentCodegen:
         self._line(f"{value} = {unpack}(mem, {addr})[0]")
         return value, expected, expected == "int"
 
-    def _emit_unary(self, expr, instr, expected, pc, slot):
+    def _emit_unary(self, expr, instr, expected, slot):
         code, type_name, wrapped = self._expr(
-            expr.operand, instr, expected, pc, slot
+            expr.operand, instr, expected, slot
         )
         if expr.op == "-":
             if type_name == "int":
@@ -723,13 +797,9 @@ class _SegmentCodegen:
             return f"(0 if {code} else 1)", "int", True
         raise Uncompilable(f"unknown unary operator {expr.op}")
 
-    def _emit_binary(self, expr, instr, expected, pc, slot):
-        lcode, ltype, lwrapped = self._expr(
-            expr.left, instr, expected, pc, slot
-        )
-        rcode, rtype, rwrapped = self._expr(
-            expr.right, instr, expected, pc, slot
-        )
+    def _emit_binary(self, expr, instr, expected, slot):
+        lcode, ltype, lwrapped = self._expr(expr.left, instr, expected, slot)
+        rcode, rtype, rwrapped = self._expr(expr.right, instr, expected, slot)
         op = expr.op
         if op == "::":
             left, right = self._tmp(), self._tmp()
@@ -782,10 +852,8 @@ class _SegmentCodegen:
             return f"({left} / {right})", common, False
         raise Uncompilable(f"operator {op} not on {common}")
 
-    def _emit_builtin(self, expr, instr, pc, slot):
-        code, arg_type, wrapped = self._expr(
-            expr.args[0], instr, None, pc, slot
-        )
+    def _emit_builtin(self, expr, instr, slot):
+        code, arg_type, wrapped = self._expr(expr.args[0], instr, None, slot)
         name = expr.name
         if name == "int":
             if wrapped:
@@ -810,7 +878,7 @@ class _SegmentCodegen:
 
     # -- emit: statements ------------------------------------------------------
 
-    def _emit_stmt(self, stmt, instr, pc, slot):
+    def _emit_stmt(self, stmt, instr, slot):
         if isinstance(stmt, ast.AssignStmt):
             move = self._move_units(stmt, instr)
             if move is not None:
@@ -818,16 +886,14 @@ class _SegmentCodegen:
                 return
             target = stmt.target
             if isinstance(target, ast.OperandRef):
-                self._emit_reg_write(stmt, instr, pc, slot)
+                self._emit_reg_write(stmt, instr, slot)
                 return
             if isinstance(target, ast.MemRef):
-                self._emit_mem_write(stmt, instr, pc, slot)
+                self._emit_mem_write(stmt, instr, slot)
                 return
             if isinstance(target, ast.NameRef):
                 type_name = self.tr.compiler._temporal_type(target.name)
-                vcode, _, _ = self._expr(
-                    stmt.value, instr, type_name, pc, slot
-                )
+                vcode, _, _ = self._expr(stmt.value, instr, type_name, slot)
                 self._line(f"tp[{target.name!r}] = {vcode}")
                 return
         raise Uncompilable(f"cannot compile statement {stmt}")
@@ -894,12 +960,10 @@ class _SegmentCodegen:
                 continue
             self._write_unit_bits(dst, self._read_unit_bits(src))
 
-    def _emit_reg_write(self, stmt, instr, pc, slot) -> None:
+    def _emit_reg_write(self, stmt, instr, slot) -> None:
         position = stmt.target.index - 1
         units, type_name, key = self._reg_view(instr, position)
-        vcode, vtype, vwrapped = self._expr(
-            stmt.value, instr, type_name, pc, slot
-        )
+        vcode, vtype, vwrapped = self._expr(stmt.value, instr, type_name, slot)
         if type_name == "double":
             conv = (
                 vcode if vtype in ("float", "double") else f"float({vcode})"
@@ -936,26 +1000,16 @@ class _SegmentCodegen:
             )
         self._mark_written("raw", units[0])
 
-    def _emit_mem_write(self, stmt, instr, pc, slot) -> None:
-        addr_code, _, _ = self._expr(
-            stmt.target.address, instr, "int", pc, slot
-        )
+    def _emit_mem_write(self, stmt, instr, slot) -> None:
+        addr_code, _, _ = self._expr(stmt.target.address, instr, "int", slot)
         addr = self._tmp()
         self._line(f"{addr} = {addr_code}")
         # the store's cache access precedes the value expression's
         # loads, matching the closure's log order
-        if self.cached:
-            idx, tag = self._tmp(), self._tmp()
-            self._line(f"{idx} = ({addr} >> dls) & dsm")
-            self._line(f"{tag} = {addr} >> dts")
-            self._line(f"if dtg[{idx}] == {tag}:")
-            self._line("    dh += 1")
-            self._line("else:")
-            self._line(f"    dtg[{idx}] = {tag}")
-            self._line("    dm += 1")
+        self._emit_dcache(addr, load=False)
         if not slot:
             self.stores += 1
-        vcode, vtype, vwrapped = self._expr(stmt.value, instr, None, pc, slot)
+        vcode, vtype, vwrapped = self._expr(stmt.value, instr, None, slot)
         self._bounds_check(addr, 8 if vtype == "double" else 4)
         if vtype == "double":
             self._line(f"_pkm_d(mem, {addr}, {vcode})")
@@ -991,7 +1045,7 @@ class _SegmentCodegen:
         end = pc
         for slot_pc in self.tr.slot_pcs(pc, instr):
             for stmt in _stmts_of(self.tr.instrs[slot_pc]):
-                self._emit_stmt(stmt, self.tr.instrs[slot_pc], slot_pc, True)
+                self._emit_stmt(stmt, self.tr.instrs[slot_pc], True)
             end = slot_pc
         return end
 
@@ -1020,107 +1074,6 @@ class _SegmentCodegen:
                 )
         return loads
 
-
-class _TraceCodegen(_SegmentCodegen):
-    """One trace (a chain of segments) -> one generated function.
-
-    Every generated function — plain segment (``plain=True``, a
-    one-node trace) or superblock — comes from here and shares one call
-    contract.  Structure: single entry at the trace head.  Internal
-    transitions (a node's terminal goto targeting the next node) run
-    the block-timing transition probe inline and fall through into the
-    next node's code; any taken exit targeting the *head* becomes a
-    back-edge of one outer ``while 1`` (probe + fuse check +
-    ``continue``); every other exit is a side exit returning to the
-    dispatch loop — exits at a segment boundary (kinds 1-3) close their
-    final segment inline through the same probe machinery, so the
-    dispatch loop only routes the pc; only a not-taken/fallthrough exit
-    (kind 0) leaves a segment open for the interpreter to continue.
-
-    Call contract::
-
-        fn(state, dcache, bc, tg, close, eid, b0, fz)
-
-    ``dcache`` is the data-cache model (its tag array and shift/mask
-    geometry are read into locals once; accesses are inlined
-    arithmetic), ``tg`` the tuple of bound ``get`` methods of each
-    probe site's ``{(eid, mm): (cycle_delta, exit_id, stall_deltas)}``
-    transition dict, in :attr:`probe_sites` order (``fn._jit_sites``):
-    the dispatch loop binds them once per run through that run's
-    accessor, so a warm boundary is one two-int-tuple lookup — and
-    ``close`` the miss path.  ``eid`` is the entry digest id, ``b0``
-    the absolute base cycle at entry, and ``fz`` the
-    executed-instruction budget for back-edges.  The segment's miss
-    mask ``mm`` and next load bit ``lb`` start at ``0``/``1`` in the
-    prologue: the function is only called at a fresh segment boundary.
-    Returns a 14-tuple
-    ``(kind, end, label, node_entry, open_len, ex, ld, st, mm, lb, ci,
-    eid, bch, sbh)``: ``kind`` 1/2/3 are
-    taken-branch/return/call exits with every segment (including the
-    final one) already closed and mm/lb reset, ``kind`` 0 is a
-    not-taken or fallthrough exit whose final segment at ``node_entry``
-    stays *open* (mm/lb live, ``open_len`` instructions already
-    executed) for the interpreter to continue, and ``kind`` 4 is a fuse
-    stop at the head with everything closed.  ``ex``/``ld``/``st`` are
-    whole-call instruction/load/store totals, ``ci`` the accumulated
-    cycle delta, ``eid`` the current digest id, ``bch`` inline probe
-    hits and ``sbh`` segments closed in-function.  A function with no
-    probe on any path (a non-looping plain segment) elides the running
-    totals entirely and returns static literals.
-    """
-
-    def __init__(self, translator, nodes, cached, plain=False):
-        head_entry, head_trace, head_tail = nodes[0]
-        super().__init__(translator, head_entry, head_trace, head_tail, cached)
-        self.nodes = nodes
-        #: single-node "trace" standing in for a plain segment: named
-        #: ``_jit_*`` and allowed to have no back-edge
-        self.plain = plain
-        #: ``(entry, end, transfer) -> prologue local`` holding that
-        #: probe site's transition table ``.get`` (unpacked from ``tg``)
-        self.probe_sites: dict[tuple, str] = {}
-        #: a probe has been emitted (monotonic: emission follows
-        #: execution order in non-looping functions, so exits emitted
-        #: before the first probe can return static literal totals)
-        self._totals_live = False
-        #: node position -> statically pinned return pc for in-trace
-        #: returns (filled by :meth:`_find_trace_shape`); the pc a
-        #: run-time guard on the %retaddr register enforces
-        self.ret_targets: dict[int, int] = {}
-        #: the %retaddr register's first unit, tracked as a view when
-        #: the trace contains any call or guarded return
-        self.ret_unit = None
-        # cumulative executed/loads/stores already committed at the most
-        # recent probe on the current emission path (static bookkeeping)
-        self.sb_ex_base = 0
-        self.sb_ld_base = 0
-        self.sb_st_base = 0
-        #: instructions executed from the head up to the current node
-        self.node_exec_base = 0
-
-    def _name(self) -> str:
-        prefix = "_jit" if self.plain else "_sbjit"
-        return f"{prefix}_{self.entry}_{'c' if self.cached else 'n'}"
-
-    # -- scan across every node ------------------------------------------------
-
-    def _scan(self) -> None:
-        saved = self.trace, self.tail
-        for _entry, trace, tail in self.nodes:
-            self.trace, self.tail = trace, tail
-            super()._scan()
-        self.trace, self.tail = saved
-        # in-trace calls write the %retaddr register and guarded
-        # returns read it, so it must live as a tracked view
-        if self.ret_targets or any(
-            isinstance(tail, ast.CallStmt) for _e, _t, tail in self.nodes
-        ):
-            retaddr = self.tr.target.cwvm.retaddr
-            if retaddr is None:
-                raise Uncompilable("call without a %retaddr register")
-            self.ret_unit = self.tr.target.registers.units_of(retaddr)[0]
-            self.touched.add(self.ret_unit)
-
     # -- trace shape -----------------------------------------------------------
 
     def _find_trace_shape(self) -> None:
@@ -1132,8 +1085,6 @@ class _TraceCodegen(_SegmentCodegen):
         labels = self.tr.executable.labels
         instrs = self.tr.instrs
         head = self.entry
-        self.looping = False
-        self.ret_targets = {}
         returns: list[int] = []
         last = len(self.nodes) - 1
         for position, (entry, trace, tail) in enumerate(self.nodes):
@@ -1164,7 +1115,7 @@ class _TraceCodegen(_SegmentCodegen):
                     raise Uncompilable(
                         "trace edge does not match the node tail"
                     )
-        if not self.looping and not self.plain:
+        if not self.looping and len(self.nodes) > 1:
             # a straight merge only saves one dispatch per invocation but
             # pays a wider register reload/flush at every entry and side
             # exit — measured net-negative, so only loops get traced
@@ -1359,7 +1310,6 @@ class _TraceCodegen(_SegmentCodegen):
         # data-cache geometry, running totals, probe-site getters,
         # entry loads)
         prologue_at = len(self.lines)
-        self._find_trace_shape()
         if self.looping:
             # iterations past the first run on register state that only
             # lives in locals, so every exit flushes every view
@@ -1424,10 +1374,10 @@ class _TraceCodegen(_SegmentCodegen):
             stmts = _stmts_of(instr)
             control = _control_of(stmts)
             for stmt in stmts[:-1] if control is not None else stmts:
-                self._emit_stmt(stmt, instr, pc, False)
+                self._emit_stmt(stmt, instr, False)
             if isinstance(control, ast.CondGotoStmt):
                 cond_code, _, _ = self._expr(
-                    control.condition, instr, "int", pc, False
+                    control.condition, instr, "int", False
                 )
                 cond = self._tmp()
                 self._line(f"{cond} = {cond_code}")
@@ -1570,11 +1520,9 @@ class SegmentJIT:
     def warm(self, entry: int, cached: bool):
         """Count one dispatch of a not-yet-compiled entry; compile it
         once it crosses the warmup threshold.  Entries preloaded from
-        the artifact cache skip warmup: the marshalled code object (or
-        the generated source, when the payload came from a different
-        interpreter) is materialized on the spot (counted in
-        ``preloaded``, not ``compiled`` — no translation work
-        happened)."""
+        the artifact cache skip warmup: the marshalled code object is
+        materialized on the spot (counted in ``preloaded``, not
+        ``compiled`` — no translation work happened)."""
         flag = 1 if cached else 0
         pending = self._pending[flag]
         if entry in pending:
@@ -1591,7 +1539,7 @@ class SegmentJIT:
             return None
         self._dispatches.pop(entry, None)
         try:
-            fn, max_exec = self.translator.translate(entry, cached)
+            fn, max_exec = self.translator.translate([entry], cached)
             record = (fn, max_exec, False)
             self.compiled += 1
         except Uncompilable:
@@ -1621,7 +1569,7 @@ class SegmentJIT:
         if entries is None:
             return False
         try:
-            fn, max_exec = self.translator.translate_trace(entries, cached)
+            fn, max_exec = self.translator.translate(entries, cached)
         except Uncompilable:
             return False
         self._tables[flag][head] = (fn, max_exec, True)
@@ -1669,53 +1617,24 @@ class SegmentJIT:
 
     # -- artifact-cache serialization ------------------------------------
 
-    @staticmethod
-    def _compile_payload(payload):
-        """``(name, source, max_exec, magic, code_blob, sites)`` ->
-        ``(fn, max_exec)``.  ``code_blob`` is the marshalled code
-        object; it is only trusted when ``magic`` matches this
-        interpreter's bytecode magic (the payload may have been written
-        by a different Python), otherwise the source is recompiled."""
-        name, source, max_exec, magic, blob, sites = payload
-        env = dict(_BASE_ENV)
-        if magic == MAGIC_NUMBER and blob is not None:
-            code = marshal.loads(blob)
-        else:
-            code = compile(source, f"<jit:{name}>", "exec")
-        exec(code, env)
-        fn = env[name]
-        fn._jit_source = source
-        fn._jit_name = name
-        fn._jit_code = code
-        fn._jit_sites = tuple(sites)
-        return fn, max_exec
-
     def _materialize(self, record):
         """Rebuild a table record from its exported form — the inverse
         of what :meth:`export` captures."""
         if record is None:
             return None
-        fn, max_exec = self._compile_payload(record[1:])
-        return (fn, max_exec, record[0] == "sb")
-
-    @staticmethod
-    def _export_payload(fn, max_exec):
-        try:
-            blob = marshal.dumps(fn._jit_code)
-        except ValueError:
-            blob = None
-        return (
-            fn._jit_name, fn._jit_source, max_exec, MAGIC_NUMBER, blob,
-            fn._jit_sites,
-        )
+        shape, blob, max_exec, sites = record
+        return _function(marshal.loads(blob), sites), max_exec, shape == "sb"
 
     def export(self) -> dict:
         """A picklable snapshot of every decided entry: ``(cached,
-        entry) -> None`` (refused), or ``(shape, name, source,
-        max_executed, magic, code_blob, sites)`` with ``shape``
-        ``"seg"`` for a plain segment and ``"sb"`` for a superblock.
-        Pending preloads the process never dispatched are passed
-        through so a partial warm run does not shrink the artifact."""
+        entry) -> None`` (refused), or ``(shape, code_blob,
+        max_executed, sites)`` with ``shape`` ``"seg"`` for a plain
+        segment and ``"sb"`` for a superblock, and ``code_blob`` the
+        function's marshalled code object (readable only by the
+        interpreter that wrote it, which is why the simulator's ``jit``
+        key carries the bytecode magic).  Pending preloads the process
+        never dispatched are passed through so a partial warm run does
+        not shrink the artifact."""
         out: dict = {}
         for flag in (0, 1):
             for entry, record in self._tables[flag].items():
@@ -1724,8 +1643,9 @@ class SegmentJIT:
                     continue
                 fn, max_exec, is_sb = record
                 out[(flag, entry)] = (
-                    "sb" if is_sb else "seg",
-                ) + self._export_payload(fn, max_exec)
+                    "sb" if is_sb else "seg", marshal.dumps(fn.__code__),
+                    max_exec, fn._jit_sites,
+                )
             for entry, record in self._pending[flag].items():
                 out.setdefault((flag, entry), record)
         return out

@@ -9,6 +9,7 @@ halts the run, and the result is read from the CWVM result register.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib.util import MAGIC_NUMBER
 
 from repro.backend.insts import MachineInstr
 import repro.cache as artifact_cache
@@ -307,7 +308,7 @@ class Simulator:
         exe = self.executable
         jit = getattr(exe, "_segment_jit", None)
         if jit is not None and jit.dirty:
-            key = self._artifact_key("jit")
+            key = self._artifact_key("jit", MAGIC_NUMBER)
             if key is not None and artifact_cache.get_cache().put(
                 "jit", key, jit.export()
             ):
@@ -360,11 +361,13 @@ class Simulator:
         """The per-executable segment JIT (warmup counts and compiled
         functions amortize across every run of the program).  On first
         attach, previously generated code is staged from the artifact
-        cache — entries skip warmup and re-``compile()`` lazily."""
+        cache — entries skip warmup and are rebuilt lazily from their
+        marshalled code objects, which only an interpreter with the same
+        bytecode magic can read, so the magic is part of the key."""
         jit = getattr(self.executable, "_segment_jit", None)
         if jit is None:
             jit = SegmentJIT(self.executable)
-            key = self._artifact_key("jit")
+            key = self._artifact_key("jit", MAGIC_NUMBER)
             if key is not None:
                 payload = artifact_cache.get_cache().get("jit", key)
                 if isinstance(payload, dict):

@@ -223,12 +223,36 @@ def test_jit_and_timing_preload_round_trip(store):
     assert warm.instructions == reference.instructions
     assert warm.cache_hits == reference.cache_hits
     assert warm.cache_misses == reference.cache_misses
-    # zero warmup work: segments re-compile()d from cached source, no
-    # translation, no timing replays
+    # zero warmup work: functions rebuilt from their marshalled code
+    # objects, no translation, no timing replays
     assert warm.jit_segments == 0
     assert warm.block_cache_misses == 0
     assert second._segment_jit.preloaded > 0
     assert second._segment_jit.compiled == 0
+
+
+def test_jit_payload_of_another_interpreter_is_a_clean_miss(
+    store, monkeypatch
+):
+    # marshalled code objects are only readable by the Python that wrote
+    # them: the jit key carries the bytecode magic, so a payload written
+    # under another magic is never read and the JIT translates afresh
+    target = load_target("r2000")
+    monkeypatch.setattr("repro.sim.simulator.MAGIC_NUMBER", b"\x00\x00\r\n")
+    first = repro.compile_c(KERNEL, target, OPTIONS)
+    reference = _simulate(first)
+    assert first._segment_jit.compiled > 0
+    assert store.store.layer_stats()["jit"]["files"] == 1
+    monkeypatch.undo()
+    second = repro.compile_c(KERNEL, target, OPTIONS)
+    assert not hasattr(second, "_segment_jit")
+    again = _simulate(second)
+    assert second._segment_jit.compiled > 0
+    assert second._segment_jit.preloaded == 0
+    assert again.cycles == reference.cycles
+    assert again.return_value == reference.return_value
+    # the run under this interpreter's magic published its own payload
+    assert store.store.layer_stats()["jit"]["files"] == 2
 
 
 #: a branchy loop body (several segments) so a trace superblock can

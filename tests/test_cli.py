@@ -84,3 +84,39 @@ def test_cli_run_reports_interpreted_instructions(tmp_path, capsys):
 def test_cli_no_schedule_baseline(c_file, capsys):
     assert main(["run", c_file, "--entry", "f", "--args", "2", "3", "--no-schedule"]) == 0
     assert "'int': 7" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "source, entry, extra, status, message",
+    [
+        # the simulated program fails
+        (
+            "int qdiv(int a, int b) { return a / b; }", "qdiv",
+            ["--args", "7", "0"], 1, "integer division by zero",
+        ),
+        # the program does not compile
+        (
+            "int f(int a { return a; }", "f",
+            ["--args", "1"], 1, "<c>:1:13: expected ')', found '{'",
+        ),
+        # a malformed request
+        (
+            "int f(int a) { return a; }", "f",
+            ["--args", "1", "--sim-json", '{"bogus": 1}'], 2,
+            "unknown sim field(s): bogus",
+        ),
+    ],
+    ids=("division-by-zero", "c-syntax-error", "bad-request"),
+)
+def test_cli_run_error_is_one_line(
+    tmp_path, capsys, source, entry, extra, status, message
+):
+    # an error the tool can name is one line and a status, never the
+    # interpreter's stack
+    path = tmp_path / "prog.c"
+    path.write_text(source + "\n")
+    argv = ["run", str(path), "--entry", entry, "--target", "r2000", *extra]
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"repro: error: {message}"]

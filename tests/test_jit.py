@@ -7,6 +7,8 @@ file simulates the same compiled kernels with a compiling JIT and with
 one whose warmup is never reached, and compares every observable field.
 """
 
+import dis
+
 import pytest
 
 import repro
@@ -163,10 +165,33 @@ def test_i860_temporal_segments_compile():
     assert jit.uncompilable == 0
     records = list(jit.functions(True).values())
     assert records and None not in records
-    assert any(
-        "tp = state.temporal" in record[0]._jit_source for record in records
-    )
+    # a function that touches a latch binds ``tp = state.temporal``
+    assert any("tp" in record[0].__code__.co_varnames for record in records)
     assert jitted.interpreted < reference.interpreted == reference.instructions
+
+
+def test_generated_functions_share_one_environment():
+    # every generated function, plain segment or trace, is built from
+    # its code object over one shared globals dict, and keeps nothing
+    # beside ``__code__`` but its probe sites
+    spec = kernel_by_id(7)
+    executable = _compile(spec, "r2000", "postpass")
+    executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
+    for cache in (True, False):
+        _simulate(executable, spec, cache=cache)
+    jit = executable._segment_jit
+    functions = [
+        record[0]
+        for cached in (False, True)
+        for record in jit.functions(cached).values()
+        if record is not None
+    ]
+    assert jit.superblocks > 0 and len(functions) > jit.superblocks
+    assert len({id(fn.__globals__) for fn in functions}) == 1
+    for fn in functions:
+        assert isinstance(fn._jit_sites, tuple)
+        for name in ("_jit_source", "_jit_name", "_jit_code"):
+            assert not hasattr(fn, name), name
 
 
 #: Livermore kernels whose steady state must run in generated code on
@@ -252,8 +277,9 @@ int divcall(int n, int m) {
 }
 """
 
-#: the line every integer division guard compiles to
-INT_DIV_GUARD = "raise _SE('integer division by zero')"
+#: the message every integer division guard raises: a constant of the
+#: generated function's code object
+INT_DIV_GUARD = "integer division by zero"
 
 
 def _compile_source(source, target="r2000", warmup=WARMUP):
@@ -293,7 +319,7 @@ def test_div_by_zero_raises_inline_with_identical_error(target, op):
         errors.append(raised.value)
     record = _callee_record(executable)
     assert record is not None
-    assert INT_DIV_GUARD in record[0]._jit_source
+    assert INT_DIV_GUARD in record[0].__code__.co_consts
     interpreted, jitted = errors
     assert str(jitted) == str(interpreted)
     assert "integer division by zero" in str(jitted)
@@ -330,8 +356,8 @@ def test_chained_loop_raises_inline():
     executable = _compile_source(DIV_TRAP)
     with pytest.raises(SimulationError, match="integer division by zero"):
         _run_divloop(executable, 50, 30)
-    assert INT_DIV_GUARD in "".join(
-        record[0]._jit_source
+    assert any(
+        INT_DIV_GUARD in record[0].__code__.co_consts
         for record in executable._segment_jit.functions(False).values()
         if record is not None
     )
@@ -372,7 +398,13 @@ def test_latch_write_then_division_raises_inline(monkeypatch):
         messages.append(str(raised.value))
     jit = executable._segment_jit
     callee = jit.functions(False)[executable.entry("divide")]
-    assert "tp['m1'] = " in callee[0]._jit_source
+    # ``tp['m1'] = value``: the latch's name loaded right before the store
+    ops = list(dis.get_instructions(callee[0]))
+    assert any(
+        op.opname == "LOAD_CONST" and op.argval == "m1"
+        and after.opname == "STORE_SUBSCR"
+        for op, after in zip(ops, ops[1:])
+    )
     assert messages[1] == messages[0]
     assert "integer division by zero" in messages[0]
 
@@ -385,7 +417,7 @@ def test_mistyped_latch_write_is_refused():
     entry = executable.entry("divide")
     codegen = _TraceCodegen(
         executable._segment_jit.translator,
-        [(entry, [entry], None)], cached=False, plain=True,
+        [(entry, [entry], None)], cached=False,
     )
     instr = executable.instrs[entry]
     latch = ast.NameRef("m1")
