@@ -4,24 +4,27 @@
 Compiles the 228 paper units (the five suite programs of Table 3 and the
 fourteen Livermore kernels of Table 4, on every target under every
 strategy) with the artifact cache off, and prints one JSON object that
-maps ``target/strategy/program`` to three sha256 digests.  ``code`` covers
+maps ``target/strategy/program`` to four sha256 digests.  ``code`` covers
 ``format_program(explain=True)``: the listing with every issue cycle and
 stall line, so a change in schedule, allocation or selection shows.
 
-``runs`` covers two engine runs of the unit, one under
-``SimOptions(cache=True, trace=True)`` and then a plain
-``SimOptions(cache=True)`` run that reuses the first run's timing memo:
-suite programs run at their own entry and arguments, Livermore kernels
-run ``bench`` at ``(loop, max(4, int(n * 0.05)))``, the problem size
-``run_kernel`` uses at scale 0.05.  Each run contributes its return
-value, cycles, instructions, loads, stores, cache hits and misses and
-block counts, and the traced run its stall breakdown, so a simulator
-change can show its timing is exact the way a compiler change shows its
-code is byte-identical.  ``jit`` covers the same two runs' JIT counters
-(segments compiled, probe hits, superblocks built, side exits and
-interpreted instructions), so a change in which segments compile or which
-traces form shows even when the results stay exact.  ``gen`` covers
-every live generated function after those two runs: per JIT table and
+``runs`` covers four engine runs of the unit: one under
+``SimOptions(cache=True, trace=True)``, then a plain
+``SimOptions(cache=True)`` run that reuses the first run's timing memo,
+then a cold and a warm run under ``SimOptions()``, the default (no data
+cache) that ``repro.simulate`` and the benchmark's plain runs take, so
+both JIT tables are exercised.  Suite programs run at their own entry
+and arguments, Livermore kernels run ``bench`` at ``(loop, max(4,
+int(n * 0.05)))``, the problem size ``run_kernel`` uses at scale 0.05.
+Each run contributes its return value, cycles, instructions, loads,
+stores, cache hits and misses and block counts, and the traced run its
+stall breakdown, so a simulator change can show its timing is exact the
+way a compiler change shows its code is byte-identical.  ``jit`` covers
+the same four runs' JIT counters (segments compiled, probe hits,
+superblocks built, side exits and interpreted instructions), so a change
+in which segments compile or which traces form shows even when the
+results stay exact.  ``gen`` covers every live generated function after
+those runs: per JIT table and
 entry, its superblock flag, ``max_exec``, probe sites and its code
 object's ``co_code``, ``co_consts``, ``co_names`` and ``co_varnames``,
 so a JIT refactor shows that the code it generates is unchanged, not
@@ -99,20 +102,28 @@ def jit_record(result) -> tuple:
 
 
 def simulation_records(exe, entry: str, args: tuple) -> tuple[str, str]:
-    """A traced and then a plain engine run of one unit, as text:
-    ``(results, jit counters)``."""
+    """A traced and a plain engine run of one unit with the data cache
+    on, then a cold and a warm one without it, as text: ``(results, jit
+    counters)``."""
     traced = repro.simulate(
         exe, entry, args, options=repro.SimOptions(cache=True, trace=True)
     )
     plain = repro.simulate(
         exe, entry, args, options=repro.SimOptions(cache=True)
     )
+    uncached = [
+        repro.simulate(exe, entry, args, options=repro.SimOptions())
+        for _run in range(2)
+    ]
     results = repr((
         run_record(traced),
         sorted(traced.cycle_breakdown.items()),
         run_record(plain),
+        *(run_record(result) for result in uncached),
     ))
-    return results, repr((jit_record(traced), jit_record(plain)))
+    return results, repr(tuple(
+        jit_record(result) for result in (traced, plain, *uncached)
+    ))
 
 
 def generated_record(exe) -> str:

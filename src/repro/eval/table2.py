@@ -5,7 +5,9 @@ the target- and strategy-independent part, per-target dependent parts and
 per-strategy dependent parts.  We report the same split over this
 repository's Python sources: the shape to reproduce is TSI being the
 largest hand-written piece, the i860 target description being the largest
-target, and RASE > IPS > Postpass among strategies.
+target, and RASE > IPS > Postpass among strategies.  The cycle-level
+simulator stands in for the hardware the paper's code ran on, so it has
+a row of its own instead of counting toward TSI.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ PHASES = {
         "backend/asmprinter.py",
         "backend/codegen.py",
         "program.py",
-        "sim",
     ],
+    "Simulator, the stand-in for the paper's hardware": ["sim"],
     "Target-dependent (TD), TOYP": ["targets/toyp.py"],
     "Target-dependent (TD), 88000": ["targets/m88000.py"],
     "Target-dependent (TD), R2000": ["targets/r2000.py"],

@@ -35,8 +35,13 @@ Inside the generated function:
   bit of a missed load, in exactly the positional order the closure
   contract requires (``executor.py`` module docstring), so the
   block-timing replay sees an indistinguishable miss mask;
-* conditional branches become early returns; the tail control transfer
-  (and its delay slots) is compiled into the exit itself.  Every
+* a conditional branch to a later pc of the same segment, past its
+  delay slots, becomes an if/else that meets again at the segment's
+  tail: the taken arm closes the segment inline and continues as the
+  segment headed at the target, exactly as the dispatch loop would
+  (one such join per segment); any other taken conditional branch is
+  an early return, and the tail control transfer (and its delay slots)
+  is compiled into the exit itself.  Every
   generated function — plain segment or superblock — shares the
   14-tuple exit contract documented on :class:`_TraceCodegen`, which
   threads the timing digest id through the call so the driver never
@@ -56,19 +61,22 @@ edge crosses :data:`SUPERBLOCK_WARMUP` the greedy selector follows each
 node's unconditional tail — a goto only while it is the node's hottest
 profiled edge, calls and returns always — bounded by
 :data:`SUPERBLOCK_MAX_NODES`, and stopping before an inner loop's head,
-whose own chained function runs it.  Only traces that loop back to
-their head are installed.  The whole trace becomes one generated
-function with the transition probe inlined at every internal segment
-boundary — a warm hit costs one dict lookup inside generated code, and
-only a first visit calls back into :meth:`BlockTimingCache.close`.
+whose own chained function runs it.  A node repeats only where a call
+enters it, so a loop may call one function from several sites.  Only
+traces that loop back to their head are installed.  The whole trace
+becomes one generated function with the transition probe inlined at
+every internal segment boundary — a warm hit costs one dict lookup
+inside generated code, and only a first visit calls back into
+:meth:`BlockTimingCache.close`.
 The dispatch loop binds each function's probe-site getters once per
 run (:attr:`_TraceCodegen.probe_sites`, carried as ``fn._jit_sites``).
 Any taken exit targeting the trace head becomes a back-edge of one
 outer ``while 1`` (probe + fuse check + ``continue``), so steady-state
 iterations of multi-segment loops never return to the dispatch loop;
-every other exit is a *side exit* that returns with the final segment
-left open for the driver to close — timing keys, close order and miss
-masks are exactly the ones interpreted segments produce, which is
+every other exit is a *side exit* that returns to it, with the final
+segment closed in-function unless the exit falls through — timing keys,
+close order and miss masks are exactly the ones interpreted segments
+produce, which is
 what keeps compiled code bit-identical to the interpreter.  Both shapes
 share one codegen (:class:`_TraceCodegen`; a plain segment is a
 one-node trace), one :meth:`SegmentTranslator.translate` and therefore
@@ -294,7 +302,8 @@ class _TraceCodegen:
     Structure: single entry at the trace head.  Internal
     transitions (a node's terminal goto targeting the next node) run
     the block-timing transition probe inline and fall through into the
-    next node's code; any taken exit targeting the *head* becomes a
+    next node's code, and so does a taken forward branch inside a node
+    (:meth:`_emit_join`); any taken exit targeting the *head* becomes a
     back-edge of one outer ``while 1`` (probe + fuse check +
     ``continue``); every other exit is a side exit returning to the
     dispatch loop — exits at a segment boundary (kinds 1-3) close their
@@ -1128,17 +1137,20 @@ class _TraceCodegen:
         return (
             dict(self.written),
             self.sb_ex_base, self.sb_ld_base, self.sb_st_base,
-            self.loads, self.stores,
+            self.loads, self.stores, self.node_exec_base,
         )
 
     def _restore(self, snapshot) -> None:
-        written, ex_base, ld_base, st_base, loads, stores = snapshot
+        (
+            written, ex_base, ld_base, st_base, loads, stores, node_base,
+        ) = snapshot
         self.written = dict(written)
         self.sb_ex_base = ex_base
         self.sb_ld_base = ld_base
         self.sb_st_base = st_base
         self.loads = loads
         self.stores = stores
+        self.node_exec_base = node_base
 
     def _probe_getter(self, nentry, end, transfer) -> str:
         """The prologue local holding this probe site's transition
@@ -1365,11 +1377,19 @@ class _TraceCodegen:
         self.lines[prologue_at:prologue_at] = prologue
         return "\n".join(self.lines) + "\n"
 
-    def _emit_node(self, position, entry, trace, tail, is_last) -> None:
+    def _emit_node(
+        self, position, entry, trace, tail, is_last, start=0, join=True,
+    ) -> None:
+        """Emit ``trace[start:]``, the segment headed at ``entry``.  The
+        first conditional branch whose target lies later in the node
+        (past its delay slots) joins inside it (:meth:`_emit_join`) when
+        ``join`` allows; every other one, taken, is a back-edge to the
+        head or a side exit."""
         labels = self.tr.executable.labels
         head = self.entry
         instrs = self.tr.instrs
-        for index, pc in enumerate(trace):
+        for index in range(start, len(trace)):
+            pc = trace[index]
             instr = instrs[pc]
             stmts = _stmts_of(instr)
             control = _control_of(stmts)
@@ -1383,10 +1403,19 @@ class _TraceCodegen:
                 self._line(f"{cond} = {cond_code}")
                 self._emit_bc(pc)
                 label = self._label_of(control.target, instr)
+                target = labels.get(label)
+                if join and target is not None and (
+                    pc + abs(instr.desc.slots) < target <= trace[-1]
+                ):
+                    self._emit_join(
+                        position, entry, trace, tail, is_last, index, cond,
+                        trace.index(target),
+                    )
+                    return
                 self._line(f"if {cond} != 0:")
                 self.indent += 1
                 snapshot = self._snapshot()
-                if labels.get(label) == head:
+                if target == head:
                     self._emit_back_edge(entry, pc, instr, index)
                 else:
                     end = self._emit_slots(pc, instr)
@@ -1467,6 +1496,56 @@ class _TraceCodegen:
                 entry, trace[-1], -1, 0, None, len(trace),
                 open_len=len(trace),
             )
+
+    def _emit_join(
+        self, position, entry, trace, tail, is_last, index, cond, at,
+    ) -> None:
+        """A conditional branch at ``trace[index]`` whose target is
+        ``trace[at]``, as an if/else that meets again at the node's
+        tail.  The not-taken arm continues the segment.  The taken arm
+        runs the delay slots, closes the segment where the dispatch loop
+        would, and emits ``trace[at:]`` as the segment headed at the
+        target, so both arms close the memo keys the interpreter closes.
+        Neither arm joins again, so no instruction is emitted more than
+        twice."""
+        pc = trace[index]
+        instr = self.tr.instrs[pc]
+        before = self._snapshot()
+        # the not-taken arm first: until its first probe, its exits may
+        # return static totals (see :attr:`_totals_live`)
+        self._line(f"if {cond} == 0:")
+        self.indent += 1
+        self._emit_node(
+            position, entry, trace, tail, is_last, index + 1, False
+        )
+        not_taken = self._snapshot()
+        self._restore(before)
+        self.indent -= 1
+        self._line("else:")
+        self.indent += 1
+        end = self._emit_slots(pc, instr)
+        executed = index + 1 + abs(instr.desc.slots)
+        self._emit_probe(entry, end, pc, executed)
+        self.node_exec_base += executed
+        self._emit_node(
+            position, trace[at], trace[at:], tail, is_last, 0, False
+        )
+        self.indent -= 1
+        if is_last:
+            # both arms end in an exit: no code follows the join
+            return
+        # a later flush writes every view either arm wrote, so a view
+        # only one arm writes must hold its entry value on the other
+        written = not_taken[0]
+        self.entry_reads.update(written.keys() ^ self.written.keys())
+        self.written = {**written, **self.written}
+        # both arms probed at the tail, leaving no load or store delta
+        # open; their executed counts differ: carry the larger one,
+        # keeping max_exec an upper bound and every later delta
+        # independent of the arm
+        self.node_exec_base = self.sb_ex_base = max(
+            self.node_exec_base, not_taken[-1]
+        )
 
 
 class SegmentJIT:
@@ -1584,36 +1663,41 @@ class SegmentJIT:
         :data:`SUPERBLOCK_MIN_EDGE`, a call into its callee, a return
         to the pc an earlier in-trace call pinned.  Stops at the head
         itself (the codegen turns head-targeting exits into
-        back-edges), a repeated node, a cold edge, the node cap, or
-        before an inner loop (a node whose tail jumps back to its own
-        entry): its own chained function runs every iteration, while in
-        the trace its back-edge would side-exit after the first, so the
-        trace would only carry a copy of its body.  The entry list, or
-        ``None``."""
+        back-edges), a node already on the trace unless a call enters
+        it (one callee called from several sites), a cold edge, the
+        node cap, or before an inner loop (a node whose tail jumps back
+        to its own entry): its own chained function runs every
+        iteration, while in the trace its back-edge would side-exit
+        after the first, so the trace would only carry a copy of its
+        body.  The entry list, or ``None``."""
         entries = [head]
         returns: list[int] = []
         while len(entries) < SUPERBLOCK_MAX_NODES:
-            succ = self._next_node(entries[-1], returns)
-            if succ is None or succ in entries or (
+            succ, via = self._next_node(entries[-1], returns)
+            if succ is None or succ == head or (
+                succ in entries and via != "call"
+            ) or (
                 self.translator.trace_successor(succ, []) == (succ, "goto")
             ):
                 break
             entries.append(succ)
         return entries if len(entries) >= 2 else None
 
-    def _next_node(self, current: int, returns: list) -> int | None:
-        """The trace successor of ``current`` through its unconditional
-        tail, or ``None`` (see :meth:`_select_trace`)."""
+    def _next_node(self, current: int, returns: list):
+        """``(successor, via)`` of ``current`` through its unconditional
+        tail, as :meth:`SegmentTranslator.trace_successor` gives it; the
+        successor is ``None`` past a goto that is not the node's hot
+        edge (see :meth:`_select_trace`)."""
         succ, via = self.translator.trace_successor(current, returns)
         if via != "goto":
-            return succ
+            return succ, via
         best, best_count = None, 0
         for (frm, to), count in self.edges.items():
             if frm == current and count > best_count:
                 best, best_count = to, count
         if succ != best or best_count < SUPERBLOCK_MIN_EDGE:
-            return None
-        return succ
+            return None, via
+        return succ, via
 
     # -- artifact-cache serialization ------------------------------------
 

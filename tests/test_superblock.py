@@ -115,6 +115,47 @@ int bench(int loop, int n) {
 }
 """
 
+#: the Livermore kernels' random-number generator: ``if (v < 0)`` is a
+#: forward branch to a later pc of the same segment, taken on about
+#: half of all calls
+RND = """
+int seed;
+double x[256], y[256], z[256];
+
+double rnd(void) {
+  int v;
+  seed = seed * 1103515245 + 12345;
+  v = seed;
+  if (v < 0) { v = -v; }
+  return (double)(v % 10000) / 10000.0 + 0.01;
+}
+"""
+
+#: a loop nest that stores ``rnd()``; n stays within the arrays
+RND_LOOP = RND + """
+double bench(int loop, int n) {
+  int l; int i;
+  seed = 5;
+  for (l = 0; l < loop; l++) {
+    for (i = 0; i < n; i++) { x[i] = rnd(); }
+  }
+  return x[0] + x[n - 1];
+}
+"""
+
+#: a loop that calls ``rnd()`` from three sites, as the Livermore init
+#: loops do: its trace enters the one callee three times
+RND_THREE = RND + """
+double bench(int loop, int n) {
+  int l; int i;
+  seed = 5;
+  for (l = 0; l < loop; l++) {
+    for (i = 0; i < n; i++) { x[i] = rnd(); y[i] = rnd(); z[i] = rnd(); }
+  }
+  return x[0] + y[n - 1] + z[n / 2];
+}
+"""
+
 
 def _compile(source, target="r2000", strategy="postpass"):
     return repro.compile_c(
@@ -133,10 +174,10 @@ def _run(executable, args, *, cache=True):
     )
 
 
-def _interpreted(executable, args):
+def _interpreted(executable, args, *, cache=True):
     """A run that never leaves the closure interpreter."""
     _fresh(executable, warmup=NEVER)
-    return _run(executable, args)
+    return _run(executable, args, cache=cache)
 
 
 def _fresh(executable, warmup=WARMUP):
@@ -226,6 +267,61 @@ def test_traces_stop_before_an_inner_loop(target):
     reference = _interpreted(_compile(NEST, target), (HOT, 4))
     for field in COMPARED_FIELDS:
         assert getattr(traced, field) == getattr(reference, field), field
+
+
+@pytest.mark.parametrize("cache", (True, False))
+@pytest.mark.parametrize("target", TARGETS)
+def test_forward_branch_joins_inside_the_trace(target, cache):
+    # rnd()'s taken forward branch stays in generated code: the trace
+    # only leaves when the inner loop ends, once per outer iteration
+    executable = _compile(RND_LOOP, target)
+    _fresh(executable)
+    traced = _run(executable, (3, HOT), cache=cache)
+    reference = _interpreted(
+        _compile(RND_LOOP, target), (3, HOT), cache=cache
+    )
+    for field in COMPARED_FIELDS:
+        assert getattr(traced, field) == getattr(reference, field), field
+    assert traced.jit_superblocks > 0
+    assert traced.jit_side_exits <= 3
+
+
+@pytest.mark.parametrize("cache", (True, False))
+@pytest.mark.parametrize("target", TARGETS)
+def test_forward_branch_target_is_never_dispatched(target, cache, monkeypatch):
+    # with plain segments only, rnd()'s join target runs inside rnd()'s
+    # own function on both arms, so the dispatch loop never warms it
+    monkeypatch.setattr("repro.sim.simulator.SUPERBLOCK_WARMUP", NEVER)
+    executable = _compile(RND_LOOP, target)
+    _fresh(executable)
+    segments = _run(executable, (3, HOT), cache=cache)
+    reference = _interpreted(
+        _compile(RND_LOOP, target), (3, HOT), cache=cache
+    )
+    for field in COMPARED_FIELDS:
+        assert getattr(segments, field) == getattr(reference, field), field
+    table = executable._segment_jit.functions(cache)
+    assert table.get(executable.labels["rnd"]) is not None
+    assert executable.labels["rnd.L2"] not in table
+
+
+@pytest.mark.parametrize("cache", (True, False))
+@pytest.mark.parametrize("target", TARGETS)
+def test_trace_calls_one_function_from_several_sites(target, cache):
+    executable = _compile(RND_THREE, target)
+    _fresh(executable)
+    traced = _run(executable, (3, HOT), cache=cache)
+    reference = _interpreted(
+        _compile(RND_THREE, target), (3, HOT), cache=cache
+    )
+    for field in COMPARED_FIELDS:
+        assert getattr(traced, field) == getattr(reference, field), field
+    assert traced.jit_superblocks > 0
+    # the loop's trace enters rnd() once per call site
+    jit = executable._segment_jit
+    traces = [jit._select_trace(head) or [] for head, _ in jit.edges]
+    rnd = executable.labels["rnd"]
+    assert max(entries.count(rnd) for entries in traces) == 3
 
 
 def test_trap_in_promoted_trace_raises_the_interpreter_error():
