@@ -16,13 +16,21 @@ on; the source is dropped once compiled.
 Inside the generated function:
 
 * integer and double registers live in Python locals across the whole
-  segment — loaded once at entry, stored back only at the exits (and
-  only the views the path actually wrote);
-* float-typed and aliased register units stay as raw 32-bit words, with
-  the same prebound ``struct`` codecs the interpreter uses, so every
-  value is bit-identical — including NaN payloads (floats are never
-  held as typed locals because the f32<->f64 conversion can quiet a
-  signaling NaN);
+  segment — loaded at entry only where the body reads them before it
+  writes them, stored back only at the exits (and only the views the
+  path actually wrote);
+* float-typed and aliased register units are raw 32-bit word locals,
+  converted with the same prebound ``struct`` codecs the interpreter
+  uses, so every value is bit-identical — including NaN payloads
+  (floats are never held as typed values because the f32<->f64
+  conversion can quiet a signaling NaN).  An aliased view written or
+  read as a signed int or a double keeps that value in a temp that
+  later reads reuse; its words are produced only where they are read
+  as words (a move, the ``%retaddr`` guard), at a flush, a back-edge
+  or a join;
+* an address is computed and bounds-checked once per path: a later
+  access with the same address expression reuses it until a local
+  the expression reads is written;
 * temporal registers (the i860's pipeline latches ``m1..m3`` and
   ``a1..a3``) are read and written in machine state through a prologue
   local ``tp = state.temporal``, exactly as the interpreter does
@@ -94,7 +102,9 @@ and that error is all it reports.
 
 from __future__ import annotations
 
+import copy
 import marshal
+import re
 import struct
 import types
 
@@ -113,7 +123,6 @@ from repro.sim.executor import (
     _int_div,
     _int_mod,
     _promote,
-    _wrap32,
 )
 
 #: dispatches of one segment entry before it is compiled
@@ -145,7 +154,6 @@ class Uncompilable(Exception):
 # its names are prebound, so the generated code never does a dotted or
 # module-global lookup on its hot path
 _BASE_ENV = {
-    "_w32": _wrap32,
     "_idiv": _int_div,
     "_imod": _int_mod,
     "_SE": SimulationError,
@@ -294,6 +302,37 @@ def _function(code, sites: tuple):
     return fn
 
 
+class _Path:
+    """What the translator knows on the current emission path: copied at
+    every branch (:meth:`_TraceCodegen._snapshot`), merged at a join.
+
+    ``counts`` holds the instructions, loads, stores and closed segments
+    since the function's entry or the last back-edge, keyed by the
+    running-total local each one goes to (``ex``, ``ld``, ``st``,
+    ``sbh``): static, so exits return them as literals.  ``values``
+    maps a raw register view (one unit: a signed int, two: a double) to
+    the temp holding its value, ``stale`` each raw unit whose local lags
+    to the ``(temp, view)`` its word is still pending in, and ``addrs``
+    an address expression already computed and bounds-checked to
+    ``(temp, bytes checked, locals it reads)``.  ``masked``: a load may have set a miss-mask
+    bit since the last probe."""
+
+    def __init__(self):
+        self.counts = {"ex": 0, "ld": 0, "st": 0, "sbh": 0}
+        self.values: dict[tuple, str] = {}
+        self.stale: dict[tuple[int, int], tuple] = {}
+        self.addrs: dict[str, tuple] = {}
+        self.masked = False
+
+    def copy(self) -> "_Path":
+        other = copy.copy(self)
+        other.counts = dict(self.counts)
+        other.values = dict(self.values)
+        other.stale = dict(self.stale)
+        other.addrs = dict(self.addrs)
+        return other
+
+
 class _TraceCodegen:
     """One trace (a chain of segments) -> one generated function.
 
@@ -338,9 +377,13 @@ class _TraceCodegen:
     stop at the head with everything closed.  ``ex``/``ld``/``st`` are
     whole-call instruction/load/store totals, ``ci`` the accumulated
     cycle delta, ``eid`` the current digest id, ``bch`` inline probe
-    hits and ``sbh`` segments closed in-function.  A function with no
-    probe on any path (a non-looping plain segment) elides the running
-    totals entirely and returns static literals.
+    hits and ``sbh`` segments closed in-function.  A probe only counts
+    its miss (``bm``): what a path executes, loads, stores and closes is
+    static (:class:`_Path`), so an exit returns those counts as
+    literals — in a looping function added to the running totals that
+    every back-edge commits — and ``bch`` is ``sbh`` less the misses.
+    An exit that no probe precedes on its path returns a zero ``ci``.
+    Without a data cache the miss mask is the literal ``0``.
     """
 
     def __init__(self, translator, nodes, cached):
@@ -364,13 +407,12 @@ class _TraceCodegen:
         self.indent = 1
         self.tmp_count = 0
         self.written: dict[tuple, None] = {}
+        self.path = _Path()
         self.entry_reads: set[tuple] = set()
         self.uses_bc = False
         #: block label -> prologue local batching its execution count in
         #: looping functions (committed to ``bc`` at every return site)
         self.bc_locals: dict[str, str] = {}
-        self.loads = 0
-        self.stores = 0
         self.max_exec = 0
         #: any taken exit targets the head (filled by
         #: :meth:`_find_trace_shape`)
@@ -381,9 +423,7 @@ class _TraceCodegen:
         #: ``(entry, end, transfer) -> prologue local`` holding that
         #: probe site's transition table ``.get`` (unpacked from ``tg``)
         self.probe_sites: dict[tuple, str] = {}
-        #: a probe has been emitted (monotonic: emission follows
-        #: execution order in non-looping functions, so exits emitted
-        #: before the first probe can return static literal totals)
+        #: a probe has been emitted: binds ``ci``/``bm`` in the prologue
         self._totals_live = False
         #: node position -> statically pinned return pc for in-trace
         #: returns (filled by :meth:`_find_trace_shape`); the pc a
@@ -392,13 +432,6 @@ class _TraceCodegen:
         #: the %retaddr register's first unit, tracked as a view when
         #: the trace contains any call
         self.ret_unit = None
-        # cumulative executed/loads/stores already committed at the most
-        # recent probe on the current emission path (static bookkeeping)
-        self.sb_ex_base = 0
-        self.sb_ld_base = 0
-        self.sb_st_base = 0
-        #: instructions executed from the head up to the current node
-        self.node_exec_base = 0
 
     def _name(self) -> str:
         prefix = "_jit" if len(self.nodes) == 1 else "_sbjit"
@@ -679,11 +712,134 @@ class _TraceCodegen:
         else:
             self._line(f"bc[{label!r}] = bcg({label!r}, 0) + 1")
 
-    def _bounds_check(self, addr: str, size: int) -> None:
+    def _bind(self, code: str) -> str:
+        """``code`` as a temp or literal that later code may reuse: temps
+        are assigned once per path, so reading one never goes stale.
+        Integer arithmetic over literals is folded here."""
+        if re.fullmatch(r"t\d+|\(-?\d+\)", code):
+            return code
+        if not re.search(r"[A-Za-z_]", code):
+            value = eval(code)  # literals and operators only
+            if isinstance(value, int):
+                return f"({value})"
+        temp = self._tmp()
+        self._line(f"{temp} = {code}")
+        return temp
+
+    def _address(self, code: str) -> str:
+        """A temp holding address ``code``, reused from earlier on the
+        path if it was computed there."""
+        known = self.path.addrs.get(code)
+        return known[0] if known is not None else self._bind(code)
+
+    def _check(self, code: str, addr: str, size: int) -> None:
+        """Bounds-check ``size`` bytes at ``addr``, the value of address
+        ``code``, unless the path already checked as many there."""
+        known = self.path.addrs.get(code)
+        if known is not None and known[1] >= size:
+            return
+        test = f"{addr} < 0 or {addr} + {size} > ml"
+        if re.fullmatch(r"\(\d+\)", addr):
+            test = f"{int(addr[1:-1]) + size} > ml"
         self._line(
-            f"if {addr} < 0 or {addr} + {size} > ml:"
+            f"if {test}:"
             f" raise _SE('memory access at %d outside [0, %d)' % ({addr}, ml))"
         )
+        reads = frozenset(re.findall(r"\b(?:[iud]\d+_\d+|tp)\b", code))
+        self.path.addrs[code] = (addr, size, reads)
+
+    def _forget(self, name: str) -> None:
+        """A write to local ``name`` (``tp``: a latch): addresses that
+        read it are computed again."""
+        addrs = self.path.addrs
+        for code in [code for code in addrs if name in addrs[code][2]]:
+            del addrs[code]
+
+    # -- emit: raw register values ---------------------------------------------
+
+    def _word(self, unit) -> str:
+        """The local of raw ``unit`` holding its current 32-bit word: a
+        word still pending in a value temp is produced first."""
+        source = self.path.stale.get(unit)
+        if source is not None:
+            for pending in self._words(source, self._uname):
+                del self.path.stale[pending]
+        self._need("raw", unit)
+        return self._uname(unit)
+
+    def _words(self, source, name) -> list:
+        """Assign the words pending in ``source``, a ``(temp, view)``
+        value, to ``name(unit)`` for each unit still lagging it (one
+        ``struct`` round trip); returns those units."""
+        temp, view = source
+        units = [unit for unit in view if self.path.stale.get(unit) == source]
+        if len(view) == 1:
+            words = f"{temp} & 4294967295"
+        elif len(units) == 2:
+            words = f"_upk_p(_pk_d({temp}))"
+        else:
+            words = f"_upk_p(_pk_d({temp}))[{view.index(units[0])}]"
+        self._line(f"{', '.join(map(name, units))} = {words}")
+        return units
+
+    def _settle(self) -> None:
+        """Produce every pending word: the code that follows (the next
+        iteration, the code after a join) reads raw units as words."""
+        for unit in list(self.path.stale):
+            self._word(unit)
+
+    def _value(self, key) -> str:
+        """The value of raw view ``key`` (one unit: a signed int, two: a
+        double), converted from its words on the path's first read."""
+        temp = self.path.values.get(key)
+        if temp is None:
+            words = [self._word(unit) for unit in key]
+            temp = self.path.values[key] = self._tmp()
+            if len(key) == 2:
+                code = f"_upk_d(_pk_p({words[0]}, {words[1]}))[0]"
+            else:
+                word = words[0]
+                code = (
+                    f"{word} - 4294967296 if {word} > 2147483647 else {word}"
+                )
+            self._line(f"{temp} = {code}")
+        return temp
+
+    def _clobber(self, key) -> None:
+        """Ready raw units ``key`` for a write: the values and addresses
+        over them are forgotten (a value they only partly cover keeps
+        its other units' words pending)."""
+        path = self.path
+        path.values = {
+            view: temp for view, temp in path.values.items()
+            if set(key).isdisjoint(view)
+        }
+        for unit in key:
+            path.stale.pop(unit, None)
+            self._mark_written("raw", unit)
+            self._forget(self._uname(unit))
+
+    def _set_value(self, key, code: str) -> None:
+        """Write value ``code`` to raw view ``key``, leaving its words
+        pending (see :meth:`_word`)."""
+        temp = self._bind(code)
+        self._clobber(key)
+        self.path.values[key] = temp
+        for unit in key:
+            self.path.stale[unit] = (temp, key)
+
+    def _typed_name(self, key) -> str:
+        return (self._iname if self.typed[key] == "int" else self._dname)(key)
+
+    def _typed_read(self, key) -> str:
+        self._need(self.typed[key], key)
+        return self._typed_name(key)
+
+    def _write_typed(self, key, code: str) -> None:
+        name = self._typed_name(key)
+        self._line(f"{name} = {code}")
+        self._forget(name)
+        self._mark_written(self.typed[key], key)
 
     # -- emit: expressions -----------------------------------------------------
 
@@ -734,26 +890,14 @@ class _TraceCodegen:
         units, type_name, key = self._reg_view(instr, position)
         if type_name == "double":
             if key in self.typed:
-                self._need("double", key)
-                return self._dname(key), "double", False
-            self._need("raw", units[0])
-            self._need("raw", units[1])
-            lo, hi = self._uname(units[0]), self._uname(units[1])
-            return f"_upk_d(_pk_p({lo}, {hi}))[0]", "double", False
+                return self._typed_read(key), "double", False
+            return self._value(key), "double", False
         if type_name == "float":
-            self._need("raw", units[0])
-            word = self._uname(units[0])
+            word = self._word(units[0])
             return f"_upk_f(_pk_w({word}))[0]", "float", False
         if key in self.typed:
-            self._need("int", key)
-            return self._iname(key), "int", True
-        self._need("raw", units[0])
-        word = self._uname(units[0])
-        return (
-            f"({word} - 4294967296 if {word} > 2147483647 else {word})",
-            "int",
-            True,
-        )
+            return self._typed_read(key), "int", True
+        return self._value(key), "int", True
 
     def _emit_dcache(self, addr: str, load: bool) -> None:
         """The data-cache access at ``addr``: pure shift/mask over the
@@ -774,17 +918,17 @@ class _TraceCodegen:
         if load:
             self._line("    mm |= lb")
             self._line("lb <<= 1")
+            self.path.masked = True
 
     def _emit_mem_read(self, expr, instr, expected, slot):
         if expected is None:
             raise Uncompilable("memory read with unknown width")
         addr_code, _, _ = self._expr(expr.address, instr, "int", slot)
-        addr = self._tmp()
-        self._line(f"{addr} = {addr_code}")
-        self._bounds_check(addr, 8 if expected == "double" else 4)
+        addr = self._address(addr_code)
+        self._check(addr_code, addr, 8 if expected == "double" else 4)
         self._emit_dcache(addr, load=True)
         if not slot:
-            self.loads += 1
+            self.path.counts["ld"] += 1
         value = self._tmp()
         unpack = {"double": "_upkm_d", "float": "_upkm_f"}.get(
             expected, "_upkm_i"
@@ -811,9 +955,7 @@ class _TraceCodegen:
         rcode, rtype, rwrapped = self._expr(expr.right, instr, expected, slot)
         op = expr.op
         if op == "::":
-            left, right = self._tmp(), self._tmp()
-            self._line(f"{left} = {lcode}")
-            self._line(f"{right} = {rcode}")
+            left, right = self._bind(lcode), self._bind(rcode)
             return (
                 f"(({left} > {right}) - ({left} < {right}))",
                 "int",
@@ -823,6 +965,11 @@ class _TraceCodegen:
             return f"(1 if ({lcode}) {op} ({rcode}) else 0)", "int", True
         common = _promote(ltype, rtype)
         if common == "int":
+            if rcode == "(0)" and lwrapped and op in (
+                "+", "-", "|", "^", "<<", ">>"
+            ):
+                # a zero displacement or shift: the value as it is
+                return lcode, "int", True
             if op == "+":
                 return self._wrap(f"({lcode}) + ({rcode})"), "int", True
             if op == "-":
@@ -844,19 +991,28 @@ class _TraceCodegen:
             if op == ">>":
                 return f"(({lcode}) >> (({rcode}) & 31))", "int", lwrapped
             if op in ("/", "%"):
-                left, right = self._tmp(), self._tmp()
-                self._line(f"{left} = {lcode}")
-                self._line(f"{right} = {rcode}")
-                self._guard_zero(right, "integer division by zero")
-                fn = "_idiv" if op == "/" else "_imod"
-                return f"{fn}({left}, {right})", "int", False
+                # Python's floor division and modulo truncate like the
+                # interpreter's where neither operand is negative
+                left, right = self._bind(lcode), self._bind(rcode)
+                if re.fullmatch(r"\([1-9]\d*\)", right):
+                    signs = f"{left} >= 0"
+                else:
+                    self._guard_zero(right, "integer division by zero")
+                    signs = f"{left} >= 0 and {right} > 0"
+                fn, inline = ("_idiv", "//") if op == "/" else ("_imod", "%")
+                # a remainder of wrapped operands is in range; a quotient
+                # is not (INT_MIN / -1)
+                return (
+                    f"({left} {inline} {right} if {signs}"
+                    f" else {fn}({left}, {right}))",
+                    "int",
+                    op == "%" and lwrapped and rwrapped,
+                )
             raise Uncompilable(f"unknown int operator {op}")
         if op in ("+", "-", "*"):
             return f"(({lcode}) {op} ({rcode}))", common, False
         if op == "/":
-            left, right = self._tmp(), self._tmp()
-            self._line(f"{left} = {lcode}")
-            self._line(f"{right} = {rcode}")
+            left, right = self._bind(lcode), self._bind(rcode)
             self._guard_zero(right, "floating divide by zero")
             return f"({left} / {right})", common, False
         raise Uncompilable(f"operator {op} not on {common}")
@@ -904,6 +1060,7 @@ class _TraceCodegen:
                 type_name = self.tr.compiler._temporal_type(target.name)
                 vcode, _, _ = self._expr(stmt.value, instr, type_name, slot)
                 self._line(f"tp[{target.name!r}] = {vcode}")
+                self._forget("tp")
                 return
         raise Uncompilable(f"cannot compile statement {stmt}")
 
@@ -918,8 +1075,7 @@ class _TraceCodegen:
             self._need("double", key)
             half = key.index(unit)
             return f"_upk_p(_pk_d({self._dname(key)}))[{half}]"
-        self._need("raw", unit)
-        return self._uname(unit)
+        return self._word(unit)
 
     def _write_unit_bits(self, unit, bits: str) -> None:
         for key, type_name in self.typed.items():
@@ -928,11 +1084,10 @@ class _TraceCodegen:
             if type_name == "int":
                 word = self._tmp()
                 self._line(f"{word} = {bits}")
-                self._line(
-                    f"{self._iname(key)} = {word} - 4294967296"
-                    f" if {word} > 2147483647 else {word}"
+                self._write_typed(
+                    key,
+                    f"{word} - 4294967296 if {word} > 2147483647 else {word}",
                 )
-                self._mark_written("int", key)
             else:
                 self._need("double", key)  # the untouched half is read
                 name = self._dname(key)
@@ -941,13 +1096,12 @@ class _TraceCodegen:
                     else f"_upk_p(_pk_d({name}))[{index}]"
                     for index in range(2)
                 ]
-                self._line(
-                    f"{name} = _upk_d(_pk_p({halves[0]}, {halves[1]}))[0]"
+                self._write_typed(
+                    key, f"_upk_d(_pk_p({halves[0]}, {halves[1]}))[0]"
                 )
-                self._mark_written("double", key)
             return
+        self._clobber((unit,))
         self._line(f"{self._uname(unit)} = {bits}")
-        self._mark_written("raw", unit)
 
     def _emit_move(self, dst_units, src_units) -> None:
         """Raw register move; like the interpreter's ``copy_units`` the
@@ -960,66 +1114,42 @@ class _TraceCodegen:
             and self.typed.get(skey) == "double"
         ):
             if dkey != skey:
-                self._need("double", skey)
-                self._line(f"{self._dname(dkey)} = {self._dname(skey)}")
-                self._mark_written("double", dkey)
+                self._write_typed(dkey, self._typed_read(skey))
             return
         for dst, src in zip(dst_units, src_units):
-            if dst == src:
-                continue
-            self._write_unit_bits(dst, self._read_unit_bits(src))
+            if dst != src:
+                self._write_unit_bits(dst, self._read_unit_bits(src))
 
     def _emit_reg_write(self, stmt, instr, slot) -> None:
         position = stmt.target.index - 1
         units, type_name, key = self._reg_view(instr, position)
         vcode, vtype, vwrapped = self._expr(stmt.value, instr, type_name, slot)
-        if type_name == "double":
-            conv = (
+        if type_name in ("double", "float"):
+            value = (
                 vcode if vtype in ("float", "double") else f"float({vcode})"
             )
-            if key in self.typed:
-                self._line(f"{self._dname(key)} = {conv}")
-                self._mark_written("double", key)
-            else:
-                lo, hi = self._uname(units[0]), self._uname(units[1])
-                self._line(f"{lo}, {hi} = _upk_p(_pk_d({conv}))")
-                self._mark_written("raw", units[0])
-                self._mark_written("raw", units[1])
-            return
-        if type_name == "float":
-            conv = (
-                vcode if vtype in ("float", "double") else f"float({vcode})"
-            )
-            self._line(f"{self._uname(units[0])} = _upk_w(_pk_f({conv}))[0]")
-            self._mark_written("raw", units[0])
-            return
-        if key in self.typed:
-            if vtype == "int" and vwrapped:
-                self._line(f"{self._iname(key)} = {vcode}")
-            else:
-                inner = vcode if vtype == "int" else f"int({vcode})"
-                self._line(f"{self._iname(key)} = {self._wrap(inner)}")
-            self._mark_written("int", key)
-            return
-        if vtype == "int":
-            self._line(f"{self._uname(units[0])} = ({vcode}) & 4294967295")
+        elif vtype == "int" and vwrapped:
+            value = vcode
         else:
-            self._line(
-                f"{self._uname(units[0])} = int({vcode}) & 4294967295"
-            )
-        self._mark_written("raw", units[0])
+            value = self._wrap(vcode if vtype == "int" else f"int({vcode})")
+        if type_name == "float":
+            self._clobber(key)
+            self._line(f"{self._uname(units[0])} = _upk_w(_pk_f({value}))[0]")
+        elif key in self.typed:
+            self._write_typed(key, value)
+        else:
+            self._set_value(key, value)
 
     def _emit_mem_write(self, stmt, instr, slot) -> None:
         addr_code, _, _ = self._expr(stmt.target.address, instr, "int", slot)
-        addr = self._tmp()
-        self._line(f"{addr} = {addr_code}")
+        addr = self._address(addr_code)
         # the store's cache access precedes the value expression's
         # loads, matching the closure's log order
         self._emit_dcache(addr, load=False)
         if not slot:
-            self.stores += 1
+            self.path.counts["st"] += 1
         vcode, vtype, vwrapped = self._expr(stmt.value, instr, None, slot)
-        self._bounds_check(addr, 8 if vtype == "double" else 4)
+        self._check(addr_code, addr, 8 if vtype == "double" else 4)
         if vtype == "double":
             self._line(f"_pkm_d(mem, {addr}, {vcode})")
         elif vtype == "float":
@@ -1036,16 +1166,21 @@ class _TraceCodegen:
     # -- emit: exits -----------------------------------------------------------
 
     def _flush(self) -> None:
+        """Store every written view; a pending word goes straight from
+        its value temp."""
+        stale, done = self.path.stale, set()
         for kind, key in self.written:
-            if kind == "raw":
-                self._line(f"u[{key!r}] = {self._uname(key)}")
-            elif kind == "int":
+            if kind == "int":
                 self._line(f"u[{key[0]!r}] = {self._iname(key)} & 4294967295")
-            else:
+            elif kind == "double":
                 self._line(
                     f"u[{key[0]!r}], u[{key[1]!r}] ="
                     f" _upk_p(_pk_d({self._dname(key)}))"
                 )
+            elif key not in stale:
+                self._line(f"u[{key!r}] = {self._uname(key)}")
+            elif key not in done:
+                done.update(self._words(stale[key], "u[{!r}]".format))
 
     def _emit_slots(self, pc: int, instr: MachineInstr) -> int:
         """Delay-slot bodies for a taken exit; returns the segment end pc.
@@ -1134,23 +1269,12 @@ class _TraceCodegen:
     # -- emission helpers ------------------------------------------------------
 
     def _snapshot(self):
-        return (
-            dict(self.written),
-            self.sb_ex_base, self.sb_ld_base, self.sb_st_base,
-            self.loads, self.stores, self.node_exec_base,
-        )
+        return dict(self.written), self.path.copy()
 
     def _restore(self, snapshot) -> None:
-        (
-            written, ex_base, ld_base, st_base, loads, stores, node_base,
-        ) = snapshot
+        written, path = snapshot
         self.written = dict(written)
-        self.sb_ex_base = ex_base
-        self.sb_ld_base = ld_base
-        self.sb_st_base = st_base
-        self.loads = loads
-        self.stores = stores
-        self.node_exec_base = node_base
+        self.path = path.copy()
 
     def _probe_getter(self, nentry, end, transfer) -> str:
         """The prologue local holding this probe site's transition
@@ -1161,43 +1285,54 @@ class _TraceCodegen:
             getter = self.probe_sites[site] = f"tg{len(self.probe_sites)}"
         return getter
 
-    def _emit_probe(self, nentry, end, transfer, node_exec) -> None:
+    def _emit_probe(self, nentry, end, transfer) -> None:
         """Close the segment ``[nentry..end]`` inline: probe the
         segment's transition table through a per-site prologue local (a
         warm boundary is one two-int-tuple dict lookup, zero hashing of
-        pipeline state), fall back to the real ``close`` on a miss, and
-        commit the statically-known instruction/load/store deltas to
-        the running totals."""
-        total = self.node_exec_base + node_exec
-        if total > self.max_exec:
-            self.max_exec = total
-        ex_delta = total - self.sb_ex_base
-        ld_delta = self.loads - self.sb_ld_base
-        st_delta = self.stores - self.sb_st_base
+        pipeline state), and fall back to the real ``close`` on a miss,
+        counted in ``bm``.  The path's static totals count the probe."""
         getter = self._probe_getter(nentry, end, transfer)
         self._totals_live = True
         probe = self._tmp()
-        self._line(f"{probe} = {getter}((eid, mm))")
+        mm = "mm" if self.cached else "0"
+        self._line(f"{probe} = {getter}((eid, {mm}))")
         self._line(f"if {probe} is None:")
         self._line(
             f"    {probe} = close({nentry}, {end}, {transfer},"
-            " mm, eid, b0 + ci)"
+            f" {mm}, eid, b0 + ci)"
         )
-        self._line("else:")
-        self._line("    bch += 1")
+        self._line("    bm += 1")
         self._line(f"ci += {probe}[0]")
         self._line(f"eid = {probe}[1]")
-        self._line("sbh += 1")
-        self._line(f"ex += {ex_delta}")
-        if ld_delta:
-            self._line(f"ld += {ld_delta}")
-        if st_delta:
-            self._line(f"st += {st_delta}")
-        self._line("mm = 0")
-        self._line("lb = 1")
-        self.sb_ex_base = total
-        self.sb_ld_base = self.loads
-        self.sb_st_base = self.stores
+        if self.path.masked:
+            self._line("mm = 0; lb = 1")
+            self.path.masked = False
+        self.path.counts["sbh"] += 1
+
+    def _counts(self, node_exec) -> dict:
+        """The path's static counts after ``node_exec`` instructions of
+        the current node (``max_exec`` bounds every such ``ex``)."""
+        counts = dict(self.path.counts)
+        counts["ex"] += node_exec
+        self.max_exec = max(self.max_exec, counts["ex"])
+        return counts
+
+    def _totals(self, node_exec) -> tuple[str, str]:
+        """``ex, ld, st`` and ``ci, eid, bch, sbh`` of an exit after
+        ``node_exec`` instructions of the current node: the path's
+        static counts, plus a looping function's running totals."""
+        counts = self._counts(node_exec)
+        if self.looping:
+            ex, ld, st, sbh = (
+                f"{name} + {count}" if count else name
+                for name, count in counts.items()
+            )
+        elif not counts["sbh"]:
+            # no probe has run on this path: the timing id is untouched
+            return "{ex}, {ld}, {st}".format(**counts), "0, eid, 0, 0"
+        else:
+            ex, ld, st, sbh = map(str, counts.values())
+        return f"{ex}, {ld}, {st}", f"ci, eid, {sbh} - bm, {sbh}"
 
     def _emit_dflush(self) -> None:
         """Commit the batched block counts and inline data-cache tallies
@@ -1213,51 +1348,32 @@ class _TraceCodegen:
             self._line("dcache.hits += dh; dcache.misses += dm")
 
     def _emit_side_exit(
-        self, nentry, end, transfer, kind, label, node_exec,
-        open_len=0, flush=True,
+        self, nentry, end, transfer, kind, label, node_exec, open_len=0,
     ) -> None:
-        if flush:
-            self._flush()
-        if kind != 0:
+        self._flush()
+        if kind == 0:
+            self._emit_dflush()
+            counts, tail = self._totals(node_exec)
+            masks = "mm, lb" if self.cached else "0, 1"
+            self._line(
+                f"return (0, {end}, None, {nentry}, {open_len},"
+                f" {counts}, {masks}, {tail})"
+            )
+        elif self.looping or self.path.counts["sbh"]:
             # exit kinds 1-3 leave at a closed segment boundary: commit
             # it here (chain probe, ``close()`` on a miss) so the
             # dispatch loop only routes the pc — it never closes these
-            if self.looping or self._totals_live:
-                self._emit_probe(nentry, end, transfer, node_exec)
-                self._emit_dflush()
-                self._line(
-                    f"return ({kind}, {end}, {label!r},"
-                    f" {nentry}, 0, ex, ld, st, 0, 1, ci, eid, bch, sbh)"
-                )
-            else:
-                self._emit_static_close(
-                    nentry, end, transfer, kind, label, node_exec
-                )
-            return
-        self._emit_dflush()
-        total = self.node_exec_base + node_exec
-        if total > self.max_exec:
-            self.max_exec = total
-        ex_delta = total - self.sb_ex_base
-        ld_delta = self.loads - self.sb_ld_base
-        st_delta = self.stores - self.sb_st_base
-        if self.looping or self._totals_live:
-            tail = (
-                f"ex + {ex_delta}, ld + {ld_delta}, st + {st_delta},"
-                " mm, lb, ci, eid, bch, sbh"
+            self._emit_probe(nentry, end, transfer)
+            self._emit_dflush()
+            counts, tail = self._totals(node_exec)
+            self._line(
+                f"return ({kind}, {end}, {label!r}, {nentry}, 0,"
+                f" {counts}, 0, 1, {tail})"
             )
         else:
-            # no probe has run on this path (and no earlier iteration
-            # can exist): the totals are static and the timing id is
-            # untouched, so the running-total locals are elided
-            tail = (
-                f"{ex_delta}, {ld_delta}, {st_delta},"
-                " mm, lb, 0, eid, 0, 0"
+            self._emit_static_close(
+                nentry, end, transfer, kind, label, node_exec
             )
-        self._line(
-            f"return ({kind}, {end}, {label!r}, {nentry},"
-            f" {open_len}, {tail})"
-        )
 
     def _emit_static_close(
         self, nentry, end, transfer, kind, label, node_exec
@@ -1267,24 +1383,18 @@ class _TraceCodegen:
         total is a static literal and the cycle base is exactly ``b0``,
         so only the transition record flows through a local — a warm
         call is one table probe and a constant tuple build."""
-        total = self.node_exec_base + node_exec
-        if total > self.max_exec:
-            self.max_exec = total
-        ex_delta = total - self.sb_ex_base
-        ld_delta = self.loads - self.sb_ld_base
-        st_delta = self.stores - self.sb_st_base
+        counts, _ = self._totals(node_exec)
         getter = self._probe_getter(nentry, end, transfer)
         probe = self._tmp()
+        mm = "mm" if self.cached else "0"
         head = (
-            f"({kind}, {end}, {label!r}, {nentry}, 0,"
-            f" {ex_delta}, {ld_delta}, {st_delta}, 0, 1,"
+            f"({kind}, {end}, {label!r}, {nentry}, 0, {counts}, 0, 1,"
             f" {probe}[0], {probe}[1]"
         )
-        self._line(f"{probe} = {getter}((eid, mm))")
+        self._line(f"{probe} = {getter}((eid, {mm}))")
         self._line(f"if {probe} is None:")
         self._line(
-            f"    {probe} = close({nentry}, {end}, {transfer},"
-            " mm, eid, b0)"
+            f"    {probe} = close({nentry}, {end}, {transfer}, {mm}, eid, b0)"
         )
         self.indent += 1
         self._emit_dflush()
@@ -1295,19 +1405,28 @@ class _TraceCodegen:
 
     def _emit_back_edge(self, nentry, pc, instr, index) -> None:
         """A taken exit targeting the trace head: close the segment
-        inline, then loop in-function while the fuse budget allows,
-        otherwise flush and stop at the head (kind 4: everything
-        already closed and accounted in the returned totals)."""
+        inline and loop (:meth:`_emit_loop`)."""
         end = self._emit_slots(pc, instr)
-        executed = index + 1 + abs(instr.desc.slots)
-        self._emit_probe(nentry, end, pc, executed)
+        self._emit_probe(nentry, end, pc)
+        self._emit_loop(index + 1 + abs(instr.desc.slots))
+
+    def _emit_loop(self, node_exec) -> None:
+        """Commit the path's static totals, then loop in-function while
+        the fuse budget allows, otherwise flush and stop at the head
+        (kind 4: everything already closed and accounted in the returned
+        totals).  The next iteration reads raw units as words."""
+        self._settle()
+        self._line("; ".join(
+            f"{name} += {count}"
+            for name, count in self._counts(node_exec).items() if count
+        ))
         self._line("if ex <= fz:")
         self._line("    continue")
         self._flush()
         self._emit_dflush()
         self._line(
             f"return (4, 0, None, {self.entry}, 0, ex, ld, st,"
-            " 0, 1, ci, eid, bch, sbh)"
+            " 0, 1, ci, eid, sbh - bm, sbh)"
         )
 
     # -- emit: the function ----------------------------------------------------
@@ -1347,9 +1466,11 @@ class _TraceCodegen:
         last = len(self.nodes) - 1
         for position, (entry, trace, tail) in enumerate(self.nodes):
             self._emit_node(position, entry, trace, tail, position == last)
-        # generated code is only called at a fresh segment boundary,
-        # where the miss mask is empty
-        prologue = ["    u = state.units", "    mm = 0; lb = 1"]
+        prologue = ["    u = state.units"]
+        if self.cached:
+            # generated code is only called at a fresh segment boundary,
+            # where the miss mask is empty
+            prologue.append("    mm = 0; lb = 1")
         if self.uses_temporal:
             prologue.append("    tp = state.temporal")
         if self.has_mem:
@@ -1366,10 +1487,10 @@ class _TraceCodegen:
                 " dts = dcache.tag_shift"
             )
             prologue.append("    dh = 0; dm = 0")
-        if self.looping or self._totals_live:
-            prologue.append(
-                "    ex = 0; ld = 0; st = 0; ci = 0; bch = 0; sbh = 0"
-            )
+        if self.looping:
+            prologue.append("    ex = 0; ld = 0; st = 0; sbh = 0")
+        if self._totals_live:
+            prologue.append("    ci = 0; bm = 0")
         if self.probe_sites:
             getters = ", ".join(self.probe_sites.values())
             prologue.append(f"    {getters}, = tg")
@@ -1435,8 +1556,8 @@ class _TraceCodegen:
                     # the hot internal edge: probe, then fall through
                     # into the next node's code
                     end = self._emit_slots(pc, instr)
-                    self._emit_probe(entry, end, pc, executed)
-                    self.node_exec_base += executed
+                    self._emit_probe(entry, end, pc)
+                    self.path.counts["ex"] += executed
                 else:
                     end = self._emit_slots(pc, instr)
                     self._emit_side_exit(entry, end, pc, 1, label, executed)
@@ -1458,18 +1579,11 @@ class _TraceCodegen:
                     self._emit_side_exit(entry, end, pc, 2, None, executed)
                     self._restore(snapshot)
                     self.indent -= 1
-                    self._emit_probe(entry, end, pc, executed)
+                    self._emit_probe(entry, end, pc)
                     if expected == head:
-                        self._line("if ex <= fz:")
-                        self._line("    continue")
-                        self._flush()
-                        self._emit_dflush()
-                        self._line(
-                            f"return (4, 0, None, {self.entry}, 0,"
-                            " ex, ld, st, 0, 1, ci, eid, bch, sbh)"
-                        )
+                        self._emit_loop(executed)
                     else:
-                        self.node_exec_base += executed
+                        self.path.counts["ex"] += executed
                 else:
                     self._emit_side_exit(entry, end, pc, 2, None, executed)
             elif isinstance(control, ast.CallStmt):
@@ -1482,8 +1596,8 @@ class _TraceCodegen:
                     self.ret_unit, str((pc + 1) & 0xFFFFFFFF)
                 )
                 if not is_last:
-                    self._emit_probe(entry, pc, pc, index + 1)
-                    self.node_exec_base += index + 1
+                    self._emit_probe(entry, pc, pc)
+                    self.path.counts["ex"] += index + 1
                 else:
                     self._emit_side_exit(
                         entry, pc, pc, 3, label, index + 1
@@ -1507,45 +1621,72 @@ class _TraceCodegen:
         would, and emits ``trace[at:]`` as the segment headed at the
         target, so both arms close the memo keys the interpreter closes.
         Neither arm joins again, so no instruction is emitted more than
-        twice."""
+        twice.  Where code follows the join, each arm produces its
+        pending words and both continue as one path (:meth:`_merge`)."""
         pc = trace[index]
         instr = self.tr.instrs[pc]
         before = self._snapshot()
-        # the not-taken arm first: until its first probe, its exits may
-        # return static totals (see :attr:`_totals_live`)
         self._line(f"if {cond} == 0:")
         self.indent += 1
         self._emit_node(
             position, entry, trace, tail, is_last, index + 1, False
         )
+        if not is_last:
+            self._settle()
         not_taken = self._snapshot()
         self._restore(before)
+        else_at = len(self.lines)
         self.indent -= 1
         self._line("else:")
         self.indent += 1
         end = self._emit_slots(pc, instr)
-        executed = index + 1 + abs(instr.desc.slots)
-        self._emit_probe(entry, end, pc, executed)
-        self.node_exec_base += executed
+        self._emit_probe(entry, end, pc)
+        self.path.counts["ex"] += index + 1 + abs(instr.desc.slots)
         self._emit_node(
             position, trace[at], trace[at:], tail, is_last, 0, False
         )
+        if not is_last:
+            # code follows the join (a trace's inner node, so the
+            # function loops and the totals are running locals)
+            self._settle()
+            self._merge(not_taken, else_at)
         self.indent -= 1
-        if is_last:
-            # both arms end in an exit: no code follows the join
-            return
+
+    def _merge(self, other, else_at) -> None:
+        """Continue after a join as one path: the taken arm just emitted
+        and the not-taken arm ``other``, whose body ends at line
+        ``else_at``."""
+        written, path = other
         # a later flush writes every view either arm wrote, so a view
         # only one arm writes must hold its entry value on the other
-        written = not_taken[0]
         self.entry_reads.update(written.keys() ^ self.written.keys())
         self.written = {**written, **self.written}
-        # both arms probed at the tail, leaving no load or store delta
-        # open; their executed counts differ: carry the larger one,
-        # keeping max_exec an upper bound and every later delta
-        # independent of the arm
-        self.node_exec_base = self.sb_ex_base = max(
-            self.node_exec_base, not_taken[-1]
-        )
+        # each arm's static counts are raised to the larger of the two
+        # (``max_exec`` stays an upper bound), and a running total
+        # takes back what its arm did not count
+        ours = self.path
+        merged = {
+            name: max(count, path.counts[name])
+            for name, count in ours.counts.items()
+        }
+        for arm, at in ((ours, len(self.lines)), (path, else_at)):
+            rebase = "; ".join(
+                f"{name} -= {merged[name] - count}"
+                for name, count in arm.counts.items()
+                if merged[name] > count
+            )
+            if rebase:
+                self.lines.insert(at, "    " * self.indent + rebase)
+        ours.counts = merged
+        ours.values = {
+            view: temp for view, temp in ours.values.items()
+            if path.values.get(view) == temp
+        }
+        ours.addrs = {
+            code: known for code, known in ours.addrs.items()
+            if path.addrs.get(code) == known
+        }
+        ours.masked = ours.masked or path.masked
 
 
 class SegmentJIT:

@@ -439,6 +439,49 @@ def test_quiet_division_guard_matches_the_interpreter():
     assert jitted.return_value == reference.return_value
 
 
+#: every sign pair of dividend and divisor, ``INT_MIN / -1``,
+#: ``INT_MIN % -1`` and constant divisors (``% 1``, ``/ 10``, ``% -3``):
+#: generated code divides inline where neither operand is negative and
+#: through the interpreter's truncating helpers otherwise
+DIV_SIGNS = """
+int num[8], den[8];
+int divsigns(int loop) {
+  int l; int i; int j; int s;
+  num[0] = 7; num[1] = -7; num[2] = 0; num[3] = -2147483647 - 1;
+  num[4] = 2147483647; num[5] = 5; num[6] = -9; num[7] = 1;
+  den[0] = 2; den[1] = -2; den[2] = 1; den[3] = -1;
+  den[4] = 3; den[5] = -3; den[6] = 2147483647; den[7] = -2147483647 - 1;
+  s = 0;
+  for (l = 0; l < loop; l = l + 1) {
+    for (i = 0; i < 8; i = i + 1) {
+      for (j = 0; j < 8; j = j + 1) {
+        s = s * 31 + num[i] / den[j] + num[i] % den[j];
+      }
+      s = s + num[i] % 1 + num[i] / 10 + num[i] % -3;
+    }
+  }
+  return s;
+}
+"""
+
+
+@pytest.mark.parametrize("cache", (True, False))
+@pytest.mark.parametrize("target", TARGETS)
+def test_integer_division_matches_the_interpreter(target, cache):
+    runs = []
+    for warmup in (NEVER, WARMUP):
+        executable = _compile_source(DIV_SIGNS, target, warmup=warmup)
+        runs.append(repro.simulate(
+            executable, "divsigns", args=(4,), options=repro.SimOptions(
+                cache=DirectMappedCache() if cache else None
+            ),
+        ))
+    interpreted, jitted = runs
+    assert jitted.jit_hits > 0
+    for field in COMPARED_FIELDS:
+        assert getattr(jitted, field) == getattr(interpreted, field), field
+
+
 # -- warmup threshold ---------------------------------------------------------
 
 HOT_LOOP = """

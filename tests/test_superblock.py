@@ -17,8 +17,10 @@ import repro
 from repro.cache import configure
 from repro.errors import SimulationError
 from repro.sim.cache import DirectMappedCache
-from repro.sim.jit import SUPERBLOCK_WARMUP, SegmentJIT
+from repro.sim.jit import _BASE_ENV, SUPERBLOCK_WARMUP, SegmentJIT
+from repro.sim.simulator import Simulator
 from repro.targets import clear_target_cache
+from repro.workloads import kernel_by_id
 
 TARGETS = ("toyp", "r2000", "m88000", "i860")
 STRATEGIES = ("postpass", "ips", "rase")
@@ -156,6 +158,65 @@ double bench(int loop, int n) {
 }
 """
 
+#: doubles kept in the integer register pairs of TOYP and the 88000,
+#: carrying -0.0, a NaN from inf - inf, a subnormal and 1e300 through a
+#: joined forward branch (``if (i & 4)`` in ``pick``), an in-trace call
+#: and an if/else that keeps the NaN out of the sum and whose cold arm
+#: side-exits; every value is also stored, so the final memory holds its
+#: exact bits
+SPECIALS = """
+double v[4], w[8];
+
+double pick(int i) {
+  double d;
+  d = v[i & 3];
+  if (i & 4) d = -d;
+  return d;
+}
+
+double bench(int loop, int n) {
+  int l; int i; int k; double s;
+  v[0] = 0.0 * -1.0;
+  v[1] = 1e300;
+  s = v[1] * 1e300;
+  v[2] = s - s;
+  v[3] = 1e-300 * 1e-10;
+  s = 0.0; k = 0;
+  for (l = 0; l < loop; l++) {
+    for (i = 0; i < n; i++) {
+      w[i & 7] = pick(i);
+      if ((i & 3) == 2) k = k + i;
+      else s = s + w[i & 7] * 1e-290;
+    }
+  }
+  return s + k;
+}
+"""
+
+#: a loop whose trace enters ``leaf``, which moves the stack pointer to
+#: allocate its frame: its locals lie at the offsets from the moved
+#: stack pointer where the caller's lie from the old one, so an address
+#: computed before the call must not be reused inside it
+FRAMES = """
+int leaf(int a) {
+  int x[4];
+  x[0] = a; x[1] = a * 3; x[2] = x[0] + x[1]; x[3] = x[2] - a;
+  return x[3] + x[1];
+}
+
+int bench(int loop, int n) {
+  int y[4]; int l; int i; int s;
+  s = 0;
+  for (l = 0; l < loop; l++) {
+    for (i = 0; i < n; i++) {
+      y[0] = i; y[1] = s & 255;
+      s = s + leaf(i) + y[0] + y[1];
+    }
+  }
+  return s;
+}
+"""
+
 
 def _compile(source, target="r2000", strategy="postpass"):
     return repro.compile_c(
@@ -172,6 +233,24 @@ def _run(executable, args, *, cache=True):
             cache=DirectMappedCache() if cache else None
         ),
     )
+
+
+def _run_state(executable, args, patch, **options):
+    """A run and its final register units (zero words dropped: a unit
+    never written reads as zero) and memory."""
+    states = []
+    init = Simulator._init_state
+
+    def capture(self, *init_args):
+        states.append(init(self, *init_args))
+        return states[-1]
+
+    patch.setattr(Simulator, "_init_state", capture)
+    result = repro.simulate(
+        executable, "bench", args=args, options=repro.SimOptions(**options)
+    )
+    units = {unit: word for unit, word in states[-1].units.items() if word}
+    return result, (units, bytes(states[-1].memory))
 
 
 def _interpreted(executable, args, *, cache=True):
@@ -322,6 +401,76 @@ def test_trace_calls_one_function_from_several_sites(target, cache):
     traces = [jit._select_trace(head) or [] for head, _ in jit.edges]
     rnd = executable.labels["rnd"]
     assert max(entries.count(rnd) for entries in traces) == 3
+
+
+@pytest.mark.parametrize("budget", (None, 10**8))
+@pytest.mark.parametrize("cache", (True, False))
+@pytest.mark.parametrize("target", ("toyp", "m88000"))
+def test_double_values_keep_their_bits(target, cache, budget, monkeypatch):
+    # register views keep the values they were computed as; their words
+    # are produced at flushes, back-edges, joins and word reads, and the
+    # result, every register unit and memory match the interpreter's to
+    # the bit.  A cycle budget arms the watchdog, whose fuse stops the
+    # looping trace at its head every few hundred instructions
+    executable = _compile(SPECIALS, target)
+    runs = []
+    for warmup in (NEVER, WARMUP):
+        _fresh(executable, warmup=warmup)
+        runs.append(_run_state(
+            executable, (3, HOT), monkeypatch, max_cycles=budget,
+            cache=DirectMappedCache() if cache else None,
+        ))
+    (reference, final), (traced, traced_final) = runs
+    for field in COMPARED_FIELDS:
+        assert getattr(traced, field) == getattr(reference, field), field
+    assert traced_final == final
+    assert traced.jit_superblocks > 0 and traced.jit_side_exits > 0
+    jit = executable._segment_jit
+    pick = executable.labels["pick"]
+    traces = [jit._select_trace(head) or [] for head, _ in jit.edges]
+    assert any(pick in entries for entries in traces)
+
+
+@pytest.mark.parametrize("cache", (True, False))
+@pytest.mark.parametrize("target", TARGETS)
+def test_callee_frame_addresses_are_not_reused(target, cache, monkeypatch):
+    executable = _compile(FRAMES, target)
+    runs = []
+    for warmup in (NEVER, WARMUP):
+        _fresh(executable, warmup=warmup)
+        runs.append(_run_state(
+            executable, (3, HOT), monkeypatch,
+            cache=DirectMappedCache() if cache else None,
+        ))
+    (reference, final), (traced, traced_final) = runs
+    for field in COMPARED_FIELDS:
+        assert getattr(traced, field) == getattr(reference, field), field
+    assert traced_final == final
+    jit = executable._segment_jit
+    leaf = executable.labels["leaf"]
+    traces = [jit._select_trace(head) or [] for head, _ in jit.edges]
+    assert any(leaf in entries for entries in traces)
+
+
+def test_warm_run_keeps_double_registers_as_values(monkeypatch):
+    # toyp/rase/K8 at the benchmark's scale keeps its doubles in integer
+    # register pairs.  Generated code that converted at every double
+    # access made 59,644 pack calls in a warm run; values kept in the
+    # form they were computed in need at most a third of them
+    spec = kernel_by_id(8)
+    loop, n = spec.args
+    args = (loop, max(4, int(n * 0.1)))
+    executable = _compile(spec.source, "toyp", "rase")
+    repro.simulate(executable, "bench", args=args)
+    calls = []
+    for name in ("_pk_p", "_pk_d"):
+        codec = _BASE_ENV[name]
+        monkeypatch.setitem(
+            _BASE_ENV, name, lambda *a, _c=codec: calls.append(1) or _c(*a)
+        )
+    warm = repro.simulate(executable, "bench", args=args)
+    assert warm.jit_hits > 0 and warm.interpreted < warm.instructions // 50
+    assert len(calls) <= 59_644 // 3
 
 
 def test_trap_in_promoted_trace_raises_the_interpreter_error():
