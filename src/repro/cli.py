@@ -145,16 +145,31 @@ def _sim_options(arguments, trace_enabled: bool) -> repro.SimOptions:
     return sim_options_from_json(doc)
 
 
+def _run_args(values) -> tuple:
+    """``--args`` values -> simulation arguments: a value with a ``.``
+    is a double, any other an int."""
+    args = []
+    for text in values:
+        try:
+            args.append(float(text) if "." in text else int(text))
+        except ValueError:
+            raise RequestError(
+                f"--args value {text!r} is neither an int nor a float"
+                " with a '.'",
+                details={"field": "--args"},
+            ) from None
+    return tuple(args)
+
+
 def cmd_run(arguments) -> int:
     trace_path = arguments.trace
     trace = repro.Trace(f"repro run {arguments.file}") if trace_path else None
     options = _sim_options(arguments, trace_enabled=bool(trace_path))
 
+    args = _run_args(arguments.args or [])
+
     def _go():
         executable = _compile(arguments)
-        args = tuple(
-            float(a) if "." in a else int(a) for a in (arguments.args or [])
-        )
         return repro.simulate(
             executable, arguments.entry, args=args, options=options
         )

@@ -49,11 +49,10 @@ Inside the generated function:
   segment headed at the target, exactly as the dispatch loop would
   (one such join per segment); any other taken conditional branch is
   an early return, and the tail control transfer (and its delay slots)
-  is compiled into the exit itself.  Every
-  generated function — plain segment or superblock — shares the
-  14-tuple exit contract documented on :class:`_TraceCodegen`, which
-  threads the timing digest id through the call so the driver never
-  re-derives it;
+  is compiled into the exit itself.  Every generated function — plain
+  segment or superblock — leaves at a closed segment boundary and
+  returns its next pc, under the exit contract documented on
+  :class:`_TraceCodegen`;
 * a segment whose taken transfer targets its *own entry* (an innermost
   loop) is *chained*: the body is wrapped in ``while 1`` and the
   back-edge, instead of returning, commits the iteration's timing
@@ -81,20 +80,21 @@ run (:attr:`_TraceCodegen.probe_sites`, carried as ``fn._jit_sites``).
 Any taken exit targeting the trace head becomes a back-edge of one
 outer ``while 1`` (probe + fuse check + ``continue``), so steady-state
 iterations of multi-segment loops never return to the dispatch loop;
-every other exit is a *side exit* that returns to it, with the final
-segment closed in-function unless the exit falls through — timing keys,
-close order and miss masks are exactly the ones interpreted segments
-produce, which is
-what keeps compiled code bit-identical to the interpreter.  Both shapes
-share one codegen (:class:`_TraceCodegen`; a plain segment is a
-one-node trace), one :meth:`SegmentTranslator.translate` and therefore
-one branch in the dispatch loop.
+every other exit is a *side exit* that closes its final segment
+in-function and returns the pc to continue at — timing keys, close
+order and miss masks are exactly the ones interpreted segments produce,
+which is what keeps compiled code bit-identical to the interpreter.
+Both shapes share one codegen (:class:`_TraceCodegen`; a plain segment
+is a one-node trace), one :meth:`SegmentTranslator.translate` and
+therefore one branch in the dispatch loop.
 
 Anything the translator does not cover — mistyped latch writes, invalid
-double pairings, control in a delay slot, unallocated operands — is
-refused statically (:class:`Uncompilable`) and that entry permanently
-stays on the interpreter; ``SimResult.interpreted`` counts what a run
-left there.  A division guard raises the interpreter's
+double pairings, control in a delay slot, unallocated operands, a
+branch to an undefined label, a segment that reaches
+:data:`SEGMENT_CAP` or the program end without a transfer — is refused
+statically (:class:`Uncompilable`) and that entry permanently stays on
+the interpreter; ``SimResult.interpreted`` counts what a run left
+there.  A division guard raises the interpreter's
 :class:`~repro.errors.SimulationError` inline with the same message, in
 plain segments and loops alike: a run that divides by zero has failed,
 and that error is all it reports.
@@ -234,16 +234,20 @@ class SegmentTranslator:
         nodes = [(entry, *self._trace(entry)) for entry in entries]
         return _TraceCodegen(self, nodes, cached).build()
 
-    def _resolve_target(self, pc: int, control) -> int | None:
-        """The pc a goto/call/conditional at ``pc`` statically targets."""
-        instr = self.instrs[pc]
+    def target_pc(self, pc: int, control) -> int:
+        """The pc the goto, call or conditional branch at ``pc``
+        targets: the one label lookup generated code relies on.  Raises
+        :class:`Uncompilable` unless the target is a defined label."""
         target = control.target
         if not isinstance(target, ast.OperandRef):
-            return None
-        operand = instr.operands[target.index - 1]
+            raise Uncompilable("branch target is not an operand")
+        operand = self.instrs[pc].operands[target.index - 1]
         if not isinstance(operand, Lab):
-            return None
-        return self.executable.labels.get(operand.name)
+            raise Uncompilable("branch target operand is not a label")
+        resolved = self.executable.labels.get(operand.name)
+        if resolved is None:
+            raise Uncompilable(f"undefined label {operand.name!r}")
+        return resolved
 
     def trace_successor(self, entry: int, returns: list):
         """The static successor through the segment's unconditional
@@ -254,25 +258,25 @@ class SegmentTranslator:
         / ``"call"`` / ``"ret"``, or ``(None, None)``."""
         try:
             trace, tail = self._trace(entry)
+            if isinstance(tail, ast.GotoStmt):
+                return self.target_pc(trace[-1], tail), "goto"
+            if isinstance(tail, ast.CallStmt) and (
+                self.target.cwvm.retaddr is not None
+            ):
+                succ = self.target_pc(trace[-1], tail)
+                returns.append(trace[-1] + 1)
+                return succ, "call"
         except Uncompilable:
             return None, None
-        if isinstance(tail, ast.GotoStmt):
-            return self._resolve_target(trace[-1], tail), "goto"
-        if isinstance(tail, ast.CallStmt):
-            if self.target.cwvm.retaddr is None:
-                return None, None
-            succ = self._resolve_target(trace[-1], tail)
-            if succ is None:
-                return None, None
-            returns.append(trace[-1] + 1)
-            return succ, "call"
         if isinstance(tail, ast.RetStmt) and returns:
             return returns.pop(), "ret"
         return None, None
 
     def _trace(self, entry: int):
         """Static straight-line walk: pcs up to (and including) the first
-        unconditional transfer, the segment cap, or the program end."""
+        unconditional transfer.  A walk that reaches the segment cap or
+        the program end first is refused, so every generated function
+        leaves at a closed segment boundary."""
         pcs: list[int] = []
         pc = entry
         program_size = len(self.instrs)
@@ -282,7 +286,7 @@ class SegmentTranslator:
             if isinstance(control, _UNCONDITIONAL):
                 return pcs, control
             pc += 1
-        return pcs, None
+        raise Uncompilable("segment ends without a transfer")
 
     def slot_pcs(self, pc: int, instr: MachineInstr) -> list[int]:
         program_size = len(self.instrs)
@@ -345,10 +349,9 @@ class _TraceCodegen:
     (:meth:`_emit_join`); any taken exit targeting the *head* becomes a
     back-edge of one outer ``while 1`` (probe + fuse check +
     ``continue``); every other exit is a side exit returning to the
-    dispatch loop — exits at a segment boundary (kinds 1-3) close their
-    final segment inline through the same probe machinery, so the
-    dispatch loop only routes the pc; only a not-taken/fallthrough exit
-    (kind 0) leaves a segment open for the interpreter to continue.
+    dispatch loop.  Every exit leaves at a closed segment boundary: it
+    closes its final segment inline through the same probe machinery,
+    so the dispatch loop only continues at the returned pc.
 
     Call contract::
 
@@ -366,15 +369,13 @@ class _TraceCodegen:
     executed-instruction budget for back-edges.  The segment's miss
     mask ``mm`` and next load bit ``lb`` start at ``0``/``1`` in the
     prologue: the function is only called at a fresh segment boundary.
-    Returns a 14-tuple
-    ``(kind, end, label, node_entry, open_len, ex, ld, st, mm, lb, ci,
-    eid, bch, sbh)``: ``kind`` 1/2/3 are
-    taken-branch/return/call exits with every segment (including the
-    final one) already closed and mm/lb reset, ``kind`` 0 is a
-    not-taken or fallthrough exit whose final segment at ``node_entry``
-    stays *open* (mm/lb live, ``open_len`` instructions already
-    executed) for the interpreter to continue, and ``kind`` 4 is a fuse
-    stop at the head with everything closed.  ``ex``/``ld``/``st`` are
+    Returns ``(pc, edge, ex, ld, st, ci, eid, bch, sbh)``.  ``pc`` is
+    where the run continues: a branch or call target resolved at
+    translation (:meth:`SegmentTranslator.target_pc`), the ``%retaddr``
+    word read after a return's flush, or the head after a fuse stop.
+    ``edge`` is the entry of the segment whose taken branch the exit
+    follows (the profiled edge's source), ``-1`` after a call or a
+    return and ``None`` for a fuse stop.  ``ex``/``ld``/``st`` are
     whole-call instruction/load/store totals, ``ci`` the accumulated
     cycle delta, ``eid`` the current digest id, ``bch`` inline probe
     hits and ``sbh`` segments closed in-function.  A probe only counts
@@ -382,7 +383,6 @@ class _TraceCodegen:
     static (:class:`_Path`), so an exit returns those counts as
     literals — in a looping function added to the running totals that
     every back-edge commits — and ``bch`` is ``sbh`` less the misses.
-    An exit that no probe precedes on its path returns a zero ``ci``.
     Without a data cache the miss mask is the literal ``0``.
     """
 
@@ -423,14 +423,12 @@ class _TraceCodegen:
         #: ``(entry, end, transfer) -> prologue local`` holding that
         #: probe site's transition table ``.get`` (unpacked from ``tg``)
         self.probe_sites: dict[tuple, str] = {}
-        #: a probe has been emitted: binds ``ci``/``bm`` in the prologue
-        self._totals_live = False
         #: node position -> statically pinned return pc for in-trace
         #: returns (filled by :meth:`_find_trace_shape`); the pc a
         #: run-time guard on the %retaddr register enforces
         self.ret_targets: dict[int, int] = {}
-        #: the %retaddr register's first unit, tracked as a view when
-        #: the trace contains any call
+        #: the %retaddr register's first unit when the trace has a call
+        #: or a return (tracked as a view with a call)
         self.ret_unit = None
 
     def _name(self) -> str:
@@ -474,14 +472,16 @@ class _TraceCodegen:
                     self._scan_slots(pc, instr)
                 elif isinstance(control, (ast.GotoStmt, ast.RetStmt)):
                     self._scan_slots(pc, instr)
-        # in-trace calls write the %retaddr register and guarded
-        # returns read it, so it must live as a tracked view
-        if any(isinstance(tail, ast.CallStmt) for _e, _t, tail in self.nodes):
+        # calls write the %retaddr register and returns read it; with a
+        # call in the trace it lives as a tracked view
+        tails = {type(tail) for _e, _t, tail in self.nodes}
+        if tails & {ast.CallStmt, ast.RetStmt}:
             retaddr = self.tr.target.cwvm.retaddr
             if retaddr is None:
-                raise Uncompilable("call without a %retaddr register")
+                raise Uncompilable("transfer without a %retaddr register")
             self.ret_unit = self.tr.target.registers.units_of(retaddr)[0]
-            self.touched.add(self.ret_unit)
+            if ast.CallStmt in tails:
+                self.touched.add(self.ret_unit)
 
     def _scan_slots(self, pc: int, instr: MachineInstr) -> None:
         for slot_pc in self.tr.slot_pcs(pc, instr):
@@ -490,14 +490,6 @@ class _TraceCodegen:
                 raise Uncompilable("control instruction in a delay slot")
             for stmt in slot_stmts:
                 self._scan_stmt(stmt, self.tr.instrs[slot_pc])
-
-    def _label_of(self, target: ast.Expr, instr: MachineInstr) -> str:
-        if not isinstance(target, ast.OperandRef):
-            raise Uncompilable("branch target is not an operand")
-        operand = instr.operands[target.index - 1]
-        if not isinstance(operand, Lab):
-            raise Uncompilable("branch target operand is not a label")
-        return operand.name
 
     def _move_units(self, stmt: ast.AssignStmt, instr: MachineInstr):
         """The (dst_units, src_units) of a raw register-to-register move,
@@ -1223,42 +1215,26 @@ class _TraceCodegen:
     def _find_trace_shape(self) -> None:
         """Validate internal edges and detect back-edges to the head
         (any of which makes the whole trace a loop).  Node successors
-        follow unconditional gotos, calls (pushing the static return
-        pc) and returns (popping it — the pc a run-time guard then
-        enforces, via :attr:`ret_targets`)."""
-        labels = self.tr.executable.labels
-        instrs = self.tr.instrs
+        come from :meth:`SegmentTranslator.trace_successor`: a return's
+        is the pc its in-trace call pinned, which a run-time guard then
+        enforces (:attr:`ret_targets`)."""
         head = self.entry
         returns: list[int] = []
         last = len(self.nodes) - 1
-        for position, (entry, trace, tail) in enumerate(self.nodes):
+        for position, (entry, trace, _tail) in enumerate(self.nodes):
             for pc in trace:
-                instr = instrs[pc]
-                control = _control_of(_stmts_of(instr))
-                if isinstance(control, (ast.CondGotoStmt, ast.GotoStmt)):
-                    label = self._label_of(control.target, instr)
-                    if labels.get(label) == head:
-                        self.looping = True
-            succ = None
-            if isinstance(tail, (ast.GotoStmt, ast.CallStmt)):
-                instr = instrs[trace[-1]]
-                succ = labels.get(self._label_of(tail.target, instr))
-                if isinstance(tail, ast.CallStmt):
-                    returns.append(trace[-1] + 1)
-            elif isinstance(tail, ast.RetStmt) and returns:
-                succ = returns.pop()
+                control = _control_of(_stmts_of(self.tr.instrs[pc]))
+                if isinstance(control, (ast.CondGotoStmt, ast.GotoStmt)) and (
+                    self.tr.target_pc(pc, control) == head
+                ):
+                    self.looping = True
+            succ, via = self.tr.trace_successor(entry, returns)
+            if via == "ret":
                 self.ret_targets[position] = succ
                 if succ == head:
                     self.looping = True
-            if position < last:
-                if succ is None:
-                    raise Uncompilable(
-                        "internal trace node lacks a static successor"
-                    )
-                if succ != self.nodes[position + 1][0]:
-                    raise Uncompilable(
-                        "trace edge does not match the node tail"
-                    )
+            if position < last and succ != self.nodes[position + 1][0]:
+                raise Uncompilable("trace edge does not match the node tail")
         if not self.looping and len(self.nodes) > 1:
             # a straight merge only saves one dispatch per invocation but
             # pays a wider register reload/flush at every entry and side
@@ -1292,7 +1268,6 @@ class _TraceCodegen:
         pipeline state), and fall back to the real ``close`` on a miss,
         counted in ``bm``.  The path's static totals count the probe."""
         getter = self._probe_getter(nentry, end, transfer)
-        self._totals_live = True
         probe = self._tmp()
         mm = "mm" if self.cached else "0"
         self._line(f"{probe} = {getter}((eid, {mm}))")
@@ -1317,22 +1292,17 @@ class _TraceCodegen:
         self.max_exec = max(self.max_exec, counts["ex"])
         return counts
 
-    def _totals(self, node_exec) -> tuple[str, str]:
-        """``ex, ld, st`` and ``ci, eid, bch, sbh`` of an exit after
+    def _totals(self, node_exec) -> str:
+        """``ex, ld, st, ci, eid, bch, sbh`` of an exit after
         ``node_exec`` instructions of the current node: the path's
         static counts, plus a looping function's running totals."""
         counts = self._counts(node_exec)
         if self.looping:
-            ex, ld, st, sbh = (
-                f"{name} + {count}" if count else name
+            counts = {
+                name: f"{name} + {count}" if count else name
                 for name, count in counts.items()
-            )
-        elif not counts["sbh"]:
-            # no probe has run on this path: the timing id is untouched
-            return "{ex}, {ld}, {st}".format(**counts), "0, eid, 0, 0"
-        else:
-            ex, ld, st, sbh = map(str, counts.values())
-        return f"{ex}, {ld}, {st}", f"ci, eid, {sbh} - bm, {sbh}"
+            }
+        return "{ex}, {ld}, {st}, ci, eid, {sbh} - bm, {sbh}".format(**counts)
 
     def _emit_dflush(self) -> None:
         """Commit the batched block counts and inline data-cache tallies
@@ -1347,73 +1317,38 @@ class _TraceCodegen:
         if self.cached and self.has_mem:
             self._line("dcache.hits += dh; dcache.misses += dm")
 
-    def _emit_side_exit(
-        self, nentry, end, transfer, kind, label, node_exec, open_len=0,
+    def _emit_exit(
+        self, nentry, end, transfer, node_exec, target=None, edge=-1,
     ) -> None:
+        """A side exit: flush, close the segment ``[nentry..end]``
+        (:meth:`_emit_probe`), commit, and return ``target`` — on a
+        return (``target`` ``None``), the %retaddr word read after the
+        flush — with ``edge`` as the call contract defines it."""
         self._flush()
-        if kind == 0:
-            self._emit_dflush()
-            counts, tail = self._totals(node_exec)
-            masks = "mm, lb" if self.cached else "0, 1"
-            self._line(
-                f"return (0, {end}, None, {nentry}, {open_len},"
-                f" {counts}, {masks}, {tail})"
-            )
-        elif self.looping or self.path.counts["sbh"]:
-            # exit kinds 1-3 leave at a closed segment boundary: commit
-            # it here (chain probe, ``close()`` on a miss) so the
-            # dispatch loop only routes the pc — it never closes these
-            self._emit_probe(nentry, end, transfer)
-            self._emit_dflush()
-            counts, tail = self._totals(node_exec)
-            self._line(
-                f"return ({kind}, {end}, {label!r}, {nentry}, 0,"
-                f" {counts}, 0, 1, {tail})"
-            )
-        else:
-            self._emit_static_close(
-                nentry, end, transfer, kind, label, node_exec
-            )
-
-    def _emit_static_close(
-        self, nentry, end, transfer, kind, label, node_exec
-    ) -> None:
-        """Closing exit of a function that has not probed on this path
-        (the common shape: a plain non-looping segment).  Every running
-        total is a static literal and the cycle base is exactly ``b0``,
-        so only the transition record flows through a local — a warm
-        call is one table probe and a constant tuple build."""
-        counts, _ = self._totals(node_exec)
-        getter = self._probe_getter(nentry, end, transfer)
-        probe = self._tmp()
-        mm = "mm" if self.cached else "0"
-        head = (
-            f"({kind}, {end}, {label!r}, {nentry}, 0, {counts}, 0, 1,"
-            f" {probe}[0], {probe}[1]"
-        )
-        self._line(f"{probe} = {getter}((eid, {mm}))")
-        self._line(f"if {probe} is None:")
-        self._line(
-            f"    {probe} = close({nentry}, {end}, {transfer}, {mm}, eid, b0)"
-        )
-        self.indent += 1
+        if target is None:
+            ra = self._tmp()
+            self._line(f"{ra} = u.get({self.ret_unit!r}, 0)")
+            target = f"{ra} - 4294967296 if {ra} > 2147483647 else {ra}"
+        self._emit_probe(nentry, end, transfer)
         self._emit_dflush()
-        self.indent -= 1
-        self._line(f"    return {head}, 0, 1)")
-        self._emit_dflush()
-        self._line(f"return {head}, 1, 1)")
+        self._line(f"return ({target}, {edge}, {self._totals(node_exec)})")
 
-    def _emit_back_edge(self, nentry, pc, instr, index) -> None:
-        """A taken exit targeting the trace head: close the segment
-        inline and loop (:meth:`_emit_loop`)."""
+    def _emit_taken(self, nentry, pc, instr, index, target) -> None:
+        """The taken transfer at ``trace[index]``, after its delay
+        slots: a back-edge when ``target`` is the head (close the
+        segment inline and loop), otherwise a side exit."""
         end = self._emit_slots(pc, instr)
+        executed = index + 1 + abs(instr.desc.slots)
+        if target != self.entry:
+            self._emit_exit(nentry, end, pc, executed, target, nentry)
+            return
         self._emit_probe(nentry, end, pc)
-        self._emit_loop(index + 1 + abs(instr.desc.slots))
+        self._emit_loop(executed)
 
     def _emit_loop(self, node_exec) -> None:
         """Commit the path's static totals, then loop in-function while
         the fuse budget allows, otherwise flush and stop at the head
-        (kind 4: everything already closed and accounted in the returned
+        (everything already closed and accounted in the returned
         totals).  The next iteration reads raw units as words."""
         self._settle()
         self._line("; ".join(
@@ -1425,8 +1360,7 @@ class _TraceCodegen:
         self._flush()
         self._emit_dflush()
         self._line(
-            f"return (4, 0, None, {self.entry}, 0, ex, ld, st,"
-            " 0, 1, ci, eid, sbh - bm, sbh)"
+            f"return ({self.entry}, None, ex, ld, st, ci, eid, sbh - bm, sbh)"
         )
 
     # -- emit: the function ----------------------------------------------------
@@ -1489,11 +1423,9 @@ class _TraceCodegen:
             prologue.append("    dh = 0; dm = 0")
         if self.looping:
             prologue.append("    ex = 0; ld = 0; st = 0; sbh = 0")
-        if self._totals_live:
-            prologue.append("    ci = 0; bm = 0")
-        if self.probe_sites:
-            getters = ", ".join(self.probe_sites.values())
-            prologue.append(f"    {getters}, = tg")
+        # every exit probes, so every function closes a segment
+        prologue.append("    ci = 0; bm = 0")
+        prologue.append(f"    {', '.join(self.probe_sites.values())}, = tg")
         prologue.extend(self._entry_loads())
         self.lines[prologue_at:prologue_at] = prologue
         return "\n".join(self.lines) + "\n"
@@ -1506,7 +1438,6 @@ class _TraceCodegen:
         (past its delay slots) joins inside it (:meth:`_emit_join`) when
         ``join`` allows; every other one, taken, is a back-edge to the
         head or a side exit."""
-        labels = self.tr.executable.labels
         head = self.entry
         instrs = self.tr.instrs
         for index in range(start, len(trace)):
@@ -1523,11 +1454,8 @@ class _TraceCodegen:
                 cond = self._tmp()
                 self._line(f"{cond} = {cond_code}")
                 self._emit_bc(pc)
-                label = self._label_of(control.target, instr)
-                target = labels.get(label)
-                if join and target is not None and (
-                    pc + abs(instr.desc.slots) < target <= trace[-1]
-                ):
+                target = self.tr.target_pc(pc, control)
+                if join and pc + abs(instr.desc.slots) < target <= trace[-1]:
                     self._emit_join(
                         position, entry, trace, tail, is_last, index, cond,
                         trace.index(target),
@@ -1536,31 +1464,20 @@ class _TraceCodegen:
                 self._line(f"if {cond} != 0:")
                 self.indent += 1
                 snapshot = self._snapshot()
-                if target == head:
-                    self._emit_back_edge(entry, pc, instr, index)
-                else:
-                    end = self._emit_slots(pc, instr)
-                    self._emit_side_exit(
-                        entry, end, pc, 1, label,
-                        index + 1 + abs(instr.desc.slots),
-                    )
+                self._emit_taken(entry, pc, instr, index, target)
                 self._restore(snapshot)
                 self.indent -= 1
             elif isinstance(control, ast.GotoStmt):
                 self._emit_bc(pc)
-                label = self._label_of(control.target, instr)
-                executed = index + 1 + abs(instr.desc.slots)
-                if labels.get(label) == head:
-                    self._emit_back_edge(entry, pc, instr, index)
-                elif not is_last:
+                target = self.tr.target_pc(pc, control)
+                if target == head or is_last:
+                    self._emit_taken(entry, pc, instr, index, target)
+                else:
                     # the hot internal edge: probe, then fall through
                     # into the next node's code
                     end = self._emit_slots(pc, instr)
                     self._emit_probe(entry, end, pc)
-                    self.path.counts["ex"] += executed
-                else:
-                    end = self._emit_slots(pc, instr)
-                    self._emit_side_exit(entry, end, pc, 1, label, executed)
+                    self.path.counts["ex"] += index + 1 + abs(instr.desc.slots)
             elif isinstance(control, ast.RetStmt):
                 self._emit_bc(pc)
                 end = self._emit_slots(pc, instr)
@@ -1576,7 +1493,7 @@ class _TraceCodegen:
                     self._line(f"if {ra} != {expected}:")
                     self.indent += 1
                     snapshot = self._snapshot()
-                    self._emit_side_exit(entry, end, pc, 2, None, executed)
+                    self._emit_exit(entry, end, pc, executed)
                     self._restore(snapshot)
                     self.indent -= 1
                     self._emit_probe(entry, end, pc)
@@ -1585,13 +1502,13 @@ class _TraceCodegen:
                     else:
                         self.path.counts["ex"] += executed
                 else:
-                    self._emit_side_exit(entry, end, pc, 2, None, executed)
+                    self._emit_exit(entry, end, pc, executed)
             elif isinstance(control, ast.CallStmt):
                 self._emit_bc(pc)
-                label = self._label_of(control.target, instr)
+                target = self.tr.target_pc(pc, control)
                 # the return-address write stays in the tracked view:
                 # internal calls fall through into the callee's code,
-                # a tail call side-exits through the dispatch
+                # a tail call side-exits to the callee
                 self._write_unit_bits(
                     self.ret_unit, str((pc + 1) & 0xFFFFFFFF)
                 )
@@ -1599,17 +1516,9 @@ class _TraceCodegen:
                     self._emit_probe(entry, pc, pc)
                     self.path.counts["ex"] += index + 1
                 else:
-                    self._emit_side_exit(
-                        entry, pc, pc, 3, label, index + 1
-                    )
+                    self._emit_exit(entry, pc, pc, index + 1, target)
             else:
                 self._emit_bc(pc)
-        if tail is None:
-            # open fallthrough: only reachable as the trace's last exit
-            self._emit_side_exit(
-                entry, trace[-1], -1, 0, None, len(trace),
-                open_len=len(trace),
-            )
 
     def _emit_join(
         self, position, entry, trace, tail, is_last, index, cond, at,

@@ -622,8 +622,8 @@ class Simulator:
         closures = self.closures
         block_of = self.block_of
         block_starts = self._block_starts
-        # ret reads the %retaddr register on every function return; the
-        # unit lookup and sign fix are hoisted out of state.read_reg
+        # an interpreted ret reads the %retaddr register; the unit
+        # lookup and sign fix are hoisted out of state.read_reg
         units_get = state.units.get
         ret_unit = (
             self.target.registers.units_of(cwvm.retaddr)[0]
@@ -640,7 +640,7 @@ class Simulator:
 
         # segment-JIT dispatch state: compiled functions only ever run at
         # a fresh segment boundary (seg_len == 0 and pc == seg_entry),
-        # where the miss mask is zero
+        # where the miss mask is zero, and return at another one
         jit = self._segment_jit()
         jit_cached = cache is not None
         jit_table = jit.functions(jit_cached)
@@ -692,12 +692,9 @@ class Simulator:
                 if record is not None and (
                     executed + record[1] <= max_instructions
                 ):
-                    # one contract for segments and traces: probes close
-                    # every chained boundary inside generated code,
-                    # including the final segment of a taken/call/return
-                    # exit (kinds 1-3) and a fuse stop (kind 4); only a
-                    # fallthrough exit (kind 0) returns an open segment
-                    # for the interpreter to continue
+                    # one contract for segments and traces: generated
+                    # code closes every segment it runs, the final one
+                    # included, and returns the pc to continue at
                     fn, max_exec, is_sb = record
                     getters = jit_getters.get(fn)
                     if getters is None:
@@ -709,11 +706,8 @@ class Simulator:
                     if fuse > fuse_cap:
                         fuse = fuse_cap
                     (
-                        jit_kind, seg_end, jit_label,
-                        node_entry, open_len, exec_delta,
-                        load_delta, store_delta, miss_mask,
-                        load_bit, cycle_delta, eid, probe_hits,
-                        probe_closes,
+                        pc, edge, exec_delta, load_delta, store_delta,
+                        cycle_delta, entry_id, probe_hits, probe_closes,
                     ) = fn(
                         state, cache, block_counts, getters, close,
                         entry_id, base_offset + virtual_issue, fuse,
@@ -723,77 +717,31 @@ class Simulator:
                     loads += load_delta
                     stores += store_delta
                     virtual_issue += cycle_delta
-                    entry_id = eid
                     jit_hits_run += probe_closes
                     if probe_hits and block_cache is not None:
                         # inline probe hits bypass close(), so the memo's
                         # hit counter is credited here
                         block_cache.hits += probe_hits
-                    if jit_kind == 4:
-                        pc = seg_entry = node_entry
+                    seg_entry = pc
+                    if edge is None:
+                        # a fuse stop at the head
                         continue
                     if is_sb:
                         sb_exits_run += 1
-                    if jit_kind == 0:
-                        # fallthrough end: the final segment stays open
-                        # at node_entry
-                        jit_hits_run += 1
-                        pc = seg_end + 1
-                        seg_entry = node_entry
-                        seg_len = open_len
-                        if seg_len >= SEGMENT_CAP:
-                            delta, entry_id, _ = close(
-                                node_entry, seg_end, -1, miss_mask,
-                                entry_id, base_offset + virtual_issue,
-                            )
-                            virtual_issue += delta
-                            seg_entry = pc
-                            seg_len = 0
-                            miss_mask = 0
-                            load_bit = 1
-                        continue
-                    # kinds 1-3 return with the final segment already
-                    # closed inside generated code (its close is in
-                    # probe_closes and cycle_delta, and mm/lb came back
-                    # reset): only routing remains
-                    seg_len = 0
-                    if jit_kind == 2:
-                        if ret_unit is not None:
-                            word = units_get(ret_unit, 0)
-                            pc = (
-                                word - 4294967296
-                                if word > 2147483647
-                                else word
-                            )
-                        else:
-                            pc = state.read_reg(cwvm.retaddr, "int")
-                    else:
-                        new_pc = exe.labels.get(jit_label)
-                        if new_pc is None:
-                            noun = "label" if jit_kind == 1 else "function"
-                            raise SimulationError(
-                                f"undefined {noun} {jit_label!r}",
-                                function=function,
-                                cycle=virtual_issue + 1,
-                            )
-                        if jit_kind == 1:
-                            # profile the taken edge until its promotion
-                            # decision; a hot edge triggers one
-                            # trace-selection attempt at its source (or
-                            # target)
-                            edge = (node_entry, new_pc)
-                            hot = sb_edges.get(edge, 0)
-                            if hot < SUPERBLOCK_WARMUP:
-                                hot += 1
-                                sb_edges[edge] = hot
-                                if hot == SUPERBLOCK_WARMUP and not (
-                                    jit.build_superblock(
-                                        node_entry, jit_cached
-                                    )
-                                ):
-                                    jit.build_superblock(new_pc, jit_cached)
-                        pc = new_pc
-                    seg_entry = pc
+                    if edge >= 0:
+                        # profile the taken edge until its promotion
+                        # decision; a hot edge triggers one
+                        # trace-selection attempt at its source (or
+                        # target)
+                        taken = (edge, pc)
+                        hot = sb_edges.get(taken, 0)
+                        if hot < SUPERBLOCK_WARMUP:
+                            hot += 1
+                            sb_edges[taken] = hot
+                            if hot == SUPERBLOCK_WARMUP and not (
+                                jit.build_superblock(edge, jit_cached)
+                            ):
+                                jit.build_superblock(pc, jit_cached)
                     continue
             effect = closures[pc](state, mem_log)
             executed += 1

@@ -14,6 +14,8 @@ in one place and silently miss the others:
   reachable through both.
 """
 
+import pytest
+
 import repro
 import repro.api as api
 
@@ -93,3 +95,16 @@ def test_request_error_in_taxonomy_everywhere():
     assert repro.RequestError is RequestError
     assert api.RequestError is RequestError
     assert issubclass(RequestError, repro.MarionError)
+
+
+def test_installed_metadata_carries_the_package_version():
+    # pyproject.toml reads the version from repro.__version__, so an
+    # installed copy's metadata cannot drift from the code; a checkout
+    # run from its sources without an install has no metadata to check
+    from importlib import metadata
+
+    try:
+        installed = metadata.version("repro")
+    except metadata.PackageNotFoundError:
+        pytest.skip("repro is not installed")
+    assert installed == repro.__version__

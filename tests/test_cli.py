@@ -105,8 +105,14 @@ def test_cli_no_schedule_baseline(c_file, capsys):
             ["--args", "1", "--sim-json", '{"bogus": 1}'], 2,
             "unknown sim field(s): bogus",
         ),
+        # an argument that is neither an int nor a float
+        (
+            "int f(int a) { return a; }", "f",
+            ["--args", "abc"], 2,
+            "--args value 'abc' is neither an int nor a float with a '.'",
+        ),
     ],
-    ids=("division-by-zero", "c-syntax-error", "bad-request"),
+    ids=("division-by-zero", "c-syntax-error", "bad-request", "bad-args"),
 )
 def test_cli_run_error_is_one_line(
     tmp_path, capsys, source, entry, extra, status, message

@@ -17,8 +17,10 @@ import pytest
 from repro.backend.insts import Imm, Reg
 from repro.errors import MarionError, SimulationTimeout
 from repro.machine.registers import PhysReg
+from repro.sim import jit, simulator
 from repro.sim.blockcache import BlockTimingCache
 from repro.sim.cache import DirectMappedCache
+from repro.sim.jit import SegmentJIT
 
 from tests.helpers import build as instr, simulate_oracle
 
@@ -158,6 +160,44 @@ def test_chain_bit_identical_grid(target, strategy):
                     mismatches.append((where, "engine skipped the memo"))
                 if not engine.jit_hits:
                     mismatches.append((where, "engine skipped the JIT"))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_segment_cap_matches_the_oracle(target, monkeypatch):
+    """A segment cap below the kernels' block lengths: the dispatch loop
+    closes interpreted segments at the cap (transfer -1), and the
+    translator refuses every entry whose walk reaches the cap before a
+    transfer, so those entries stay interpreted.  Every run still
+    equals the reference interleaved model, which has no segments."""
+    monkeypatch.setattr(simulator, "SEGMENT_CAP", 5)
+    monkeypatch.setattr(jit, "SEGMENT_CAP", 5)
+    variants = (
+        {},
+        {"cache": True},
+        {"cache": True, "trace": True},
+        {"model_timing": False},
+    )
+    mismatches = []
+    for kernel in (1, 7, 13):
+        spec = kernel_by_id(kernel)
+        executable = _compile(spec, target, "rase")
+        executable._segment_jit = SegmentJIT(executable, warmup=2)
+        loop, n = spec.args
+        args = (loop, max(4, int(n * 0.03)))
+        for extra in variants:
+            options = repro.SimOptions(**extra)
+            oracle = simulate_oracle(executable, "bench", args, options)
+            for run in range(3):
+                engine = repro.simulate(
+                    executable, "bench", args, options=options
+                )
+                where = (kernel, tuple(extra), run)
+                for field in COMPARED_FIELDS + ("cycle_breakdown",):
+                    if getattr(engine, field) != getattr(oracle, field):
+                        mismatches.append((where, field))
+                if not engine.interpreted:
+                    mismatches.append((where, "capped entries compiled"))
     assert mismatches == []
 
 
