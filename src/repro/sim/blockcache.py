@@ -27,11 +27,11 @@ ids, and because a digest fully determines all future
 :meth:`PipelineModel.issue` behavior, the exit id of segment N simply
 *is* the entry id of segment N+1.  Transitions are therefore stored as
 one small dict per static segment — ``(entry_pc, end_pc, transfer_pc)
--> {(entry_id, miss_mask): (cycle_delta, exit_id, stall_deltas)}`` — so
-a warm boundary crossing is a single two-int-tuple lookup in a dict the
-caller already holds, with zero digest hashing.  :func:`state_digest` runs only
-on first visit to a transition (counted in
-:attr:`BlockTimingCache.digests_computed`); steady state never
+-> {transition_key(entry_id, miss_mask): (cycle_delta, exit_id,
+stall_deltas)}`` — so a warm boundary crossing is a single one-int
+lookup in a dict the caller already holds, with zero digest hashing.
+:func:`state_digest` runs only on first visit to a transition (counted
+in :attr:`BlockTimingCache.digests_computed`); steady state never
 re-derives a key it already knows.
 
 The *digest* canonicalizes everything :meth:`PipelineModel.issue` and
@@ -88,6 +88,14 @@ SEGMENT_CAP = 2048
 #: hit; further misses replay uncached) — a backstop against degenerate
 #: keying, e.g. a workload whose miss masks never repeat
 MAX_ENTRIES = 1 << 16
+
+
+def transition_key(entry_id: int, miss_mask: int) -> int:
+    """The key of one transition in a segment's table: ``miss_mask``
+    above the 32 bits of ``entry_id``.  An id counts the digests
+    interned so far, at most one per replay, so it stays far below
+    ``2**32`` and the key is one-to-one."""
+    return miss_mask << 32 | entry_id
 
 
 def decode_blocks(executable):
@@ -232,8 +240,9 @@ def load_state(model: PipelineModel, digest: tuple, base: int) -> None:
 
 
 class BlockTimingCache:
-    """The exit-id-chained ``segment -> {(entry id, miss mask): (cycle
-    delta, exit id)}`` memo, plus the replay machinery behind its misses.
+    """The exit-id-chained ``segment -> {transition_key(entry id, miss
+    mask): (cycle delta, exit id, stall deltas)}`` memo, plus the replay
+    machinery behind its misses.
 
     One instance is shared by every fast-path run over one (executable,
     miss-penalty) pair, so warmup paid by one simulation benefits the
@@ -243,8 +252,8 @@ class BlockTimingCache:
     transition is replayed for the first time.  Callers that close the
     same static segment repeatedly (the segment JIT's probe sites) hold
     that segment's transition dict directly — see :meth:`transitions` —
-    making a warm boundary one two-int-tuple ``dict.get`` with no call
-    into this class at all."""
+    making a warm boundary one int-keyed ``dict.get`` with no call into
+    this class at all."""
 
     EMPTY_ID = 0
 
@@ -276,8 +285,9 @@ class BlockTimingCache:
         self._accesses: dict[int, tuple] = {}
         self.digests: list[tuple] = [EMPTY_DIGEST]
         self._digest_ids: dict[tuple, int] = {EMPTY_DIGEST: 0}
-        #: ``(entry, end, transfer) -> {(entry_id, miss_mask): (delta,
-        #: exit_id)}`` — the chained transition memo
+        #: ``(entry, end, transfer) -> {transition_key(entry_id,
+        #: miss_mask): (delta, exit_id, stall_deltas)}`` — the chained
+        #: transition memo
         self.segments: dict[tuple, dict] = {}
         #: total records admitted across every segment dict (the
         #: :data:`MAX_ENTRIES` backstop counts the whole memo)
@@ -304,7 +314,7 @@ class BlockTimingCache:
         first request).  The dict lives as long as this cache and is
         updated in place by :meth:`close`, so the dispatch loop binds
         each generated function's ``transitions(...).get`` getters once
-        per run, and the function probes ``(entry_id, miss_mask)`` keys
+        per run, and the function probes :func:`transition_key` keys
         with no further attribute or method lookups."""
         key = (entry, end, transfer)
         table = self.segments.get(key)
@@ -335,14 +345,15 @@ class BlockTimingCache:
         table = self.segments.get(key)
         if table is None:
             table = self.segments[key] = {}
-        record = table.get((entry_id, miss_mask))
+        transition = transition_key(entry_id, miss_mask)
+        record = table.get(transition)
         if record is not None:
             self.hits += 1
             return record
         self.misses += 1
         record = self._replay(entry, end, transfer, miss_mask, entry_id, base)
         if self.entries < MAX_ENTRIES:
-            table[(entry_id, miss_mask)] = record
+            table[transition] = record
             self.entries += 1
             self.dirty = True
         return record
@@ -389,10 +400,10 @@ class BlockTimingCache:
             if len(seg_key) != 3:
                 return False
             for key, record in table.items():
-                if len(key) != 2 or len(record) != 3:
+                if not isinstance(key, int) or key < 0 or len(record) != 3:
                     return False
                 if not (
-                    0 <= key[0] < len(digests)
+                    (key & 0xFFFFFFFF) < len(digests)
                     and 0 <= record[1] < len(digests)
                 ):
                     return False

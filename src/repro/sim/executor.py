@@ -38,8 +38,9 @@ _PAIR = struct.Struct("<II")
 
 
 def _wrap32(value: int) -> int:
-    value &= 0xFFFFFFFF
-    return value - 0x100000000 if value > _INT_MAX else value
+    if -0x80000000 <= value <= 0x7FFFFFFF:
+        return value
+    return (value + 0x80000000 & 0xFFFFFFFF) - 0x80000000
 
 
 def _int_div(a: int, b: int) -> int:

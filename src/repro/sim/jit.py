@@ -28,9 +28,9 @@ Inside the generated function:
   later reads reuse; its words are produced only where they are read
   as words (a move, the ``%retaddr`` guard), at a flush, a back-edge
   or a join;
-* an address is computed and bounds-checked once per path: a later
-  access with the same address expression reuses it until a local
-  the expression reads is written;
+* a 32-bit wrap is range-checked before it masks; a wrap or an
+  address is computed once per path, and an address bounds-checked
+  once, until a local the expression reads is written;
 * temporal registers (the i860's pipeline latches ``m1..m3`` and
   ``a1..a3``) are read and written in machine state through a prologue
   local ``tp = state.temporal``, exactly as the interpreter does
@@ -58,7 +58,7 @@ Inside the generated function:
   back-edge, instead of returning, commits the iteration's timing
   through an inlined transition-table probe and jumps back to the top —
   registers stay in Python locals and a warm iteration boundary costs
-  one integer-tuple dict lookup, with no call out of generated code.
+  one int-keyed dict lookup, with no call out of generated code.
   Every exit of such a function flushes the union of all views the
   body can write (a previous iteration may have taken any path).
 
@@ -123,6 +123,7 @@ from repro.sim.executor import (
     _int_div,
     _int_mod,
     _promote,
+    _wrap32,
 )
 
 #: dispatches of one segment entry before it is compiled
@@ -144,6 +145,8 @@ _INT_MAX = 2**31 - 1
 _INT_OPS = frozenset("+ - * / % & | ^ << >>".split())
 _FLOAT_OPS = frozenset("+ - * /".split())
 _REL_OPS = frozenset("== != < <= > >=".split())
+#: the register locals and ``tp`` (the latches) generated code reads
+_LOCALS = re.compile(r"\b(?:[iud]\d+_\d+|tp)\b")
 
 
 class Uncompilable(Exception):
@@ -316,16 +319,17 @@ class _Path:
     ``sbh``): static, so exits return them as literals.  ``values``
     maps a raw register view (one unit: a signed int, two: a double) to
     the temp holding its value, ``stale`` each raw unit whose local lags
-    to the ``(temp, view)`` its word is still pending in, and ``addrs``
-    an address expression already computed and bounds-checked to
-    ``(temp, bytes checked, locals it reads)``.  ``masked``: a load may have set a miss-mask
-    bit since the last probe."""
+    to the ``(temp, view)`` its word is still pending in, and ``exprs``
+    an expression already computed on the path — a 32-bit wrap, keyed
+    ``wrap32(code)``, or an address — to ``(temp, bytes bounds-checked
+    there, locals it reads)``.  ``masked``: a load may have set a
+    miss-mask bit since the last probe."""
 
     def __init__(self):
         self.counts = {"ex": 0, "ld": 0, "st": 0, "sbh": 0}
         self.values: dict[tuple, str] = {}
         self.stale: dict[tuple[int, int], tuple] = {}
-        self.addrs: dict[str, tuple] = {}
+        self.exprs: dict[str, tuple] = {}
         self.masked = False
 
     def copy(self) -> "_Path":
@@ -333,7 +337,7 @@ class _Path:
         other.counts = dict(self.counts)
         other.values = dict(self.values)
         other.stale = dict(self.stale)
-        other.addrs = dict(self.addrs)
+        other.exprs = dict(self.exprs)
         return other
 
 
@@ -360,10 +364,10 @@ class _TraceCodegen:
     ``dcache`` is the data-cache model (its tag array and shift/mask
     geometry are read into locals once; accesses are inlined
     arithmetic), ``tg`` the tuple of bound ``get`` methods of each
-    probe site's ``{(eid, mm): (cycle_delta, exit_id, stall_deltas)}``
-    transition dict, in :attr:`probe_sites` order (``fn._jit_sites``):
-    the dispatch loop binds them once per run through that run's
-    accessor, so a warm boundary is one two-int-tuple lookup — and
+    probe site's ``{transition_key(eid, mm): record}`` transition dict,
+    in :attr:`probe_sites` order (``fn._jit_sites``): the dispatch loop
+    binds them once per run through that run's accessor, so a warm
+    boundary is one int-keyed lookup — and
     ``close`` the miss path.  ``eid`` is the entry digest id, ``b0``
     the absolute base cycle at entry, and ``fz`` the
     executed-instruction budget for back-edges.  The segment's miss
@@ -400,6 +404,8 @@ class _TraceCodegen:
         #: property, so prologue/exit data-cache bookkeeping is emitted
         #: consistently regardless of source order)
         self.has_mem = False
+        #: access sizes whose bounds limit ``ml{size}`` the prologue binds
+        self.limits: set[int] = set()
         # decided representations
         self.typed: dict[tuple, str] = {}
         # emit state
@@ -678,11 +684,28 @@ class _TraceCodegen:
         if (kind, key) not in self.written:
             self.entry_reads.add((kind, key))
 
-    @staticmethod
-    def _wrap(code: str) -> str:
-        """Branch-free inline 32-bit signed wrap — the same value
-        ``executor._wrap32`` computes, without the per-op call."""
-        return f"((({code}) + 2147483648 & 4294967295) - 2147483648)"
+    def _wrap(self, code: str) -> str:
+        """``code`` wrapped to signed 32 bits, the value
+        ``executor._wrap32`` computes, in a temp the rest of the path
+        reuses (literal-only code folds to a literal).  The raw result
+        is range-checked first, so the mask runs only on an out-of-range
+        value and an in-range result stays a one-digit int."""
+        if not re.search(r"[A-Za-z_]", code):
+            value = eval(code)  # literals and operators only
+            if isinstance(value, int):
+                return f"({_wrap32(value)})"
+        key = f"wrap32({code})"
+        known = self.path.exprs.get(key)
+        if known is not None:
+            return known[0]
+        temp = self._tmp()
+        self._line(f"{temp} = {code}")
+        self._line(
+            f"if {temp} > 2147483647 or {temp} < -2147483648:"
+            f" {temp} = ({temp} + 2147483648 & 4294967295) - 2147483648"
+        )
+        self.path.exprs[key] = (temp, 0, frozenset(_LOCALS.findall(code)))
+        return temp
 
     def _guard_zero(self, var: str, message: str) -> None:
         """Division guard: raise the interpreter's exact error inline."""
@@ -721,31 +744,33 @@ class _TraceCodegen:
     def _address(self, code: str) -> str:
         """A temp holding address ``code``, reused from earlier on the
         path if it was computed there."""
-        known = self.path.addrs.get(code)
+        known = self.path.exprs.get(code)
         return known[0] if known is not None else self._bind(code)
 
     def _check(self, code: str, addr: str, size: int) -> None:
         """Bounds-check ``size`` bytes at ``addr``, the value of address
-        ``code``, unless the path already checked as many there."""
-        known = self.path.addrs.get(code)
+        ``code``, unless the path already checked as many there.  The
+        limit ``ml{size}`` (``ml - size``) is bound in the prologue."""
+        known = self.path.exprs.get(code)
         if known is not None and known[1] >= size:
             return
-        test = f"{addr} < 0 or {addr} + {size} > ml"
         if re.fullmatch(r"\(\d+\)", addr):
             test = f"{int(addr[1:-1]) + size} > ml"
+        else:
+            test = f"{addr} < 0 or {addr} > ml{size}"
+            self.limits.add(size)
         self._line(
             f"if {test}:"
             f" raise _SE('memory access at %d outside [0, %d)' % ({addr}, ml))"
         )
-        reads = frozenset(re.findall(r"\b(?:[iud]\d+_\d+|tp)\b", code))
-        self.path.addrs[code] = (addr, size, reads)
+        self.path.exprs[code] = (addr, size, frozenset(_LOCALS.findall(code)))
 
     def _forget(self, name: str) -> None:
-        """A write to local ``name`` (``tp``: a latch): addresses that
-        read it are computed again."""
-        addrs = self.path.addrs
-        for code in [code for code in addrs if name in addrs[code][2]]:
-            del addrs[code]
+        """A write to local ``name`` (``tp``: a latch): wraps and
+        addresses that read it are computed again."""
+        exprs = self.path.exprs
+        for code in [code for code in exprs if name in exprs[code][2]]:
+            del exprs[code]
 
     # -- emit: raw register values ---------------------------------------------
 
@@ -1264,13 +1289,19 @@ class _TraceCodegen:
     def _emit_probe(self, nentry, end, transfer) -> None:
         """Close the segment ``[nentry..end]`` inline: probe the
         segment's transition table through a per-site prologue local (a
-        warm boundary is one two-int-tuple dict lookup, zero hashing of
+        warm boundary is one int-keyed dict lookup, zero hashing of
         pipeline state), and fall back to the real ``close`` on a miss,
-        counted in ``bm``.  The path's static totals count the probe."""
+        counted in ``bm``.  The path's static totals count the probe.
+        The key is :func:`~repro.sim.blockcache.transition_key` inline:
+        the entry id alone where no load since the last probe can have
+        set a miss-mask bit."""
         getter = self._probe_getter(nentry, end, transfer)
         probe = self._tmp()
-        mm = "mm" if self.cached else "0"
-        self._line(f"{probe} = {getter}((eid, {mm}))")
+        if self.path.masked:
+            mm, key = "mm", "mm << 32 | eid"
+        else:
+            mm, key = "0", "eid"
+        self._line(f"{probe} = {getter}({key})")
         self._line(f"if {probe} is None:")
         self._line(
             f"    {probe} = close({nentry}, {end}, {transfer},"
@@ -1410,6 +1441,8 @@ class _TraceCodegen:
         if self.has_mem:
             prologue.append("    mem = state.memory")
             prologue.append("    ml = len(mem)")
+            for size in sorted(self.limits):
+                prologue.append(f"    ml{size} = ml - {size}")
         if self.uses_bc:
             prologue.append("    bcg = bc.get")
         for local in self.bc_locals.values():
@@ -1591,9 +1624,9 @@ class _TraceCodegen:
             view: temp for view, temp in ours.values.items()
             if path.values.get(view) == temp
         }
-        ours.addrs = {
-            code: known for code, known in ours.addrs.items()
-            if path.addrs.get(code) == known
+        ours.exprs = {
+            code: known for code, known in ours.exprs.items()
+            if path.exprs.get(code) == known
         }
         ours.masked = ours.masked or path.masked
 

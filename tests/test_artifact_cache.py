@@ -22,6 +22,7 @@ from repro.cache import (
     get_cache,
 )
 from repro.sim import DirectMappedCache
+from repro.sim.blockcache import BlockTimingCache
 from repro.targets import clear_target_cache, load_target, maril_source
 
 KERNEL = """
@@ -229,6 +230,33 @@ def test_jit_and_timing_preload_round_trip(store):
     assert warm.block_cache_misses == 0
     assert second._segment_jit.preloaded > 0
     assert second._segment_jit.compiled == 0
+
+
+def test_timing_payload_with_tuple_keys_is_a_clean_miss(store):
+    # a memo whose transitions are keyed by ``(entry id, miss mask)``
+    # tuples is refused whole: the next process replays its timing as a
+    # cold one does and reads identical cycles
+    target = load_target("r2000")
+    first = repro.compile_c(KERNEL, target, OPTIONS)
+    reference = _simulate(first)
+    assert reference.timing_digests > 0
+    penalty = DirectMappedCache().miss_penalty
+    key = store.key("timing", first.content_key, repr(penalty))
+    payload = store.get("timing", key)
+    payload["segments"] = {
+        segment: {(k & 0xFFFFFFFF, k >> 32): r for k, r in table.items()}
+        for segment, table in payload["segments"].items()
+    }
+    fresh = BlockTimingCache(target, first.instrs, penalty)
+    assert not fresh.preload(payload)
+    assert store.put("timing", key, payload)
+    clear_target_cache()
+    second = repro.compile_c(KERNEL, load_target("r2000"), OPTIONS)
+    again = _simulate(second)
+    assert again.cycles == reference.cycles
+    assert again.return_value == reference.return_value
+    assert again.timing_digests == reference.timing_digests
+    assert again.block_cache_misses == reference.block_cache_misses
 
 
 def test_jit_payload_of_another_interpreter_is_a_clean_miss(

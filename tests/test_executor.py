@@ -1,5 +1,7 @@
 """Unit tests for the semantics executor (instruction closures)."""
 
+import random
+
 import pytest
 
 from repro.backend.insts import Imm, Lab, Reg
@@ -128,6 +130,22 @@ def test_int_div_mod_helpers():
     assert _wrap32(2**31) == -(2**31)
     with pytest.raises(SimulationError):
         _int_div(1, 0)
+
+
+def test_wrap32_is_the_arithmetic_definition():
+    # in-range values come back as they are, every other one wraps:
+    # around +-2^31 and +-2^32 and on random values
+    rng = random.Random(32)
+    values = [
+        sign * edge + step
+        for edge in (2**31, 2**32)
+        for sign in (1, -1)
+        for step in (-1, 0, 1)
+    ]
+    values += [rng.randrange(-(2**40), 2**40) for _ in range(500)]
+    values += [rng.randrange(-(2**31), 2**31) for _ in range(500)]
+    for value in values:
+        assert _wrap32(value) == (value + 2**31) % 2**32 - 2**31, value
 
 
 def test_lui_style_shift_semantics(r2000):

@@ -465,14 +465,14 @@ int divsigns(int loop) {
 """
 
 
-@pytest.mark.parametrize("cache", (True, False))
-@pytest.mark.parametrize("target", TARGETS)
-def test_integer_division_matches_the_interpreter(target, cache):
+def _matches_the_interpreter(source, function, target, cache):
+    """Run ``function(4)`` of ``source`` interpreted and through
+    generated code; every compared field must agree."""
     runs = []
     for warmup in (NEVER, WARMUP):
-        executable = _compile_source(DIV_SIGNS, target, warmup=warmup)
+        executable = _compile_source(source, target, warmup=warmup)
         runs.append(repro.simulate(
-            executable, "divsigns", args=(4,), options=repro.SimOptions(
+            executable, function, args=(4,), options=repro.SimOptions(
                 cache=DirectMappedCache() if cache else None
             ),
         ))
@@ -480,6 +480,51 @@ def test_integer_division_matches_the_interpreter(target, cache):
     assert jitted.jit_hits > 0
     for field in COMPARED_FIELDS:
         assert getattr(jitted, field) == getattr(interpreted, field), field
+
+
+@pytest.mark.parametrize("cache", (True, False))
+@pytest.mark.parametrize("target", TARGETS)
+def test_integer_division_matches_the_interpreter(target, cache):
+    _matches_the_interpreter(DIV_SIGNS, "divsigns", target, cache)
+
+
+#: results just outside signed 32 bits, where generated code's range
+#: check must send the value through the mask: INT_MAX + 1,
+#: INT_MIN - 1, INT_MIN * -1, -INT_MIN, ``<< 31``, and ``int()`` of a
+#: double beyond 2^31 (both signs, and past 2^32); ``~`` stays in range.
+#: Each result is read through ``/ 3``: a sum or product of an
+#: unwrapped value wraps to the same bits later, and two results off by
+#: 2^31 each cancel in a sum, but their quotients do not
+WRAP_EDGES = """
+int a[8];
+double d[4];
+int wraps(int loop) {
+  int l; int i; int s; int x;
+  a[0] = 2147483647; a[1] = -2147483647 - 1; a[2] = -1; a[3] = 1;
+  a[4] = 31; a[5] = 3; a[6] = -5; a[7] = 0;
+  d[0] = 3000000000.5; d[1] = -3000000000.5;
+  d[2] = 6442450945.0; d[3] = -2147483649.0;
+  s = 0;
+  for (l = 0; l < loop; l = l + 1) {
+    for (i = 0; i < 4; i = i + 1) {
+      x = a[0] + a[3]; s = s * 31 + x / 3;
+      x = a[1] - a[3]; s = s * 31 + x / 3;
+      x = a[1] * a[2]; s = s * 31 + x / 3;
+      x = -a[1]; s = s * 31 + x / 3;
+      x = ~a[i]; s = s * 31 + x / 3;
+      x = a[i + 3] << a[4]; s = s * 31 + x / 3;
+      x = d[i]; s = s * 31 + x / 3;
+    }
+  }
+  return s;
+}
+"""
+
+
+@pytest.mark.parametrize("cache", (True, False))
+@pytest.mark.parametrize("target", TARGETS)
+def test_wraps_at_the_edges_match_the_interpreter(target, cache):
+    _matches_the_interpreter(WRAP_EDGES, "wraps", target, cache)
 
 
 # -- warmup threshold ---------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tests for the digest-free timing transition chain.
 
 The chain hands generated code the block-timing memo's per-segment
-transition tables so warm boundaries commit timing with one
-integer-tuple dict lookup.  It must be *bit-identical* to the
+transition tables so warm boundaries commit timing with one int-keyed
+dict lookup.  It must be *bit-identical* to the
 ``close()`` call path — same memo, same records — which ``trace=True``
 runs take for every boundary, and the engine as a whole must match the
 reference interleaved model: the sweep here compares them on the
@@ -11,6 +11,7 @@ traced, timing-off and ``max_cycles``-budgeted runs.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.backend.insts import Imm, Reg
 from repro.errors import MarionError, SimulationTimeout
 from repro.machine.registers import PhysReg
 from repro.sim import jit, simulator
-from repro.sim.blockcache import BlockTimingCache
+from repro.sim.blockcache import BlockTimingCache, transition_key
 from repro.sim.cache import DirectMappedCache
 from repro.sim.jit import SegmentJIT
 
@@ -334,7 +335,7 @@ def test_transitions_accessor_is_live(toyp):
     table = cache.transitions(0, 0, -1)
     assert table == {}
     delta, exit_id, _ = cache.close(0, 0, -1, 0, cache.EMPTY_ID, 0)
-    assert table[(cache.EMPTY_ID, 0)][:2] == (delta, exit_id)
+    assert table[transition_key(cache.EMPTY_ID, 0)][:2] == (delta, exit_id)
     assert cache.transitions(0, 0, -1) is table
 
 
@@ -369,6 +370,60 @@ def test_warm_run_binds_each_probe_site_once(monkeypatch):
     assert all(count <= sites[site] for site, count in calls.items())
 
 
+def test_transition_key_is_what_generated_probes_build():
+    """One key definition: the expression ``_emit_probe`` builds inline
+    equals :func:`transition_key` for every entry id and miss mask
+    (the entry id alone where no load precedes the probe), and distinct
+    pairs get distinct keys."""
+    keys = {}
+    for masked in (False, True):
+        codegen = jit._TraceCodegen(None, [(0, [0], None)], cached=True)
+        codegen.path.masked = masked
+        codegen._emit_probe(0, 0, -1)
+        probe = codegen.lines[0].split("= tg0(", 1)[1]
+        keys[masked] = probe[:-1]
+    ids = (0, 1, 7, 2**31, 2**32 - 1)
+    masks = (0, 1, 0b1011, 2**40 + 3)
+    for eid in ids:
+        assert eval(keys[False], {"eid": eid}) == transition_key(eid, 0)
+        for mm in masks:
+            inline = eval(keys[True], {"eid": eid, "mm": mm})
+            assert inline == transition_key(eid, mm)
+    distinct = {transition_key(eid, mm) for eid in ids for mm in masks}
+    assert len(distinct) == len(ids) * len(masks)
+
+
+@pytest.mark.parametrize("cache", (True, False))
+def test_warm_probes_find_every_transition(monkeypatch, cache):
+    """Generated code and the memo agree on keys end to end: once a run
+    has filled the memo, every inline probe of the next run hits, so no
+    warm boundary falls back to ``close()``."""
+    spec = kernel_by_id(7)
+    executable = _compile(spec, "r2000", "postpass")
+    loop, n = spec.args
+    args = (loop, max(4, int(n * 0.03)))
+    options = repro.SimOptions(cache=DirectMappedCache() if cache else None)
+    for _ in range(2):
+        repro.simulate(executable, "bench", args, options=options)
+    probes = Counter()
+    transitions = BlockTimingCache.transitions
+
+    def counting(self, entry, end, transfer):
+        table = transitions(self, entry, end, transfer)
+
+        def get(key):
+            record = table.get(key)
+            probes[record is not None] += 1
+            return record
+
+        return SimpleNamespace(get=get)
+
+    monkeypatch.setattr(BlockTimingCache, "transitions", counting)
+    warm = repro.simulate(executable, "bench", args, options=options)
+    assert warm.timing_digests == 0
+    assert probes[True] > 100 and probes[False] == 0
+
+
 def test_chained_exit_id_is_next_entry_id(toyp):
     """The chain's soundness hinge: the exit id ``close()`` returns keys
     the next boundary's lookup directly."""
@@ -379,7 +434,7 @@ def test_chained_exit_id_is_next_entry_id(toyp):
     delta, mid_id, _ = cache.close(0, 0, -1, 0, cache.EMPTY_ID, 0)
     cache.close(1, 1, -1, 0, mid_id, delta)
     # the second segment's record is keyed by the first one's exit id
-    assert (mid_id, 0) in cache.transitions(1, 1, -1)
+    assert transition_key(mid_id, 0) in cache.transitions(1, 1, -1)
 
 
 def test_export_preload_round_trip(toyp):
@@ -412,19 +467,31 @@ def test_preload_rejects_malformed_payloads(toyp):
     snapshot = good.export()
 
     # a record pointing past the digest list must be rejected wholesale
+    key = transition_key(good.EMPTY_ID, 0)
     bad = {
         "digests": list(snapshot["digests"]),
-        "segments": {(0, 0, -1): {(0, 0): (record[0], 999, record[2])}},
+        "segments": {(0, 0, -1): {key: (record[0], 999, record[2])}},
     }
     fresh = BlockTimingCache(toyp, [nop_like], None)
     assert not fresh.preload(bad)
     assert fresh.segments == {} and fresh.entries == 0
 
     # ...as must a record without its stall-delta tuple
-    bad["segments"] = {(0, 0, -1): {(0, 0): record[:2]}}
+    bad["segments"] = {(0, 0, -1): {key: record[:2]}}
     fresh = BlockTimingCache(toyp, [nop_like], None)
     assert not fresh.preload(bad)
     assert fresh.segments == {} and fresh.entries == 0
+
+    # ...and every key but a transition key of a known digest id: an
+    # ``(entry id, miss mask)`` tuple, a negative key, a key whose low
+    # 32 bits name no digest
+    for key in (
+        (good.EMPTY_ID, 0), -1, transition_key(len(snapshot["digests"]), 1)
+    ):
+        bad["segments"] = {(0, 0, -1): {key: record}}
+        fresh = BlockTimingCache(toyp, [nop_like], None)
+        assert not fresh.preload(bad)
+        assert fresh.segments == {} and fresh.entries == 0
 
     # ...as must a payload missing its digest list entirely
     fresh = BlockTimingCache(toyp, [nop_like], None)
